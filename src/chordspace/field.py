@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -252,12 +252,6 @@ def make_box_field(
         value_name=value_name,
         meta=meta,
     )
-
-
-def evaluate_on_cells(
-    cells: Sequence[tuple[float, ...]], fn: Callable[[tuple[float, ...]], float]
-) -> np.ndarray:
-    return np.array([fn(c) for c in cells], dtype=float)
 
 
 # -- analysis ---------------------------------------------------------------

@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .errors import UnresolvableChordError, UnresolvableIntervalError
 from .field import ScalarField, make_simplex_field, simplex_cells
-from .pitch import CENTS_PER_SEMITONE, Chord, normalize
+from .pitch import CENTS_PER_SEMITONE, Chord, cell_chord
 
 __all__ = [
     "PeriodicityConfig",
@@ -31,6 +32,8 @@ __all__ = [
     "periodicity_field",
     "sweep_periodicity_field",
     "ratio_candidates",
+    "min_lcm",
+    "tunings_with_lcm",
 ]
 
 
@@ -149,55 +152,82 @@ def ratio_candidates(
     return _candidates_cached(float(cents), cfg.jnd_cents, cfg.qmax, clamp)
 
 
-def _min_lcm_tuning(
-    cents_list: list[float],
-    cfg: PeriodicityConfig,
-    clamp: bool = True,
-    pinned: tuple[int, ...] = (1,),
-    pinned_detunings: tuple[float, ...] = (0.0,),
-):
-    """Branch-and-bound for the minimal-lcm joint tuning of free coordinates.
+def _window(cfg: PeriodicityConfig) -> float:
+    """Width allowed for the pairwise detuning window; unbounded without it."""
+    return cfg.jnd_cents if cfg.pairwise_constraint else math.inf
 
-    ``pinned`` denominators and ``pinned_detunings`` seed the running lcm and
-    the pairwise detuning window (the root's exact 1/1 contributes 0).
-    Returns (lcm, fractions, detunings) for the free coordinates or None.
+
+def min_lcm(
+    lists: list[tuple[tuple[Fraction, float], ...]],
+    window: float,
+    seed_lcm: int = 1,
+    lo: float = math.inf,
+    hi: float = -math.inf,
+    bound: int | None = None,
+) -> tuple[int, tuple[tuple[Fraction, float], ...]] | None:
+    """Branch-and-bound for the minimal-lcm choice of one candidate per list.
+
+    ``lists`` hold (fraction, detuning) candidates in ascending-denominator
+    order, as :func:`ratio_candidates` returns them.  The running lcm starts
+    at ``seed_lcm`` and the detuning window at [lo, hi] (empty by default);
+    every chosen detuning must keep the window at most ``window`` cents wide.
+    Returns (lcm, chosen) for the first minimal choice in list order,
+    counting only results strictly below ``bound``, or None.
     """
-    cand_lists = [ratio_candidates(c, cfg, clamp) for c in cents_list]
-    if any(not lst for lst in cand_lists):
-        return None
-    base_lcm = math.lcm(*pinned) if pinned else 1
-    d_lo = min(pinned_detunings) if pinned_detunings else 0.0
-    d_hi = max(pinned_detunings) if pinned_detunings else 0.0
+    best: list = [math.inf if bound is None else bound, None]
 
-    best: list = [None, None]
-
-    def search(i: int, cur_lcm: int, lo: float, hi: float, chosen: list):
-        if best[0] is not None and cur_lcm >= best[0]:
+    def search(i: int, cur: int, lo: float, hi: float, chosen: list):
+        if i == len(lists):
+            best[0], best[1] = cur, tuple(chosen)
             return
-        if i == len(cand_lists):
-            best[0] = cur_lcm
-            best[1] = list(chosen)
-            return
-        for frac, d in cand_lists[i]:
-            nxt = math.lcm(cur_lcm, frac.denominator)
-            if best[0] is not None and nxt >= best[0]:
+        for frac, d in lists[i]:
+            if frac.denominator >= best[0]:
+                break  # denominators ascend and the lcm is at least each one
+            nxt = math.lcm(cur, frac.denominator)
+            if nxt >= best[0]:
                 continue
-            if cfg.pairwise_constraint:
-                nlo, nhi = min(lo, d), max(hi, d)
-                if nhi - nlo > cfg.jnd_cents:
-                    continue
-            else:
-                nlo, nhi = lo, hi
+            nlo, nhi = min(lo, d), max(hi, d)
+            if nhi - nlo > window:
+                continue
             chosen.append((frac, d))
             search(i + 1, nxt, nlo, nhi, chosen)
             chosen.pop()
 
-    search(0, base_lcm, d_lo, d_hi, [])
-    if best[0] is None:
-        return None
-    fracs = tuple(f for f, _ in best[1])
-    ds = tuple(d for _, d in best[1])
-    return best[0], fracs, ds
+    if seed_lcm < best[0]:
+        search(0, seed_lcm, lo, hi, [])
+    return None if best[1] is None else (best[0], best[1])
+
+
+def tunings_with_lcm(
+    lists: list[tuple[tuple[Fraction, float], ...]],
+    target: int,
+    window: float,
+    seed_lcm: int = 1,
+    lo: float = math.inf,
+    hi: float = -math.inf,
+) -> Iterator[tuple[tuple[Fraction, float], ...]]:
+    """Every choice of one candidate per list whose lcm with ``seed_lcm`` is ``target``.
+
+    Same window rule as :func:`min_lcm`; choices are yielded in list order.
+    ``next(tunings_with_lcm(...), None) is not None`` tests existence.
+    """
+    sub = [[c for c in lst if target % c[0].denominator == 0] for lst in lists]
+
+    def walk(i: int, cur: int, lo: float, hi: float, chosen: list):
+        if i == len(sub):
+            if cur == target:
+                yield tuple(chosen)
+            return
+        for frac, d in sub[i]:
+            nlo, nhi = min(lo, d), max(hi, d)
+            if nhi - nlo > window:
+                continue
+            chosen.append((frac, d))
+            yield from walk(i + 1, math.lcm(cur, frac.denominator), nlo, nhi, chosen)
+            chosen.pop()
+
+    if all(sub):
+        yield from walk(0, seed_lcm, lo, hi, [])
 
 
 def chord_periodicity(
@@ -222,17 +252,17 @@ def chord_periodicity(
         raise ValueError(f"chord must be rooted at 0, got root {c.notes[0]!r}")
     if c.notes[-1] > 12:
         raise ValueError(f"chord must stay within one octave, got {c.notes}")
-    cents = [p * CENTS_PER_SEMITONE for p in c.notes[1:]]
-    found = _min_lcm_tuning(cents, cfg, clamp=True)
+    lists = [ratio_candidates(p * CENTS_PER_SEMITONE, cfg) for p in c.notes[1:]]
+    found = min_lcm(lists, _window(cfg), lo=0.0, hi=0.0)  # the root's 1/1 is exact
     if found is None:
         raise UnresolvableChordError(
             f"no joint rational tuning of {c} within {cfg.jnd_cents:g} cents "
             f"and denominators <= {cfg.qmax}"
         )
-    lcm, fracs, ds = found
+    lcm, chosen = found
     tuning = RationalTuning(
-        ratios=(Fraction(1),) + fracs,
-        detunings_cents=(0.0,) + ds,
+        ratios=(Fraction(1),) + tuple(f for f, _ in chosen),
+        detunings_cents=(0.0,) + tuple(d for _, d in chosen),
         periodicity=lcm,
     )
     return lcm, tuning
@@ -251,8 +281,12 @@ def rerooted_periodicity(
     per_root: dict[float, int | None] = {}
     best = None
     for r in c.notes:
-        cents = [(p - r) * CENTS_PER_SEMITONE for p in c.notes if p != r]
-        found = _min_lcm_tuning(cents, cfg, clamp=False)
+        lists = [
+            ratio_candidates((p - r) * CENTS_PER_SEMITONE, cfg, clamp=False)
+            for p in c.notes
+            if p != r
+        ]
+        found = min_lcm(lists, _window(cfg), lo=0.0, hi=0.0)
         per_root[r] = found[0] if found else None
         if found and (best is None or found[0] < best):
             best = found[0]
@@ -273,10 +307,6 @@ def _field_meta(cfg: PeriodicityConfig, resolution: int, generator: str) -> dict
     }
 
 
-def _cell_chord(coords: tuple[float, ...]) -> Chord:
-    return normalize((0.0,) + tuple(c / CENTS_PER_SEMITONE for c in coords))
-
-
 def periodicity_field(
     n: int, resolution: int, cfg: PeriodicityConfig = PeriodicityConfig()
 ) -> ScalarField:
@@ -290,40 +320,10 @@ def periodicity_field(
     if n not in (2, 3, 4):
         raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
     cells = simplex_cells(n - 1, resolution)
-    values = [math.log2(chord_periodicity(_cell_chord(c), cfg)[0]) for c in cells]
+    values = [math.log2(chord_periodicity(cell_chord(c), cfg)[0]) for c in cells]
     return make_simplex_field(
         n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
     )
-
-
-def _stampable_at(
-    cand_lists: list[tuple[tuple[Fraction, float], ...]],
-    q: int,
-    cfg: PeriodicityConfig,
-) -> bool:
-    """True iff some joint tuning with lcm exactly ``q`` fits the bounds."""
-    sub = []
-    for lst in cand_lists:
-        filtered = [(f, d) for f, d in lst if q % f.denominator == 0]
-        if not filtered:
-            return False
-        sub.append(filtered)
-
-    def walk(i: int, cur: int, lo: float, hi: float) -> bool:
-        if i == len(sub):
-            return cur == q
-        for frac, d in sub[i]:
-            if cfg.pairwise_constraint:
-                nlo, nhi = min(lo, d), max(hi, d)
-                if nhi - nlo > cfg.jnd_cents:
-                    continue
-            else:
-                nlo, nhi = lo, hi
-            if walk(i + 1, math.lcm(cur, frac.denominator), nlo, nhi):
-                return True
-        return False
-
-    return walk(0, 1, 0.0, 0.0)
 
 
 def sweep_periodicity_field(
@@ -352,9 +352,15 @@ def sweep_periodicity_field(
             raise UnresolvableChordError(
                 f"cell {cells[i]} has a note with no admissible fraction"
             )
+    window = _window(cfg)
     q = 1
     while remaining and q <= max_periodicity:
-        stamped = [i for i in remaining if _stampable_at(cand_per_cell[i], q, cfg)]
+        stamped = [
+            i
+            for i in remaining
+            if next(tunings_with_lcm(cand_per_cell[i], q, window, lo=0.0, hi=0.0), None)
+            is not None
+        ]
         for i in stamped:
             values[i] = math.log2(q)
             remaining.discard(i)

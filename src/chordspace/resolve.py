@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -34,7 +33,9 @@ from .field import ScalarField, make_box_field
 from .harmonicity import (
     PeriodicityConfig,
     chord_periodicity,
+    min_lcm,
     ratio_candidates,
+    tunings_with_lcm,
 )
 from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch, normalize, shift
 
@@ -82,115 +83,40 @@ def combined_chord(prog: Progression) -> Chord:
 # -- joint tuning search ------------------------------------------------------
 
 
-def _window_ok(ds: list[float], jnd: float) -> bool:
-    return max(ds) - min(ds) <= jnd
-
-
-def _all_tunings_with_lcm(
-    cents_list: list[float],
-    cfg: PeriodicityConfig,
-    target: int,
-    seed_ds: tuple[float, ...],
-) -> list[tuple[tuple[Fraction, ...], tuple[float, ...]]]:
-    """Every joint tuning of the free coordinates with lcm exactly ``target``."""
-    lists = []
-    for c in cents_list:
-        filtered = [
-            (f, d)
-            for f, d in ratio_candidates(c, cfg, clamp=False)
-            if target % f.denominator == 0
-        ]
-        if not filtered:
-            return []
-        lists.append(filtered)
-    out = []
-    base_lo = min(seed_ds) if seed_ds else math.inf
-    base_hi = max(seed_ds) if seed_ds else -math.inf
-
-    def walk(i, cur, lo, hi, chosen):
-        if i == len(lists):
-            if cur == target:
-                out.append((tuple(f for f, _ in chosen), tuple(d for _, d in chosen)))
-            return
-        for f, d in lists[i]:
-            nlo, nhi = min(lo, d), max(hi, d)
-            if nhi - nlo > cfg.jnd_cents:
-                continue
-            chosen.append((f, d))
-            walk(i + 1, math.lcm(cur, f.denominator), nlo, nhi, chosen)
-            chosen.pop()
-
-    walk(0, 1, base_lo, base_hi, [])
-    return out
-
-
-def _min_extension_lcm(
-    cents_list: list[float],
-    cfg: PeriodicityConfig,
-    base_lcm: int,
-    seed_ds: tuple[float, ...],
-    bound: int | None,
-) -> int | None:
-    """Minimal lcm(base, chosen denominators) over feasible extensions."""
-    lists = [ratio_candidates(c, cfg, clamp=False) for c in cents_list]
-    if any(not lst for lst in lists):
-        return None
-    best = [bound]
-
-    def walk(i, cur, lo, hi):
-        if best[0] is not None and cur >= best[0]:
-            return
-        if i == len(lists):
-            best[0] = cur
-            return
-        for f, d in lists[i]:
-            nxt = math.lcm(cur, f.denominator)
-            if best[0] is not None and nxt >= best[0]:
-                continue
-            nlo, nhi = min(lo, d), max(hi, d)
-            if nhi - nlo > cfg.jnd_cents:
-                continue
-            walk(i + 1, nxt, nlo, nhi)
-
-    walk(0, base_lcm, min(seed_ds), max(seed_ds))
-    if best[0] is None or (bound is not None and best[0] == bound):
-        return None  # nothing found, or nothing strictly better than the bound
-    return best[0]
-
-
-def _minimal_sub_lcm(
-    cents_list: list[float], cfg: PeriodicityConfig, seed_ds: tuple[float, ...]
-) -> int | None:
-    """Minimal lcm of a sub-chord's own tuning (used to pin one side)."""
-    lists = [ratio_candidates(c, cfg, clamp=False) for c in cents_list]
-    if any(not lst for lst in lists):
-        return None
-    best = [None]
-
-    def walk(i, cur, lo, hi):
-        if best[0] is not None and cur >= best[0]:
-            return
-        if i == len(lists):
-            best[0] = cur
-            return
-        for f, d in lists[i]:
-            nxt = math.lcm(cur, f.denominator)
-            if best[0] is not None and nxt >= best[0]:
-                continue
-            nlo, nhi = min(lo, d), max(hi, d)
-            if nhi - nlo > cfg.jnd_cents:
-                continue
-            walk(i + 1, nxt, nlo, nhi)
-
-    lo = min(seed_ds) if seed_ds else math.inf
-    hi = max(seed_ds) if seed_ds else -math.inf
-    walk(0, 1, lo, hi)
-    return best[0]
-
-
 def _shifted(prog: Progression) -> tuple[Chord, Chord]:
     s = prog.second.root
     return shift(prog.first, s), shift(prog.second, s)
+
+
+def _candidates(notes, pcfg: PeriodicityConfig) -> list:
+    return [ratio_candidates(p * CENTS_PER_SEMITONE, pcfg, clamp=False) for p in notes]
+
+
+def _second_side(prog: Progression, pcfg: PeriodicityConfig):
+    """The first chord's candidate lists over the second chord's root, the
+    second chord's minimal periodicity p2 (root pinned to 1/1) and its
+    tunings that realize p2; None when the second chord has no tuning."""
+    c1, c2 = _shifted(prog)
+    lists2 = _candidates(c2.notes[1:], pcfg)
+    found = min_lcm(lists2, pcfg.jnd_cents, lo=0.0, hi=0.0)
+    if found is None:
+        return None
+    p2 = found[0]
+    tunings2 = tunings_with_lcm(lists2, p2, pcfg.jnd_cents, lo=0.0, hi=0.0)
+    return _candidates(c1.notes, pcfg), p2, tunings2
+
+
+def _min_ratio(tunings, lists, p: int, jnd: float) -> int | None:
+    """Minimal lcm / p over the pinned tunings (lcm p, with the second chord's
+    root at detuning 0) extended by one candidate per list."""
+    best: int | None = None
+    for chosen in tunings:
+        ds = [0.0] + [d for _, d in chosen]
+        bound = None if best is None else best * p
+        found = min_lcm(lists, jnd, p, min(ds), max(ds), bound)
+        if found is not None:
+            best = found[0] // p  # a multiple of p strictly below the bound
+    return best
 
 
 def transitive_periodicity(prog: Progression, cfg: TransitiveConfig = TransitiveConfig()) -> int:
@@ -206,20 +132,13 @@ def transitive_periodicity(prog: Progression, cfg: TransitiveConfig = Transitive
     chord's tuning outright.
     """
     pcfg = cfg.periodicity_config()
-    c1, c2 = _shifted(prog)
-    c2_cents = [p * CENTS_PER_SEMITONE for p in c2.notes[1:]]
-    p2 = _minimal_sub_lcm(c2_cents, pcfg, (0.0,))
-    if p2 is None:
+    second = _second_side(prog, pcfg)
+    if second is None:
         raise UnresolvableProgressionError(
             f"second chord {prog.second} admits no rational tuning within bounds"
         )
-    c1_cents = [p * CENTS_PER_SEMITONE for p in c1.notes]
-    best: int | None = None
-    for _, ds2 in _all_tunings_with_lcm(c2_cents, pcfg, p2, (0.0,)):
-        bound = None if best is None else best * p2
-        ext = _min_extension_lcm(c1_cents, pcfg, p2, (0.0,) + ds2, bound)
-        if ext is not None and (best is None or ext // p2 < best):
-            best = ext // p2
+    lists1, p2, tunings2 = second
+    best = _min_ratio(tunings2, lists1, p2, pcfg.jnd_cents)
     if best is None:
         raise UnresolvableProgressionError(
             f"no joint tuning of {prog.first} -> {prog.second} within bounds"
@@ -238,22 +157,18 @@ def relative_periodicity_to_first(
     chord contains that root), and the second chord's coordinates extend it.
     """
     pcfg = cfg.periodicity_config()
+    jnd = pcfg.jnd_cents
     c1, c2 = _shifted(prog)
-    c1_cents = [p * CENTS_PER_SEMITONE for p in c1.notes]
-    p1 = _minimal_sub_lcm(c1_cents, pcfg, ())
-    if p1 is None:
+    lists1 = _candidates(c1.notes, pcfg)
+    found = min_lcm(lists1, jnd)
+    if found is None:
         raise UnresolvableProgressionError(
             f"first chord {prog.first} admits no rational tuning within bounds"
         )
-    c2_cents = [p * CENTS_PER_SEMITONE for p in c2.notes[1:]]  # root pinned 1/1
-    best: int | None = None
-    for _, ds1 in _all_tunings_with_lcm(c1_cents, pcfg, p1, ()):
-        if not _window_ok(list(ds1) + [0.0], pcfg.jnd_cents):
-            continue  # the second chord's root joins the window with detuning 0
-        bound = None if best is None else best * p1
-        ext = _min_extension_lcm(c2_cents, pcfg, p1, (0.0,) + ds1, bound)
-        if ext is not None and (best is None or ext // p1 < best):
-            best = ext // p1
+    p1 = found[0]
+    # The second chord's root joins the window with detuning 0.
+    tunings1 = tunings_with_lcm(lists1, p1, jnd, lo=0.0, hi=0.0)
+    best = _min_ratio(tunings1, _candidates(c2.notes[1:], pcfg), p1, jnd)
     if best is None:
         raise UnresolvableProgressionError(
             f"no joint tuning of {prog.first} -> {prog.second} within bounds"
@@ -309,7 +224,9 @@ def chan_transitional_harmony(
 # -- fields over target windows ----------------------------------------------
 
 
-def _window_axes(c1: Chord, n: int, cfg: TransitiveConfig, resolution: int):
+def _window_grid(c1: Chord, n: int, cfg: TransitiveConfig, resolution: int):
+    """Axes of the target window around ``c1``, its cells in cents and the
+    target chord of each cell."""
     if n != len(c1):
         raise ValueError(
             "window fields currently require the target size to match the "
@@ -327,14 +244,30 @@ def _window_axes(c1: Chord, n: int, cfg: TransitiveConfig, resolution: int):
     k = int(cfg.scope_cents // resolution)
     origins = tuple(p * CENTS_PER_SEMITONE - k * resolution for p in c1.notes)
     counts = (2 * k + 1,) * len(c1)
-    return origins, counts
-
-
-def _window_cells(origins, counts, resolution):
     axes = [
         [o + resolution * i for i in range(c)] for o, c in zip(origins, counts)
     ]
-    return list(product(*axes))
+    cells = list(product(*axes))
+    targets = [Chord(tuple(x / CENTS_PER_SEMITONE for x in coords)) for coords in cells]
+    return origins, counts, cells, targets
+
+
+def _window_field(
+    c1: Chord, cfg: TransitiveConfig, resolution: int, origins, counts,
+    values, value_name: str, generator: str,
+) -> ScalarField:
+    meta = {
+        "domain": "notes",
+        "from_chord": list(c1.notes),
+        "scope_cents": cfg.scope_cents,
+        "resolution_cents": resolution,
+        "jnd_cents": cfg.jnd_cents,
+        "qmax": cfg.qmax,
+        "sigma_cents": 0.0,
+        "generator": generator,
+    }
+    names = tuple(f"x{i + 1}" for i in range(len(c1)))
+    return make_box_field(resolution, origins, counts, values, names, value_name, meta)
 
 
 def transitive_field(
@@ -351,35 +284,23 @@ def transitive_field(
     ``c1``.  Windows must not overlap, so every grid tuple is already sorted.
     """
     pcfg = cfg.periodicity_config()
-    origins, counts = _window_axes(c1, n, cfg, resolution)
-    cells = _window_cells(origins, counts, resolution)
+    origins, counts, _, targets = _window_grid(c1, n, cfg, resolution)
     trans_vals = []
     comp_vals = []
-    for coords in cells:
-        c2 = Chord(tuple(x / CENTS_PER_SEMITONE for x in coords))
+    for c2 in targets:
         trans_vals.append(
             math.log2(transitive_periodicity(Progression(c1, c2), cfg))
         )
         comp_vals.append(
             math.log2(chord_periodicity(shift(c2, c2.root), pcfg)[0])
         )
-    meta = {
-        "domain": "notes",
-        "from_chord": list(c1.notes),
-        "scope_cents": cfg.scope_cents,
-        "resolution_cents": resolution,
-        "jnd_cents": cfg.jnd_cents,
-        "qmax": cfg.qmax,
-        "sigma_cents": 0.0,
-    }
-    names = tuple(f"x{i + 1}" for i in range(len(c1)))
-    trans = make_box_field(
-        resolution, origins, counts, trans_vals, names,
-        "log2_transitive_periodicity", dict(meta, generator="transitive"),
+    trans = _window_field(
+        c1, cfg, resolution, origins, counts, trans_vals,
+        "log2_transitive_periodicity", "transitive",
     )
-    comp = make_box_field(
-        resolution, origins, counts, comp_vals, names,
-        "log2_periodicity", dict(meta, generator="periodicity_of_second"),
+    comp = _window_field(
+        c1, cfg, resolution, origins, counts, comp_vals,
+        "log2_periodicity", "periodicity_of_second",
     )
     return trans, comp
 
@@ -387,41 +308,14 @@ def transitive_field(
 def _feasible_at_ratio(prog: Progression, cfg: TransitiveConfig, ratio: int) -> bool:
     """True iff some admissible joint tuning realizes exactly this ratio."""
     pcfg = cfg.periodicity_config()
-    c1, c2 = _shifted(prog)
-    c2_cents = [p * CENTS_PER_SEMITONE for p in c2.notes[1:]]
-    p2 = _minimal_sub_lcm(c2_cents, pcfg, (0.0,))
-    if p2 is None:
+    second = _second_side(prog, pcfg)
+    if second is None:
         return False
-    target = ratio * p2
-    c1_cents = [p * CENTS_PER_SEMITONE for p in c1.notes]
-    for _, ds2 in _all_tunings_with_lcm(c2_cents, pcfg, p2, (0.0,)):
-        lists = []
-        for c in c1_cents:
-            filtered = [
-                (f, d)
-                for f, d in ratio_candidates(c, pcfg, clamp=False)
-                if target % f.denominator == 0
-            ]
-            if not filtered:
-                lists = None
-                break
-            lists.append(filtered)
-        if lists is None:
-            continue
-        seed = (0.0,) + ds2
-
-        def walk(i, cur, lo, hi):
-            if i == len(lists):
-                return cur == target
-            for f, d in lists[i]:
-                nlo, nhi = min(lo, d), max(hi, d)
-                if nhi - nlo > pcfg.jnd_cents:
-                    continue
-                if walk(i + 1, math.lcm(cur, f.denominator), nlo, nhi):
-                    return True
-            return False
-
-        if walk(0, p2, min(seed), max(seed)):
+    lists1, p2, tunings2 = second
+    for chosen in tunings2:
+        ds = [0.0] + [d for _, d in chosen]
+        tunings = tunings_with_lcm(lists1, ratio * p2, pcfg.jnd_cents, p2, min(ds), max(ds))
+        if next(tunings, None) is not None:
             return True
     return False
 
@@ -439,17 +333,15 @@ def sweep_transitive_field(
     joint tuning exists; kept as the order-independent cross-check of the
     cell-local minimization.
     """
-    origins, counts = _window_axes(c1, n, cfg, resolution)
-    cells = _window_cells(origins, counts, resolution)
+    origins, counts, cells, targets = _window_grid(c1, n, cfg, resolution)
     values = np.full(len(cells), np.nan)
     remaining = set(range(len(cells)))
     p = 1
     while remaining and p <= max_ratio:
-        stamped = []
-        for i in remaining:
-            c2 = Chord(tuple(x / CENTS_PER_SEMITONE for x in cells[i]))
-            if _feasible_at_ratio(Progression(c1, c2), cfg, p):
-                stamped.append(i)
+        stamped = [
+            i for i in remaining
+            if _feasible_at_ratio(Progression(c1, targets[i]), cfg, p)
+        ]
         for i in stamped:
             values[i] = math.log2(p)
             remaining.discard(i)
@@ -459,19 +351,9 @@ def sweep_transitive_field(
         raise UnresolvableProgressionError(
             f"sweep exhausted ratios <= {max_ratio} with unassigned cells: {residual[:10]}"
         )
-    meta = {
-        "domain": "notes",
-        "from_chord": list(c1.notes),
-        "scope_cents": cfg.scope_cents,
-        "resolution_cents": resolution,
-        "jnd_cents": cfg.jnd_cents,
-        "qmax": cfg.qmax,
-        "sigma_cents": 0.0,
-        "generator": "transitive",
-    }
-    names = tuple(f"x{i + 1}" for i in range(len(c1)))
-    return make_box_field(
-        resolution, origins, counts, values, names, "log2_transitive_periodicity", meta
+    return _window_field(
+        c1, cfg, resolution, origins, counts, values,
+        "log2_transitive_periodicity", "transitive",
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ScalarField, make_simplex_field, simplex_cells
-from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch
+from .pitch import Chord, DEFAULT_F0_HZ, cell_chord, freq_from_pitch
 
 __all__ = [
     "Spectrum",
@@ -151,10 +151,8 @@ def roughness_field(
     """Chord roughness over the one-octave grid (same convention as periodicity)."""
     if n not in (2, 3):
         raise ValueError(f"roughness fields support 2 or 3 notes, got {n}")
-    from .harmonicity import _cell_chord  # same grid-cell convention
-
     cells = simplex_cells(n - 1, resolution)
-    values = [chord_roughness(_cell_chord(coords), spectrum, f0, params) for coords in cells]
+    values = [chord_roughness(cell_chord(coords), spectrum, f0, params) for coords in cells]
     meta = {
         "generator": "roughness",
         "domain": "intervals",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordspace.errors import UnresolvableChordError, UnresolvableIntervalError
 from chordspace.harmonicity import (
@@ -114,6 +115,27 @@ def test_chord_periodicity_matches_exhaustive_oracle():
         assert tuning.periodicity == got
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    cents=st.lists(st.integers(1, 1200), min_size=1, max_size=2),
+    jnd=st.sampled_from([10.0, 18.0, 25.0]),
+    qmax=st.sampled_from([12, 30, 100]),
+    pairwise=st.booleans(),
+)
+def test_chord_periodicity_equals_exhaustive_oracle_property(cents, jnd, qmax, pairwise):
+    # value and witness: the search returns the first minimal tuning in
+    # candidate order, which is the oracle's first strict minimum
+    chord = normalize([0.0] + [c / 100.0 for c in cents])
+    cfg = PeriodicityConfig(jnd_cents=jnd, qmax=qmax, pairwise_constraint=pairwise)
+    want = exhaustive_chord_periodicity(chord.notes, cfg)
+    if want is None:
+        with pytest.raises(UnresolvableChordError):
+            chord_periodicity(chord, cfg)
+        return
+    got, tuning = chord_periodicity(chord, cfg)
+    assert (got, tuning.ratios[1:]) == want
+
+
 def test_dyad_chord_consistency_full_cent_grid():
     cfg = PeriodicityConfig()
     for cents in range(0, 1201):
@@ -196,6 +218,11 @@ def test_sweep_equals_pointwise_dyads_and_triads():
     for n, res in ((2, 25), (3, 100)):
         a = periodicity_field(n, res)
         b = sweep_periodicity_field(n, res)
+        assert np.array_equal(a.values, b.values)
+    loose = PeriodicityConfig(pairwise_constraint=False)
+    for n, res in ((2, 10), (3, 50)):
+        a = periodicity_field(n, res, loose)
+        b = sweep_periodicity_field(n, res, loose)
         assert np.array_equal(a.values, b.values)
 
 

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordspace.errors import UnresolvableProgressionError
 from chordspace.field import make_simplex_field
@@ -100,6 +101,28 @@ def test_relative_periodicity_examples_and_oracle():
         got = relative_periodicity_to_first(Progression(TRITONE, c2))
         assert got == exhaustive_relative_to_first(TRITONE, c2)
     assert relative_periodicity_to_first(Progression(TRITONE, parse_chord("[2,10]"))) == 2
+
+
+TRIADS = st.lists(st.integers(0, 1400), min_size=3, max_size=3, unique=True).map(
+    lambda cents: Chord(tuple(sorted(c / 100.0 for c in cents)))
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(first=TRIADS, second=TRIADS)
+def test_triad_transitive_quantities_equal_exhaustive_oracles(first, second):
+    cfg = TransitiveConfig(qmax=48)
+    prog = Progression(first, second)
+    for fast, oracle in (
+        (transitive_periodicity, exhaustive_transitive),
+        (relative_periodicity_to_first, exhaustive_relative_to_first),
+    ):
+        want = oracle(first, second, qmax=48)
+        if want is None:
+            with pytest.raises(UnresolvableProgressionError):
+                fast(prog, cfg)
+        else:
+            assert fast(prog, cfg) == want
 
 
 def test_infeasible_progression_raises():
