@@ -6,7 +6,11 @@ Three levels:
   of equal length (a metric on unordered n-tuples).
 * :func:`chord_distance` -- the generalization that lets either chord
   duplicate notes before matching.  It is *not* a metric: the triangle
-  inequality fails between chords of different cardinalities.
+  inequality fails between chords of different cardinalities.  Duplications
+  matched in sorted order are monotone paths in the grid of the two sorted
+  note lists; a dynamic program keeps each cell's least prefix sum, adding
+  costs left to right in path order as :func:`stratum_distance` does.  IEEE
+  addition is monotone, so the minimum equals the enumeration's bit for bit.
 * :func:`geodesic_distance` -- length of the shortest path through the space
   of all chords when voices may split and merge at zero cost anywhere along
   the way.  This repairs the triangle inequality and is a metric.
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import accumulate
 from typing import Sequence
 
 from .pitch import Chord
@@ -36,9 +40,7 @@ class NormChoice(Enum):
 
 
 def stratum_distance(
-    a: Sequence[float],
-    b: Sequence[float],
-    norm: NormChoice = NormChoice.MANHATTAN,
+    a: Sequence[float], b: Sequence[float], norm: NormChoice = NormChoice.MANHATTAN
 ) -> float:
     """Minimum over all note matchings of the per-note movement norm.
 
@@ -50,63 +52,63 @@ def stratum_distance(
         raise ValueError(f"tuple lengths differ: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise ValueError("tuples must contain at least one note")
-    xs = sorted(a)
-    ys = sorted(b)
+    *_, total = accumulate(_cost(x, y, norm) for x, y in zip(sorted(a), sorted(b)))
+    return _finish(total, norm)  # summed left to right, like every path below
+
+
+def _cost(x: float, y: float, norm: NormChoice) -> float:
+    """One pair's term of :func:`stratum_distance`; inf past float range."""
     if norm is NormChoice.MANHATTAN:
-        return float(sum(abs(x - y) for x, y in zip(xs, ys)))
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(xs, ys)))
+        return abs(x - y)
+    try:
+        return (x - y) ** 2
+    except OverflowError:  # an optimal path may still avoid this pair
+        return math.inf
 
 
-def _expansions(c: Chord, n: int):
-    """All sorted n-tuples obtained by duplicating notes of ``c`` (each >= once)."""
-    k = len(c)
-    # Multiplicity vectors = compositions of n into k positive parts.
-    for dividers in combinations(range(1, n), k - 1):
-        bounds = (0,) + dividers + (n,)
-        out = []
-        for note, lo, hi in zip(c.notes, bounds, bounds[1:]):
-            out.extend([note] * (hi - lo))
-        yield tuple(out)
+def _finish(total: float, norm: NormChoice) -> float:
+    d = float(total) if norm is NormChoice.MANHATTAN else math.sqrt(total)
+    if not math.isfinite(d):
+        raise ValueError("distance overflows a float: the notes are too far apart")
+    return d
 
 
 def chord_distance_n(
-    c1: Chord,
-    c2: Chord,
-    n: int,
-    norm: NormChoice = NormChoice.MANHATTAN,
+    c1: Chord, c2: Chord, n: int, norm: NormChoice = NormChoice.MANHATTAN
 ) -> float:
-    """Minimum matching distance over all n-note duplications of both chords."""
-    if n < max(len(c1), len(c2)):
-        raise ValueError(
-            f"n={n} is smaller than the larger chord ({max(len(c1), len(c2))} notes)"
-        )
-    best = math.inf
-    for e1 in _expansions(c1, n):
-        for e2 in _expansions(c2, n):
-            d = stratum_distance(e1, e2, norm)
-            if d < best:
-                best = d
-    return best
+    """Minimum matching distance over all n-note duplications of both chords.
 
-
-def chord_distance(
-    c1: Chord,
-    c2: Chord,
-    norm: NormChoice = NormChoice.MANHATTAN,
-) -> float:
-    """Minimum of :func:`chord_distance_n` over all admissible sizes n.
-
-    The search stops at n = len(c1) + len(c2): beyond total multiplicity any
-    further duplication adds a note that can be matched to a copy of its own
-    partner at zero extra benefit, so larger n never improves the minimum
-    (cross-checked against a wider brute-force scan in the tests).
+    The cheapest path of exactly n pairs (a step may stay put, repeating a pair),
+    by a dynamic program over path length: O(k*m*n) time, O(k*m) memory.
     """
-    best = math.inf
-    for n in range(max(len(c1), len(c2)), len(c1) + len(c2) + 1):
-        d = chord_distance_n(c1, c2, n, norm)
-        if d < best:
-            best = d
-    return best
+    if n < max(len(c1), len(c2)):
+        raise ValueError(f"n={n} is smaller than the larger chord ({max(len(c1), len(c2))} notes)")
+    cost = [[_cost(x, y, norm) for y in c2] for x in c1]
+    inf, m = math.inf, len(c2)
+    # prev[i + 1][j + 1]: cheapest path of t pairs ending at (i, j); t = 0 at [0][0]
+    prev = [[0] + [inf] * m] + [[inf] * (m + 1) for _ in cost]
+    for _ in range(n):
+        cur = [[inf] * (m + 1)]
+        for up, here, row in zip(prev, prev[1:], cost):
+            lows = map(min, here[1:], up[1:], here, up)  # from (i,j) (i-1,j) (i,j-1) (i-1,j-1)
+            cur.append([inf] + [c + low for c, low in zip(row, lows)])
+        prev = cur
+    return _finish(prev[-1][-1], norm)
+
+
+def chord_distance(c1: Chord, c2: Chord, norm: NormChoice = NormChoice.MANHATTAN) -> float:
+    """Minimum of :func:`chord_distance_n` over n = max(k, m) .. k + m, in O(k*m).
+
+    ``D[i][j] = cost(i, j) + min(D[i-1][j], D[i][j-1], D[i-1][j-1])``: the
+    optimum repeats no pair, and paths without repeats have max(k, m) to k + m - 1.
+    """
+    prev = [0] + [math.inf] * len(c2)  # row -1: only the start is reachable
+    for x in c1:
+        cur = [math.inf]
+        for j, y in enumerate(c2):
+            cur.append(_cost(x, y, norm) + min(prev[j + 1], cur[j], prev[j]))
+        prev = cur
+    return _finish(prev[-1], norm)
 
 
 @dataclass(frozen=True)
@@ -149,11 +151,8 @@ def geodesic_witness(c1: Chord, c2: Chord) -> GeodesicWitness:
         [(p, 0) for p in c1.notes] + [(p, 1) for p in c2.notes]
     )  # kind 0 = source, 1 = target; sources sort first at equal pitch
     k = len(pts)
-    n_src = [0] * (k + 1)
-    n_tgt = [0] * (k + 1)
-    for i, (_, kind) in enumerate(pts):
-        n_src[i + 1] = n_src[i] + (kind == 0)
-        n_tgt[i + 1] = n_tgt[i] + (kind == 1)
+    n_src = [0, *accumulate(1 - kind for _, kind in pts)]
+    n_tgt = [0, *accumulate(kind for _, kind in pts)]
 
     def seg_valid(i: int, j: int) -> bool:
         # segment covers pts[i:j]
@@ -168,8 +167,8 @@ def geodesic_witness(c1: Chord, c2: Chord) -> GeodesicWitness:
                 cost = pts[j - 1][0] - pts[i][0] + best[j]
                 if cost < best[i]:
                     best[i] = cost
-    if math.isinf(best[0]):  # cannot happen: the full segment is always valid
-        raise RuntimeError("no valid grouping found")
+    if math.isinf(best[0]):  # every grouping's span overflows a float
+        raise ValueError("distance overflows a float: the notes are too far apart")
 
     groups = []
     i = 0

@@ -8,6 +8,7 @@ The production code must agree with these on small instances.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -31,7 +32,8 @@ def perm_distance(a, b, norm=NormChoice.MANHATTAN) -> float:
 
 
 def expansions(notes: tuple[float, ...], n: int):
-    for mult in itertools.product(range(1, n + 1), repeat=len(notes)):
+    # each note appears at least once, so none appears more than n - k + 1 times
+    for mult in itertools.product(range(1, n - len(notes) + 2), repeat=len(notes)):
         if sum(mult) == n:
             out = []
             for note, m in zip(notes, mult):
@@ -47,11 +49,20 @@ def expansion_distance(c1: Chord, c2: Chord, n: int, norm=NormChoice.MANHATTAN) 
     return best
 
 
-def _sorted_match(a, b) -> float:
-    return sum(abs(x - y) for x, y in zip(sorted(a), sorted(b)))
+def _sorted_match(a, b, norm=NormChoice.MANHATTAN) -> float:
+    """Sorted matching cost, the terms added strictly left to right.
+
+    An explicit loop, not ``sum()``, which compensates float rounding from
+    Python 3.12 on; the production distances are exact left-to-right sums.
+    """
+    total = 0.0
+    for x, y in zip(sorted(a), sorted(b)):
+        total += abs(x - y) if norm is NormChoice.MANHATTAN else (x - y) ** 2
+    return total if norm is NormChoice.MANHATTAN else math.sqrt(total)
 
 
-def expansion_distance_fast(c1: Chord, c2: Chord, n: int) -> float:
+@functools.cache  # duplication_distance rescans the same sizes
+def expansion_distance_fast(c1: Chord, c2: Chord, n: int, norm=NormChoice.MANHATTAN) -> float:
     """Expansion oracle with sorted matching in place of permutations.
 
     Sorted matching itself is validated against :func:`perm_distance` in a
@@ -59,17 +70,20 @@ def expansion_distance_fast(c1: Chord, c2: Chord, n: int) -> float:
     grouping code.
     """
     best = math.inf
+    targets = list(expansions(c2.notes, n))
     for e1 in expansions(c1.notes, n):
-        for e2 in expansions(c2.notes, n):
-            best = min(best, _sorted_match(e1, e2))
+        for e2 in targets:
+            best = min(best, _sorted_match(e1, e2, norm))
     return best
 
 
-def duplication_distance(c1: Chord, c2: Chord, max_extra: int = 0) -> float:
+def duplication_distance(
+    c1: Chord, c2: Chord, max_extra: int = 0, norm=NormChoice.MANHATTAN
+) -> float:
     """min over n of the expansion/matching distance, optionally scanning wider."""
     hi = len(c1) + len(c2) + max_extra
     return min(
-        expansion_distance_fast(c1, c2, n)
+        expansion_distance_fast(c1, c2, n, norm)
         for n in range(max(len(c1), len(c2)), hi + 1)
     )
 

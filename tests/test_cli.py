@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -45,6 +46,29 @@ def test_distance_parse_failure_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["distance", "[0,1,7]", "[zz]"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("[1e308]", "[-1e308]"),
+        ("[0,1e200]", "[0]", "--norm", "euclidean"),
+        ("[0,1e155]", "[0,1]", "--norm", "euclidean"),
+    ],
+)
+def test_distance_overflow_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "distance", *argv)
+    assert code == 2
+    assert out == ""
+    assert "too far apart" in err
+
+
+def test_distance_seven_vs_eight_notes_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "distance", "[0,2,4,5,7,9,11]", "[0,1,3,5,6,8,10,11]")
+    assert code == 0
+    assert time.perf_counter() - start < 2.0
+    assert sorted(json.loads(out)["d_n"], key=int) == [str(n) for n in range(8, 16)]
 
 
 def test_periodicity_values_and_witness(capsys):

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordspace.metric import (
     NormChoice,
@@ -15,7 +16,9 @@ from chordspace.metric import (
 from chordspace.pitch import Chord, normalize
 
 from oracles import (
+    duplication_distance,
     expansion_distance,
+    expansion_distance_fast,
     geodesic_shortest_path,
     perm_distance,
 )
@@ -101,6 +104,65 @@ def test_chord_distance_cap_is_enough():
             for n in range(max(len(c1), len(c2)), len(c1) + len(c2) + 3)
         )
         assert capped == pytest.approx(wider, abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    cents1=st.lists(st.integers(-1200, 2400), min_size=1, max_size=5, unique=True),
+    cents2=st.lists(st.integers(-1200, 2400), min_size=1, max_size=5, unique=True),
+)
+def test_duplication_distances_equal_expansion_oracle_property(cents1, cents2):
+    # the path program must reproduce the enumeration bit for bit, not approximately
+    c1 = normalize([c / 100 for c in cents1])
+    c2 = normalize([c / 100 for c in cents2])
+    for norm in NormChoice:
+        assert chord_distance(c1, c2, norm) == duplication_distance(
+            c1, c2, max_extra=2, norm=norm
+        )
+        for n in range(max(len(c1), len(c2)), len(c1) + len(c2) + 3):
+            assert chord_distance_n(c1, c2, n, norm) == expansion_distance_fast(
+                c1, c2, n, norm
+            )
+
+
+def test_chord_distance_twelve_notes_by_hand():
+    # each of the 12 target notes needs a partner at least 0.5 away, so 6 is
+    # a lower bound, and sorted one-to-one matching reaches it
+    lower = normalize(range(12))
+    upper = normalize([x + 0.5 for x in range(12)])
+    assert chord_distance(lower, upper) == 6.0
+
+
+@pytest.mark.parametrize(
+    "notes1, notes2, norm",
+    [
+        ([1e308], [-1e308], NormChoice.MANHATTAN),
+        ([0, 1e200], [0], NormChoice.EUCLIDEAN),
+        ([0, 1e155], [0, 1], NormChoice.EUCLIDEAN),
+    ],
+)
+def test_overflowing_distance_raises_value_error(notes1, notes2, norm):
+    c1, c2 = normalize(notes1), normalize(notes2)
+    with pytest.raises(ValueError, match="too far apart"):
+        chord_distance(c1, c2, norm)
+    with pytest.raises(ValueError, match="too far apart"):
+        chord_distance_n(c1, c2, max(len(c1), len(c2)), norm)
+
+
+def test_stratum_and_geodesic_overflow_raise_value_error():
+    with pytest.raises(ValueError, match="too far apart"):
+        stratum_distance((1e308,), (-1e308,))
+    with pytest.raises(ValueError, match="too far apart"):
+        stratum_distance((0.0, 1e200), (0.0, 0.0), NormChoice.EUCLIDEAN)
+    with pytest.raises(ValueError, match="too far apart"):
+        geodesic_distance(normalize([1e308]), normalize([-1e308]))
+
+
+def test_far_notes_off_the_optimal_path_do_not_overflow():
+    # the pair (0, 1e200) squares past a float, but the optimum never uses it
+    c = normalize([0, 1e200])
+    assert chord_distance(c, c, NormChoice.EUCLIDEAN) == 0.0
+    assert chord_distance_n(c, c, 4, NormChoice.EUCLIDEAN) == 0.0
 
 
 def test_geodesic_golden_values():
