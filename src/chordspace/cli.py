@@ -33,13 +33,14 @@ def parse_cents(text: str) -> float:
     """Parse a width flag: '6c' means 6 cents, a bare number means semitones."""
     text = text.strip()
     try:
-        if text.endswith(("c", "C")):
-            return float(text[:-1])
-        return float(text) * 100.0
+        cents = float(text[:-1]) if text.endswith(("c", "C")) else float(text) * 100.0
     except ValueError:
+        cents = math.nan
+    if not math.isfinite(cents):
         raise argparse.ArgumentTypeError(
-            f"expected cents like '6c' or semitones like '0.06', got {text!r}"
-        ) from None
+            f"expected finite cents like '6c' or semitones like '0.06', got {text!r}"
+        )
+    return cents
 
 
 def _both_units(cents: float) -> dict:
@@ -142,8 +143,8 @@ def _smooth(fld: ScalarField, sigma_cents: float) -> ScalarField:
 def cmd_field(args) -> int:
     cfg = _load_config(args)
     resolution = args.res if args.res is not None else cfg.resolution_for(args.size)
-    if 1200 % resolution != 0:
-        print(f"error: resolution {resolution} does not divide 1200", file=sys.stderr)
+    if resolution <= 0 or 1200 % resolution != 0:
+        print(f"error: resolution {resolution} must be positive and divide 1200", file=sys.stderr)
         return EXIT_USAGE
     sigma = args.sigma if args.sigma is not None else cfg.sigma_cents()
     out = Path(args.out)

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,13 +41,27 @@ def _fmt_coord(c: float) -> str:
     return f"{c:.4f}"
 
 
+def _cell_mask(axes: Sequence[np.ndarray], simplex: bool) -> np.ndarray:
+    """Included cells of the box spanned by coordinate ``axes``; C-order is
+    lexicographic.  A simplex keeps the cells whose coordinates never decrease.
+    """
+    mask = np.ones(tuple(len(a) for a in axes), dtype=bool)
+    if simplex:
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        for a, b in zip(grids, grids[1:]):
+            mask &= a <= b
+    return mask
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Dense scalar values on a regular (possibly simplex-constrained) grid.
 
     ``values`` holds one float per included cell, in lexicographic coordinate
-    order.  ``meta`` carries the generator name and configuration snapshot; it
-    is excluded from equality.
+    order.  ``mask`` is the read-only ``counts``-shaped boolean array of the
+    included cells, built once; every cell lookup derives from it.  ``meta``
+    carries the generator name and configuration snapshot; it is excluded
+    from equality.
     """
 
     resolution: int
@@ -58,6 +72,7 @@ class ScalarField:
     values: np.ndarray
     value_name: str = "value"
     meta: dict = dc_field(default_factory=dict)
+    mask: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.resolution <= 0:
@@ -69,13 +84,11 @@ class ScalarField:
         vals = np.asarray(self.values, dtype=float)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        mask = _cell_mask([self.axis_coords(k) for k in range(self.dims)], self.simplex)
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
         # Canonical flag: simplex that excludes nothing is stored as a box.
-        simplex = self.simplex and len(self.counts) >= 2
-        if simplex:
-            n_simplex = sum(1 for _ in self._iter_cells(True))
-            if n_simplex == int(np.prod(self.counts)):
-                simplex = False
-        object.__setattr__(self, "simplex", simplex)
+        object.__setattr__(self, "simplex", not mask.all())
         if len(vals) != self.n_cells:
             raise ValueError(
                 f"value count {len(vals)} does not match cell count {self.n_cells}"
@@ -90,54 +103,58 @@ class ScalarField:
     def axis_coords(self, k: int) -> np.ndarray:
         return self.origins[k] + self.resolution * np.arange(self.counts[k], dtype=float)
 
-    def _iter_cells(self, simplex: bool) -> Iterator[tuple[float, ...]]:
-        axes = [list(self.axis_coords(k)) for k in range(len(self.counts))]
-        for coords in itertools.product(*axes):
-            if not simplex or all(a <= b + 1e-9 for a, b in zip(coords, coords[1:])):
-                yield coords
+    def _coords(self, idx) -> np.ndarray:
+        """Coordinates (cents) of grid indices stacked along the last axis."""
+        return np.add(self.origins, self.resolution * np.asarray(idx, dtype=float))
 
     @cached_property
     def cells(self) -> tuple[tuple[float, ...], ...]:
         """Included cell coordinates (cents), lexicographic order."""
-        return tuple(self._iter_cells(self.simplex))
+        return tuple(map(tuple, self._coords(np.argwhere(self.mask)).tolist()))
 
     @cached_property
-    def _index(self) -> dict[tuple[float, ...], int]:
-        return {c: i for i, c in enumerate(self.cells)}
+    def _positions(self) -> np.ndarray:
+        """Index into ``values`` of every box cell; -1 where the mask excludes it."""
+        return np.where(self.mask, np.cumsum(self.mask).reshape(self.counts) - 1, -1)
 
     @property
     def n_cells(self) -> int:
-        if self.simplex:
-            return len(self.cells)
-        return int(np.prod(self.counts))
+        return int(np.count_nonzero(self.mask))
 
     def index_of(self, coords: Sequence[float]) -> int:
         key = tuple(float(c) for c in coords)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"coordinates {key} are not a grid cell") from None
+        if len(key) == self.dims:
+            t = np.rint((np.asarray(key) - self.origins) / self.resolution)
+            if np.all((t >= 0) & (t < self.counts)):
+                idx = tuple(t.astype(int))
+                if self._coords(idx).tolist() == list(key) and self._positions[idx] >= 0:
+                    return int(self._positions[idx])
+        raise ValueError(f"coordinates {key} are not a grid cell")
 
     def value_at(self, coords: Sequence[float]) -> float:
         return float(self.values[self.index_of(coords)])
 
     def dense(self) -> np.ndarray:
-        """Full box array of values.
+        """Full box array of values, computed once and cached read-only.
 
         Simplex fields are extended symmetrically (a cell reads the value of
         its sorted coordinates), which is the natural extension of a function
         on unordered note sets.
         """
-        if self.dims == 0:
-            return self.values.reshape(())
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
         if not self.simplex:
-            return self.values.reshape(self.counts)
-        out = np.empty(self.counts, dtype=float)
-        for idx in np.ndindex(*self.counts):
-            coords = tuple(
-                self.origins[k] + self.resolution * i for k, i in enumerate(idx)
-            )
-            out[idx] = self.values[self._index[tuple(sorted(coords))]]
+            return self.values.reshape(self.counts)  # a view of read-only values
+        want = np.sort(self._coords(np.moveaxis(np.indices(self.counts), 0, -1)), axis=-1)
+        idx = np.rint((want - self.origins) / self.resolution).astype(np.intp)
+        inside = np.all((idx >= 0) & (idx < self.counts))
+        if not (inside and np.array_equal(self._coords(idx), want)):
+            raise ValueError("sorted coordinates leave the grid: no symmetric extension")
+        # Sorted coordinates never decrease, so the mask includes every one.
+        out = self.values[self._positions[tuple(np.moveaxis(idx, -1, 0))]]
+        out.flags.writeable = False
         return out
 
     def with_values(
@@ -205,12 +222,8 @@ def simplex_cells(dims: int, resolution: int) -> list[tuple[float, ...]]:
     """Grid cells of the one-octave interval simplex, lexicographic order."""
     if 1200 % resolution != 0:
         raise ValueError(f"resolution {resolution} does not divide 1200")
-    axis = [float(c) for c in range(0, 1201, resolution)]
-    return [
-        coords
-        for coords in itertools.product(axis, repeat=dims)
-        if all(a <= b for a, b in zip(coords, coords[1:]))
-    ]
+    axis = np.arange(0, 1201, resolution, dtype=float)
+    return list(map(tuple, axis[np.argwhere(_cell_mask([axis] * dims, True))].tolist()))
 
 
 def make_simplex_field(
@@ -274,6 +287,26 @@ def local_minima(
         return []
     dense = field.dense()
     counts = field.counts
+    # Lowest and highest neighbor of every cell, by shifted slices of padded
+    # copies; infinite padding makes a missing neighbor neither lower nor higher.
+    low = np.pad(dense, radius, constant_values=np.inf)
+    high = np.pad(dense, radius, constant_values=-np.inf)
+    nb_min = np.full(counts, np.inf)
+    nb_max = np.full(counts, -np.inf)
+    for shift in itertools.product(range(2 * radius + 1), repeat=field.dims):
+        if all(s == radius for s in shift):
+            continue
+        window = tuple(slice(s, s + n) for s, n in zip(shift, counts))
+        np.minimum(nb_min, low[window], out=nb_min)
+        np.maximum(nb_max, high[window], out=nb_max)
+    no_smaller = dense <= nb_min
+
+    # A cell strictly below its neighbors is a one-cell basin.
+    strict = field.mask & (dense < nb_min) & (nb_max > dense)
+    reported = [
+        (tuple(c), float(v))
+        for c, v in zip(field._coords(np.argwhere(strict)).tolist(), dense[strict])
+    ]
 
     def neighbors(idx):
         ranges = [
@@ -284,30 +317,14 @@ def local_minima(
             if nb != idx:
                 yield nb
 
-    def coords_of(idx):
-        return tuple(
-            field.origins[k] + field.resolution * i for k, i in enumerate(idx)
-        )
-
-    included = []
-    for idx in np.ndindex(*counts):
-        coords = coords_of(idx)
-        if not field.simplex or all(a <= b for a, b in zip(coords, coords[1:])):
-            included.append(idx)
-
-    no_smaller = {}
-    for idx in included:
-        me = dense[idx]
-        no_smaller[idx] = all(dense[nb] >= me for nb in neighbors(idx))
-
-    reported = []
+    # A cell tying its lowest neighbor may lie on a plateau: flood across
+    # equal-valued neighbors; a plateau leaking to a cell with a smaller
+    # neighbor is not a minimum.
     seen = set()
-    for idx in included:
-        if idx in seen or not no_smaller[idx]:
+    for idx in map(tuple, np.argwhere(field.mask & (dense == nb_min)).tolist()):
+        if idx in seen:
             continue
         me = dense[idx]
-        # Flood across equal-valued neighbors; a plateau leaking to a cell
-        # with a smaller neighbor is not a minimum.
         component = {idx}
         queue = [idx]
         valid = True
@@ -319,21 +336,14 @@ def local_minima(
                     has_uphill = True
                 if dense[nb] == me and nb not in component:
                     component.add(nb)
-                    if not no_smaller.get(nb, all(dense[x] >= me for x in neighbors(nb))):
-                        valid = False
+                    valid = valid and no_smaller[nb]
                     queue.append(nb)
         seen |= component
         # A plateau with no strictly greater surroundings (e.g. a constant
         # field) is not a minimum.
         if valid and has_uphill:
-            members = sorted(
-                coords_of(i)
-                for i in component
-                if not field.simplex
-                or all(a <= b for a, b in zip(coords_of(i), coords_of(i)[1:]))
-            )
-            if members:
-                reported.append((members[0], float(me)))
+            first = min(i for i in component if field.mask[i])
+            reported.append((tuple(field._coords(first).tolist()), float(me)))
     reported.sort(key=lambda item: item[0])
     return reported
 
@@ -347,38 +357,32 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
         raise ValueError(f"{value_cents} cents is not on the grid of axis {axis}")
 
     origins, counts, names = [], [], []
+    window: list = []
     for k in range(field.dims):
         if k == axis:
+            window.append(int(round(t)))
             continue
-        o, c = field.origins[k], field.counts[k]
+        o, c, drop = field.origins[k], field.counts[k], 0
         if field.simplex and k < axis:
             c = min(c, int((value_cents - o) // field.resolution) + 1)
         if field.simplex and k > axis:
-            drop = int((value_cents - o) // field.resolution)
+            drop = max(0, int((value_cents - o) // field.resolution))
             o, c = o + drop * field.resolution, c - drop
+        window.append(slice(drop, drop + c))
         origins.append(o)
         counts.append(c)
         names.append(field.axis_names[k])
 
-    values = []
-    # Enumerate target cells directly so ordering matches the constructor.
-    axes = [
-        [o + field.resolution * i for i in range(c)] for o, c in zip(origins, counts)
-    ]
     keep_simplex = field.simplex and len(counts) >= 2
-    for coords in itertools.product(*axes):
-        if keep_simplex and not all(a <= b for a, b in zip(coords, coords[1:])):
-            continue
-        full = list(coords)
-        full.insert(axis, float(value_cents))
-        values.append(field.value_at(full))
+    axes = [o + field.resolution * np.arange(c, dtype=float) for o, c in zip(origins, counts)]
+    values = field.dense()[tuple(window)][_cell_mask(axes, keep_simplex)]
     return ScalarField(
         resolution=field.resolution,
         origins=tuple(origins),
         counts=tuple(counts),
         simplex=keep_simplex,
         axis_names=tuple(names),
-        values=np.asarray(values, dtype=float),
+        values=values,
         value_name=field.value_name,
         meta=dict(field.meta, sliced_axis=field.axis_names[axis], sliced_at=value_cents),
     )
@@ -439,13 +443,14 @@ def import_csv(path) -> ScalarField:
             values=np.asarray(values), value_name=value_name, meta={},
         )
 
-    uniques = [sorted(set(c[k] for c in coords_rows)) for k in range(dims)]
-    steps = [
-        min(b - a for a, b in zip(u, u[1:])) for u in uniques if len(u) >= 2
-    ]
+    if not coords_rows:
+        raise ValueError(f"{path}: line 2: no data rows")
+    rows = np.asarray(coords_rows)
+    uniques = [np.unique(rows[:, k]) for k in range(dims)]
+    steps = [float(np.diff(u).min()) for u in uniques if len(u) >= 2]
     resolution = int(round(min(steps))) if steps else 1
-    origins = tuple(u[0] for u in uniques)
-    counts = tuple(int(round((u[-1] - u[0]) / resolution)) + 1 for u in uniques)
+    origins = tuple(float(u[0]) for u in uniques)
+    counts = tuple(int(round(float(u[-1] - u[0]) / resolution)) + 1 for u in uniques)
 
     box_count = int(np.prod(counts))
     simplex = dims >= 2 and len(coords_rows) < box_count
@@ -464,11 +469,13 @@ def import_csv(path) -> ScalarField:
         raise ValueError(
             f"{path}: row count {len(coords_rows)} does not match the inferred grid ({exc})"
         ) from None
-    for lineno, (got, want) in enumerate(zip(coords_rows, fld.cells), start=2):
-        if any(abs(a - b) > 1e-6 for a, b in zip(got, want)):
-            raise ValueError(
-                f"{path}: line {lineno}: coordinates {got} break lexicographic order"
-            )
+    off = np.abs(rows - fld._coords(np.argwhere(fld.mask))) > 1e-6
+    bad = np.flatnonzero(off.any(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{path}: line {bad[0] + 2}: coordinates {coords_rows[bad[0]]} "
+            "break lexicographic order"
+        )
     return fld
 
 

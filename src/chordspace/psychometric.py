@@ -109,19 +109,7 @@ def gaussian_smooth(field: ScalarField, sigma_cents: float) -> ScalarField:
             dense = np.apply_along_axis(
                 lambda line: np.convolve(line, kernel, mode="valid"), axis, padded
             )
-    if field.simplex:
-        values = [
-            dense[
-                tuple(
-                    int(round((c - field.origins[k]) / field.resolution))
-                    for k, c in enumerate(coords)
-                )
-            ]
-            for coords in field.cells
-        ]
-    else:
-        values = dense.reshape(-1)
     return field.with_values(
-        np.asarray(values, dtype=float),
+        dense[field.mask],
         meta_updates={"sigma_cents": float(sigma_cents)},
     )

@@ -67,8 +67,8 @@ class TransitiveConfig:
     scope_cents: float = 200.0
 
     def __post_init__(self):
-        if self.scope_cents < 0:
-            raise ValueError("scope must be nonnegative")
+        if not 0 <= self.scope_cents < math.inf:
+            raise ValueError(f"scope must be nonnegative and finite, got {self.scope_cents!r}")
         self.periodicity_config()  # validates jnd/qmax
 
     def periodicity_config(self) -> PeriodicityConfig:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately dumb: permutations instead of sorted
 matching, full candidate products instead of branch-and-bound, shortest
-paths over explicit chord graphs instead of the grouping dynamic program.
+paths over explicit chord graphs instead of the grouping dynamic program,
+per-cell neighbor scans instead of shifted-array filters.
 The production code must agree with these on small instances.
 """
 
@@ -14,6 +15,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from chordspace.field import ScalarField
 from chordspace.harmonicity import PeriodicityConfig, ratio_candidates
 from chordspace.metric import NormChoice
 from chordspace.pitch import Chord
@@ -256,3 +260,93 @@ def exhaustive_relative_to_first(
             if best is None or ratio < best:
                 best = ratio
     return best
+
+
+def local_minima(
+    field: ScalarField, radius: int = 1
+) -> list[tuple[tuple[float, ...], float]]:
+    """Cells strictly below every neighbor within a Chebyshev radius.
+
+    Equal-valued plateaus count as one minimum, reported at the
+    lexicographically smallest member, provided no cell reachable through the
+    plateau sees a smaller neighbor.  Neighbor values of simplex fields come
+    from the symmetric extension, so cells near the diagonal are compared
+    against their mirrored surroundings as well.
+    """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    if field.dims == 0:
+        return []
+    dense = field.dense()
+    counts = field.counts
+
+    def neighbors(idx):
+        ranges = [
+            range(max(0, i - radius), min(counts[k], i + radius + 1))
+            for k, i in enumerate(idx)
+        ]
+        for nb in itertools.product(*ranges):
+            if nb != idx:
+                yield nb
+
+    def coords_of(idx):
+        return tuple(
+            field.origins[k] + field.resolution * i for k, i in enumerate(idx)
+        )
+
+    included = []
+    for idx in np.ndindex(*counts):
+        coords = coords_of(idx)
+        if not field.simplex or all(a <= b for a, b in zip(coords, coords[1:])):
+            included.append(idx)
+
+    no_smaller = {}
+    for idx in included:
+        me = dense[idx]
+        no_smaller[idx] = all(dense[nb] >= me for nb in neighbors(idx))
+
+    reported = []
+    seen = set()
+    for idx in included:
+        if idx in seen or not no_smaller[idx]:
+            continue
+        me = dense[idx]
+        # Flood across equal-valued neighbors; a plateau leaking to a cell
+        # with a smaller neighbor is not a minimum.
+        component = {idx}
+        queue = [idx]
+        valid = True
+        has_uphill = False
+        while queue:
+            cur = queue.pop()
+            for nb in neighbors(cur):
+                if dense[nb] > me:
+                    has_uphill = True
+                if dense[nb] == me and nb not in component:
+                    component.add(nb)
+                    if not no_smaller.get(nb, all(dense[x] >= me for x in neighbors(nb))):
+                        valid = False
+                    queue.append(nb)
+        seen |= component
+        # A plateau with no strictly greater surroundings (e.g. a constant
+        # field) is not a minimum.
+        if valid and has_uphill:
+            members = sorted(
+                coords_of(i)
+                for i in component
+                if not field.simplex
+                or all(a <= b for a, b in zip(coords_of(i), coords_of(i)[1:]))
+            )
+            if members:
+                reported.append((members[0], float(me)))
+    reported.sort(key=lambda item: item[0])
+    return reported
+
+
+def symmetric_extension(field: ScalarField) -> np.ndarray:
+    """Box array of a field, cell by cell: a simplex cell reads its sorted coordinates."""
+    out = np.empty(field.counts)
+    for idx in np.ndindex(*field.counts):
+        coords = [field.origins[k] + field.resolution * i for k, i in enumerate(idx)]
+        out[idx] = field.value_at(sorted(coords) if field.simplex else coords)
+    return out

@@ -1,8 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordspace.cli import main, parse_cents
 
@@ -133,6 +139,53 @@ def test_field_resolution_must_divide_octave(tmp_path, capsys):
     assert "divide" in err
 
 
+@pytest.mark.parametrize("res", ["0", "-50"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("field", "periodicity", "3"),
+        ("field", "transitive", "2", "--from", "[3,9]"),
+        ("resolve-field", "[3,9]", "2"),
+    ],
+)
+def test_field_nonpositive_resolution_exits_2(tmp_path, capsys, argv, res):
+    out = tmp_path / "a.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--res", res, "--out", str(out))
+    assert code == 2
+    assert "must be positive" in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("text", ["nanc", "infc", "-infc", "nan", "inf", "1e308"])
+def test_parse_cents_rejects_non_finite(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+        parse_cents(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("field", "periodicity", "2", "--res", "600", "--sigma", "nanc"),
+        ("field", "periodicity", "2", "--res", "600", "--sigma", "infc"),
+        ("resolve", "[0,4,7]", "[0,4,7]", "--scope", "nanc"),
+        ("resolve", "[0,4,7]", "[0,4,7]", "--scope", "infc"),
+    ],
+)
+def test_non_finite_width_flags_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *(["--out", str(tmp_path / "a.csv")] if argv[0] == "field" else [])])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_config_scope_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"scope_cents": math.nan}))  # JSON NaN, as Python writes it
+    code, out, err = run_cli(capsys, "--config", str(cfg), "resolve", "[0,4,7]", "[0,4,7]")
+    assert code == 2 and out == ""
+    assert "scope" in err
+
+
 def test_field_roughness(tmp_path, capsys):
     out = tmp_path / "rough.csv"
     code, stdout, _ = run_cli(capsys, "field", "roughness", "2", "--res", "100",
@@ -217,3 +270,36 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "periodicity", "[0,7]")
     assert code == 0
     assert json.loads(out)["config"]["qmax"] == 64
+
+
+def _exit_code(argv) -> int:
+    """Exit code of one CLI run, its output discarded."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects a flag
+            return exc.code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from([
+        ("field", "periodicity", "{size}"),
+        ("field", "roughness", "{size}"),
+        ("field", "transitive", "{size}", "--from", "[3,9]"),
+        ("resolve-field", "[3,9]", "{size}"),
+    ]),
+    size=st.integers(0, 5),
+    res=st.sampled_from(["0", "-50", "7", "600"]),
+    sigma=st.sampled_from([None, "0c", "6c", "-1", "nanc", "infc"]),
+    scope=st.sampled_from([None, "100c", "-1", "nanc", "infc"]),
+)
+def test_field_commands_never_exit_internal(command, size, res, sigma, scope):
+    """User input never makes the field commands exit 4 (internal error)."""
+    argv = [part.format(size=size) for part in command] + ["--res", res]
+    for flag, value in (("--sigma", sigma), ("--scope", scope)):
+        if value is not None:
+            argv += [flag, value]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _exit_code(argv + ["--out", str(Path(tmp) / "f.csv")]) in (0, 2, 3)

@@ -1,5 +1,10 @@
+import itertools
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chordspace.field import (
     ScalarField,
@@ -12,6 +17,8 @@ from chordspace.field import (
     simplex_cells,
     slice_field,
 )
+
+import oracles
 
 
 def _triad_field(resolution=200):
@@ -132,6 +139,20 @@ def test_slice_requires_on_grid_value():
         slice_field(_triad_field(200), 0, 150.0)
 
 
+def test_slice_of_simplex_whose_later_axis_starts_above_the_pin():
+    # x3 starts at 500 c, above the pinned x2 = 300 c: every x3 cell stays
+    cells = [(x2, x3) for x2 in range(0, 1201, 100) for x3 in range(500, 1201, 100) if x2 <= x3]
+    fld = ScalarField(
+        resolution=100, origins=(0.0, 500.0), counts=(13, 8), simplex=True,
+        axis_names=("x2", "x3"), values=np.arange(len(cells), dtype=float),
+    )
+    cut = slice_field(fld, 0, 300.0)
+    assert (cut.origins, cut.counts) == ((500.0,), (8,))
+    assert [cut.value_at(c) for c in cut.cells] == [
+        fld.value_at((300.0, x3)) for x3 in range(500, 1201, 100)
+    ]
+
+
 def test_slices_commute_on_tetrad_grid():
     cells = simplex_cells(3, 300)
     values = [x2 * 1.0 + x3 * 0.01 + x4 * 0.0001 for x2, x3, x4 in cells]
@@ -205,3 +226,107 @@ def test_box_normalization_of_vacuous_simplex():
         value_name="v",
     )
     assert not fld.simplex
+
+
+def test_mask_orders_cells_like_simplex_cells():
+    fld = _triad_field(300)
+    assert fld.mask.shape == fld.counts
+    assert fld.mask.sum() == fld.n_cells == len(fld.cells)
+    assert list(fld.cells) == simplex_cells(2, 300)
+    assert all(fld.index_of(c) == i for i, c in enumerate(fld.cells))
+    with pytest.raises(ValueError, match="not a grid cell"):
+        fld.index_of((600.0, 300.0))  # outside the simplex
+    with pytest.raises(ValueError, match="not a grid cell"):
+        fld.index_of((300.0, 650.0))  # off the grid
+
+
+def test_dense_is_cached_and_read_only():
+    simplex = _triad_field(400)
+    box = make_box_field(50, (0.0, 100.0), (3, 2), np.arange(6.0), ("a", "b"), "v", {})
+    point = slice_field(make_simplex_field(1, 600, [1.0, 2.0, 3.0], "v", {}), 0, 600.0)
+    for fld in (simplex, box, point):
+        dense = fld.dense()
+        assert dense is fld.dense()
+        with pytest.raises(ValueError):
+            dense[(0,) * fld.dims] = 9.0
+    with pytest.raises(ValueError):
+        simplex.mask[0, 0] = False
+
+
+# -- properties ---------------------------------------------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+#: Three levels force plateaus, including plateaus that leak to a lower cell.
+LEVELS = st.sampled_from((0.0, 1.0, 2.0))
+#: Multiples of 1/1000 survive export_csv's 6-decimal formatting exactly.
+CSV_VALUES = st.integers(-10**6, 10**6).map(lambda k: k / 1000)
+
+
+@st.composite
+def simplex_fields(draw, values=LEVELS, min_dims=1):
+    dims = draw(st.integers(min_dims, 3))
+    res = draw(st.sampled_from((200, 300, 400, 600)))
+    n = len(simplex_cells(dims, res))
+    vals = draw(st.lists(values, min_size=n, max_size=n))
+    return make_simplex_field(dims, res, vals, "v", {})
+
+
+@st.composite
+def box_fields(draw, values=LEVELS):
+    dims = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 5), min_size=dims, max_size=dims))
+    origins = draw(st.lists(st.integers(-12, 24), min_size=dims, max_size=dims))
+    vals = draw(st.lists(values, min_size=int(np.prod(counts)), max_size=int(np.prod(counts))))
+    names = [f"n{k + 1}" for k in range(dims)]
+    return make_box_field(50, [100.0 * o for o in origins], counts, vals, names, "v", {})
+
+
+def grid_fields(values=LEVELS):
+    return st.one_of(simplex_fields(values), box_fields(values))
+
+
+@PROPERTY
+@given(fld=grid_fields(), radius=st.sampled_from((1, 2)))
+def test_local_minima_equals_per_cell_oracle(fld, radius):
+    assert local_minima(fld, radius) == oracles.local_minima(fld, radius)
+
+
+@PROPERTY
+@given(fld=grid_fields())
+def test_dense_equals_per_cell_symmetric_extension(fld):
+    assert np.array_equal(fld.dense(), oracles.symmetric_extension(fld))
+
+
+@PROPERTY
+@given(fld=simplex_fields(min_dims=2))
+def test_simplex_dense_invariant_under_axis_permutation(fld):
+    dense = fld.dense()
+    for perm in itertools.permutations(range(fld.dims)):
+        assert np.array_equal(dense, dense.transpose(perm))
+
+
+@PROPERTY
+@given(fld=grid_fields(CSV_VALUES))
+def test_csv_round_trip_property(fld):
+    # a field whose every axis has one point carries no resolution in CSV
+    assume(max(fld.counts) >= 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+        export_csv(fld, first)
+        back = import_csv(first)
+        assert back == fld
+        export_csv(back, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+
+@PROPERTY
+@given(fld=grid_fields(CSV_VALUES), data=st.data())
+def test_slice_values_equal_parent_values(fld, data):
+    axis = data.draw(st.integers(0, fld.dims - 1))
+    at = float(data.draw(st.sampled_from(list(fld.axis_coords(axis)))))
+    cut = slice_field(fld, axis, at)
+    assert cut.n_cells == len(cut.values)
+    for coords, value in zip(cut.cells, cut.values):
+        assert value == cut.value_at(coords)
+        assert value == fld.value_at(coords[:axis] + (at,) + coords[axis:])

@@ -261,3 +261,9 @@ def test_transitive_config_validation():
         TransitiveConfig(scope_cents=-1.0)
     with pytest.raises(ValueError):
         TransitiveConfig(jnd_cents=0.0)
+
+
+@pytest.mark.parametrize("scope", [math.nan, math.inf])
+def test_transitive_config_rejects_non_finite_scope(scope):
+    with pytest.raises(ValueError, match="finite"):
+        TransitiveConfig(scope_cents=scope)
