@@ -5,6 +5,17 @@ roughness term in the frequency gap, scaled to the critical bandwidth around
 the lower partial.  The curve constants are the published Plomp-Levelt fit
 used by the standard dissonance-curve literature; they are plain data here so
 alternative fits can be swapped in.
+
+One batch kernel evaluates every chord, a ``(chords, k)`` array of distinct
+ascending notes at a time: :func:`chord_roughness` is a batch of one, and
+:func:`roughness_field` batches the grid's cells by their count of distinct
+notes (``cell_chord`` drops the repeats of cells such as ``x2 = 0``) in
+chunks of about 40,000 partial pairs, which bounds memory.  The values equal
+summing one chord at a time bit for bit: frequencies come from
+``freq_from_pitch`` once per distinct note, partials are laid out note-major
+and stably sorted per row, and each row's terms are summed contiguously.
+Partial frequencies or roughness values that overflow a float raise
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ScalarField, make_simplex_field, simplex_cells
-from .pitch import Chord, DEFAULT_F0_HZ, cell_chord, freq_from_pitch
+from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch
 
 __all__ = [
     "Spectrum",
@@ -38,6 +49,8 @@ class Spectrum:
             raise ValueError("a spectrum needs at least one partial")
         last = 0.0
         for ratio, amp in self.partials:
+            if not (math.isfinite(ratio) and math.isfinite(amp)):
+                raise ValueError("partial ratios and amplitudes must be finite")
             if ratio < 1.0 or ratio <= last:
                 raise ValueError("partial ratios must be strictly increasing and >= 1")
             if amp <= 0:
@@ -78,8 +91,9 @@ class RoughnessParams:
     def __post_init__(self):
         for name in ("slow_decay", "fast_decay", "peak_fraction",
                      "bandwidth_slope", "bandwidth_offset_hz", "scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.fast_decay <= self.slow_decay:
             raise ValueError("fast_decay must exceed slow_decay for a unimodal curve")
 
@@ -116,29 +130,60 @@ def chord_roughness(
     """Sum of pair roughness over all partials of all notes.
 
     Intra-note pairs are included; for a fixed spectrum they contribute a
-    near-constant baseline per note.
+    near-constant baseline per note.  This is the batch kernel applied to a
+    one-chord batch, so a chord and its grid cell get the same value.
     """
-    freqs = []
-    amps = []
-    for p in c.notes:
-        base = freq_from_pitch(p, f0)
-        for ratio, amp in spectrum.partials:
-            freqs.append(base * ratio)
-            amps.append(amp)
-    f = np.asarray(freqs)
-    a = np.asarray(amps)
-    order = np.argsort(f, kind="stable")
-    f = f[order]
-    a = a[order]
-    i, j = np.triu_indices(len(f), k=1)
-    fmin = f[i]
-    gap = f[j] - f[i]
-    s = params.peak_fraction / (params.bandwidth_slope * fmin + params.bandwidth_offset_hz)
-    x = s * gap
-    terms = params.scale * a[i] * a[j] * (
-        np.exp(-params.slow_decay * x) - np.exp(-params.fast_decay * x)
-    )
-    return float(terms.sum())
+    return float(_roughness_rows(np.array([c.notes]), spectrum, f0, params)[0])
+
+
+#: Partial pairs per batch: 256 cells of a triad with six partials (153 pairs).
+_CHUNK_PAIRS = 256 * 153
+
+
+def _roughness_rows(
+    pitches: np.ndarray,
+    spectrum: Spectrum,
+    f0: float,
+    params: RoughnessParams,
+) -> np.ndarray:
+    """Roughness of each row of ``pitches``, a ``(chords, k)`` array of
+    distinct ascending notes; the module's one summation path."""
+    ratios, amps = np.array(spectrum.partials).T
+    rows, k = pitches.shape
+    notes, where = np.unique(pitches, return_inverse=True)
+    where = where.reshape(rows, k)
+    a = np.tile(amps, k)
+    i, j = np.triu_indices(k * len(ratios), k=1)
+    step = max(1, _CHUNK_PAIRS // max(1, len(i)))
+    out = np.empty(rows)
+    # overflow is reported as a ValueError below, not as a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Python's ``**`` once per distinct note, not np.power, which rounds differently
+        table = np.array([freq_from_pitch(p, f0) for p in notes.tolist()])[:, None] * ratios
+        if not np.isfinite(table).all():
+            raise ValueError(
+                "partial frequencies overflow a float: lower f0_hz or the spectrum ratios"
+            )
+        for lo in range(0, rows, step):
+            f = table[where[lo:lo + step]].reshape(-1, k * len(ratios))
+            order = np.argsort(f, axis=1, kind="stable")
+            f = np.take_along_axis(f, order, axis=1)
+            fa = a[order]
+            fmin = f[:, i]
+            gap = f[:, j] - fmin
+            s = params.peak_fraction / (params.bandwidth_slope * fmin + params.bandwidth_offset_hz)
+            x = s * gap
+            terms = params.scale * fa[:, i] * fa[:, j] * (
+                np.exp(-params.slow_decay * x) - np.exp(-params.fast_decay * x)
+            )
+            # a fancy-indexed array is column-major; its row sums would not be
+            # numpy's pairwise sum of each chord's terms
+            out[lo:lo + step] = np.ascontiguousarray(terms).sum(axis=1)
+    if not np.isfinite(out).all():
+        raise ValueError(
+            "roughness overflows a float: the spectrum amplitudes or curve constants are too large"
+        )
+    return out
 
 
 def roughness_field(
@@ -151,8 +196,18 @@ def roughness_field(
     """Chord roughness over the one-octave grid (same convention as periodicity)."""
     if n not in (2, 3):
         raise ValueError(f"roughness fields support 2 or 3 notes, got {n}")
-    cells = simplex_cells(n - 1, resolution)
-    values = [chord_roughness(cell_chord(coords), spectrum, f0, params) for coords in cells]
+    # the notes of pitch.cell_chord: root 0 plus the cell in semitones (already
+    # ascending on the simplex), repeats dropped
+    cells = np.array(simplex_cells(n - 1, resolution))
+    pitches = np.hstack([np.zeros((len(cells), 1)), cells / CENTS_PER_SEMITONE])
+    distinct = np.diff(pitches, axis=1, prepend=-1.0) != 0  # notes are >= 0
+    sizes = distinct.sum(axis=1)
+    values = np.empty(len(cells))
+    for k in np.unique(sizes).tolist():  # one batch per count of distinct notes
+        rows = sizes == k
+        values[rows] = _roughness_rows(
+            pitches[rows][distinct[rows]].reshape(-1, k), spectrum, f0, params
+        )
     meta = {
         "generator": "roughness",
         "domain": "intervals",

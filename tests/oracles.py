@@ -3,7 +3,8 @@
 Everything here is deliberately dumb: permutations instead of sorted
 matching, full candidate products instead of branch-and-bound, shortest
 paths over explicit chord graphs instead of the grouping dynamic program,
-per-cell neighbor scans instead of shifted-array filters.
+per-cell neighbor scans instead of shifted-array filters, one roughness sum
+per chord instead of the batch kernel.
 The production code must agree with these on small instances.
 """
 
@@ -17,10 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from chordspace.field import ScalarField
+from chordspace.field import ScalarField, make_simplex_field, simplex_cells
 from chordspace.harmonicity import PeriodicityConfig, ratio_candidates
 from chordspace.metric import NormChoice
-from chordspace.pitch import Chord
+from chordspace.pitch import Chord, DEFAULT_F0_HZ, cell_chord, freq_from_pitch
+from chordspace.roughness import RoughnessParams, Spectrum, harmonic_spectrum
 
 
 def perm_distance(a, b, norm=NormChoice.MANHATTAN) -> float:
@@ -350,3 +352,64 @@ def symmetric_extension(field: ScalarField) -> np.ndarray:
         coords = [field.origins[k] + field.resolution * i for k, i in enumerate(idx)]
         out[idx] = field.value_at(sorted(coords) if field.simplex else coords)
     return out
+
+
+def per_chord_roughness(
+    c: Chord,
+    spectrum: Spectrum = harmonic_spectrum(),
+    f0: float = DEFAULT_F0_HZ,
+    params: RoughnessParams = RoughnessParams(),
+) -> float:
+    """Pair roughness summed over one chord's partials, one chord at a time."""
+    freqs = []
+    amps = []
+    for p in c.notes:
+        base = freq_from_pitch(p, f0)
+        for ratio, amp in spectrum.partials:
+            freqs.append(base * ratio)
+            amps.append(amp)
+    f = np.asarray(freqs)
+    a = np.asarray(amps)
+    order = np.argsort(f, kind="stable")
+    f = f[order]
+    a = a[order]
+    i, j = np.triu_indices(len(f), k=1)
+    fmin = f[i]
+    gap = f[j] - f[i]
+    s = params.peak_fraction / (params.bandwidth_slope * fmin + params.bandwidth_offset_hz)
+    x = s * gap
+    terms = params.scale * a[i] * a[j] * (
+        np.exp(-params.slow_decay * x) - np.exp(-params.fast_decay * x)
+    )
+    return float(terms.sum())
+
+
+def per_cell_roughness_field(
+    n: int,
+    resolution: int,
+    spectrum: Spectrum = harmonic_spectrum(),
+    f0: float = DEFAULT_F0_HZ,
+    params: RoughnessParams = RoughnessParams(),
+) -> ScalarField:
+    """Chord roughness over the one-octave grid, one :func:`per_chord_roughness` per cell."""
+    if n not in (2, 3):
+        raise ValueError(f"roughness fields support 2 or 3 notes, got {n}")
+    cells = simplex_cells(n - 1, resolution)
+    values = [per_chord_roughness(cell_chord(coords), spectrum, f0, params) for coords in cells]
+    meta = {
+        "generator": "roughness",
+        "domain": "intervals",
+        "resolution_cents": resolution,
+        "f0_hz": f0,
+        "spectrum": [[r, a] for r, a in spectrum.partials],
+        "params": {
+            "slow_decay": params.slow_decay,
+            "fast_decay": params.fast_decay,
+            "peak_fraction": params.peak_fraction,
+            "bandwidth_slope": params.bandwidth_slope,
+            "bandwidth_offset_hz": params.bandwidth_offset_hz,
+            "scale": params.scale,
+        },
+        "sigma_cents": 0.0,
+    }
+    return make_simplex_field(n - 1, resolution, values, "roughness", meta)

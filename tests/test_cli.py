@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -195,6 +196,26 @@ def test_field_roughness(tmp_path, capsys):
     assert json.loads(stdout)["value_name"] == "roughness"
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"spectrum": [[1.0, math.nan], [2.0, 0.5]]},
+        {"spectrum": [[1.0, 1.0], [math.inf, 0.5]]},
+        {"roughness": {"scale": math.nan}},
+        {"f0_hz": 1e308},  # partial frequencies overflow
+        {"spectrum": [[1.0, 1.0], [1e308, 0.5]]},
+    ],
+)
+def test_field_roughness_rejects_non_finite_config(tmp_path, capsys, config):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))  # NaN and Infinity as Python writes them
+    out = tmp_path / "rough.csv"
+    code, stdout, err = run_cli(capsys, "--config", str(cfg), "field", "roughness", "2",
+                                "--res", "100", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error:")
+
+
 def test_field_transitive_emits_pair(tmp_path, capsys):
     out = tmp_path / "win.csv"
     code, stdout, _ = run_cli(
@@ -303,3 +324,30 @@ def test_field_commands_never_exit_internal(command, size, res, sigma, scope):
             argv += [flag, value]
     with tempfile.TemporaryDirectory() as tmp:
         assert _exit_code(argv + ["--out", str(Path(tmp) / "f.csv")]) in (0, 2, 3)
+
+
+def _roughness_configs():
+    """Each of NaN, +-Infinity and 1e308 in f0_hz, a spectrum entry or a curve constant."""
+    partials = [[float(k), 0.88 ** (k - 1)] for k in range(1, 7)]
+    constants = ("slow_decay", "fast_decay", "peak_fraction", "bandwidth_slope",
+                 "bandwidth_offset_hz", "scale")
+    for value in (math.nan, math.inf, -math.inf, 1e308):
+        yield {"f0_hz": value}
+        for row, col in itertools.product((0, -1), (0, 1)):
+            spectrum = [list(p) for p in partials]
+            spectrum[row][col] = value
+            yield {"spectrum": spectrum}
+        for name in constants:
+            yield {"roughness": {name: value}}
+
+
+@pytest.mark.parametrize("size", ["2", "3"])
+def test_field_roughness_config_never_exits_internal(size):
+    """Non-finite and overflowing roughness configs exit 0 or 2, never 4."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "conf.json"
+        for config in _roughness_configs():
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", str(cfg), "field", "roughness", size, "--res", "100",
+                    "--out", str(Path(tmp) / "f.csv")]
+            assert _exit_code(argv) in (0, 2), config

@@ -1,11 +1,15 @@
+import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from chordspace import roughness
 from chordspace.field import local_minima
-from chordspace.pitch import normalize
+from chordspace.pitch import DEFAULT_F0_HZ, normalize
 from chordspace.roughness import (
     PURE_SINE,
     RoughnessParams,
@@ -15,6 +19,7 @@ from chordspace.roughness import (
     pair_roughness,
     roughness_field,
 )
+from oracles import per_cell_roughness_field, per_chord_roughness
 
 
 def test_identical_partials_do_not_beat():
@@ -133,3 +138,132 @@ def test_params_validation():
         RoughnessParams(slow_decay=6.0, fast_decay=5.75)
     with pytest.raises(ValueError):
         RoughnessParams(scale=0.0)
+
+
+@pytest.mark.parametrize(
+    "partials",
+    [
+        ((1.0, math.nan), (2.0, 0.5)),
+        ((1.0, 1.0), (math.inf, 0.5)),
+        ((1.0, 1.0), (math.nan, 0.5)),
+        ((1.0, math.inf),),
+    ],
+)
+def test_spectrum_rejects_non_finite(partials):
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(partials)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name",
+    ["slow_decay", "fast_decay", "peak_fraction", "bandwidth_slope",
+     "bandwidth_offset_hz", "scale"],
+)
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        RoughnessParams(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "spectrum, f0",
+    [
+        (harmonic_spectrum(), 1e308),
+        (Spectrum(((1.0, 1.0), (1e308, 0.5))), DEFAULT_F0_HZ),
+    ],
+)
+def test_overflowing_partial_frequencies_raise(spectrum, f0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any RuntimeWarning
+        with pytest.raises(ValueError, match="partial frequencies overflow"):
+            roughness_field(2, 100, spectrum, f0)
+        with pytest.raises(ValueError, match="partial frequencies overflow"):
+            chord_roughness(normalize([0, 7]), spectrum, f0)
+
+
+def test_overflowing_roughness_raises():
+    # an infinite scale * a_i * a_j times a zero gap (the octave's shared partial) is NaN
+    loud = Spectrum(((1.0, 1e308), (2.0, 0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="roughness overflows"):
+            chord_roughness(normalize([0, 12]), loud)
+        with pytest.raises(ValueError, match="roughness overflows"):
+            roughness_field(2, 100, loud)
+
+
+def test_one_cell_chunks_equal_the_oracle(monkeypatch):
+    monkeypatch.setattr(roughness, "_CHUNK_PAIRS", 1)
+    assert np.array_equal(roughness_field(3, 50).values, per_cell_roughness_field(3, 50).values)
+
+
+@st.composite
+def spectra(draw, integer_ratios=False):
+    """1-8 partials: non-integer ratios, or whole-number ones that tie across octaves."""
+    m = draw(st.integers(1, 8))
+    if integer_ratios:
+        ratios = sorted(draw(st.sets(st.integers(1, 9), min_size=m, max_size=m)))
+    else:
+        first = draw(st.one_of(st.just(1.0), st.floats(1.0, 1.5)))
+        steps = draw(st.lists(st.floats(0.05, 2.0), min_size=m - 1, max_size=m - 1))
+        ratios = list(itertools.accumulate([first] + steps))
+    amps = draw(st.lists(st.floats(0.01, 2.0), min_size=m, max_size=m))
+    return Spectrum(tuple((float(r), a) for r, a in zip(ratios, amps)))
+
+
+@st.composite
+def roughness_params(draw):
+    slow = draw(st.floats(0.5, 6.0))
+    return RoughnessParams(
+        slow_decay=slow,
+        fast_decay=slow + draw(st.floats(0.1, 6.0)),
+        peak_fraction=draw(st.floats(0.05, 1.0)),
+        bandwidth_slope=draw(st.floats(0.001, 0.1)),
+        bandwidth_offset_hz=draw(st.floats(1.0, 50.0)),
+        scale=draw(st.floats(0.1, 10.0)),
+    )
+
+
+_DIVISORS_FROM_10 = [r for r in range(10, 1201) if 1200 % r == 0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    resolution=st.sampled_from(_DIVISORS_FROM_10),
+    spectrum=spectra(),
+    f0=st.floats(20.0, 2000.0),
+    params=roughness_params(),
+)
+@example(n=3, resolution=10, spectrum=harmonic_spectrum(8, 0.7), f0=DEFAULT_F0_HZ,
+         params=RoughnessParams())
+def test_roughness_field_equals_per_cell_oracle(n, resolution, spectrum, f0, params):
+    fld = roughness_field(n, resolution, spectrum, f0, params)
+    want = per_cell_roughness_field(n, resolution, spectrum, f0, params)
+    assert np.array_equal(fld.values, want.values)
+    assert fld.meta == want.meta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    notes=st.lists(
+        st.one_of(
+            st.floats(-48.0, 48.0),
+            # whole octaves above the reference: 2 ** (p / 12) is exact, so
+            # whole-number partials of different notes coincide
+            st.sampled_from([-24.0, -12.0, 0.0, 12.0, 24.0, 36.0]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    spectrum=st.one_of(spectra(), spectra(integer_ratios=True)),
+    params=roughness_params(),
+)
+# 32 partials, many tied across the octaves: an unstable sort reorders the ties
+@example(notes=[0.0, 12.0, 24.0, 36.0], spectrum=harmonic_spectrum(8, 0.7),
+         params=RoughnessParams())
+def test_chord_roughness_equals_per_chord_oracle(notes, spectrum, params):
+    c = normalize(notes)
+    assert chord_roughness(c, spectrum, DEFAULT_F0_HZ, params) == per_chord_roughness(
+        c, spectrum, DEFAULT_F0_HZ, params
+    )
