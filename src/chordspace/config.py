@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .harmonicity import PeriodicityConfig
 from .psychometric import THIRD_QUARTILE_Z
@@ -19,6 +19,26 @@ from .roughness import RoughnessParams, Spectrum, harmonic_spectrum
 ENV_VAR = "CHORDSPACE_CONFIG"
 
 _DEFAULT_RESOLUTIONS = {2: 1, 3: 10, 4: 50}
+
+
+def _typed(key: str, value, kind, name: str):
+    """``value`` if it has the JSON type ``kind`` (a bool is no number), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"config {key} must be {name}, got {value!r}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    try:
+        return float(_typed(key, value, (int, float), "a number"))
+    except OverflowError:
+        raise ValueError(f"config {key} is out of range: {value!r}") from None
+
+
+def _integer(key: str, value) -> int:
+    if not _number(key, value).is_integer():
+        raise ValueError(f"config {key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -69,39 +89,40 @@ class Config:
             "qmax": self.qmax,
             "resolutions": {str(k): v for k, v in sorted(self.resolutions.items())},
             "spectrum": [[r, a] for r, a in self.spectrum.partials],
-            "roughness": {
-                "slow_decay": self.roughness.slow_decay,
-                "fast_decay": self.roughness.fast_decay,
-                "peak_fraction": self.roughness.peak_fraction,
-                "bandwidth_slope": self.roughness.bandwidth_slope,
-                "bandwidth_offset_hz": self.roughness.bandwidth_offset_hz,
-                "scale": self.roughness.scale,
-            },
+            "roughness": asdict(self.roughness),
             "scope_cents": self.scope_cents,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        kwargs = {}
-        plain = {
-            "f0_hz": float,
-            "jnd_cents": float,
-            "sigma_mode": str,
-            "qmax": int,
-            "scope_cents": float,
-        }
-        for key, cast in plain.items():
-            if key in data:
-                kwargs[key] = cast(data[key])
-        if "resolutions" in data:
-            kwargs["resolutions"] = {int(k): int(v) for k, v in data["resolutions"].items()}
-        if "spectrum" in data:
-            kwargs["spectrum"] = Spectrum(tuple((float(r), float(a)) for r, a in data["spectrum"]))
-        if "roughness" in data:
-            kwargs["roughness"] = RoughnessParams(**data["roughness"])
-        unknown = set(data) - set(plain) - {"resolutions", "spectrum", "roughness"}
+        """Config from parsed JSON; a value of the wrong JSON type raises ValueError."""
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        checks = {"f0_hz": _number, "jnd_cents": _number, "qmax": _integer, "scope_cents": _number}
+        kwargs = {key: check(key, data[key]) for key, check in checks.items() if key in data}
+        if "sigma_mode" in data:  # any value but the two mode names fails validation
+            kwargs["sigma_mode"] = data["sigma_mode"]
+        if "resolutions" in data:
+            kwargs["resolutions"] = {
+                int(k): _integer(f"resolutions.{k}", v)
+                for k, v in _typed("resolutions", data["resolutions"], dict, "an object").items()
+            }
+        if "spectrum" in data:
+            rows = _typed("spectrum", data["spectrum"], list, "a list")
+            if not all(isinstance(row, list) and len(row) == 2 for row in rows):
+                raise ValueError(f"config spectrum rows must be [ratio, amplitude], got {rows!r}")
+            kwargs["spectrum"] = Spectrum(tuple(
+                (_number("spectrum ratio", r), _number("spectrum amplitude", a)) for r, a in rows
+            ))
+        if "roughness" in data:
+            given = _typed("roughness", data["roughness"], dict, "an object")
+            unknown = set(given) - {f.name for f in fields(RoughnessParams)}
+            if unknown:
+                raise ValueError(f"unknown roughness keys: {sorted(unknown)}")
+            kwargs["roughness"] = RoughnessParams(
+                **{k: _number(f"roughness.{k}", v) for k, v in given.items()}
+            )
         return cls(**kwargs)
 
     @classmethod
@@ -111,6 +132,4 @@ class Config:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(_typed(f"file {path}", data, dict, "a JSON object"))

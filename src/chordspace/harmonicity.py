@@ -72,25 +72,11 @@ class RationalTuning:
             raise ValueError("periodicity must equal the lcm of the denominators")
 
 
-def _cents_of(ratio: Fraction) -> float:
-    return 1200.0 * math.log2(ratio)
-
-
-def _ratio_window(cents: float, jnd_cents: float) -> tuple[Fraction, Fraction]:
+def _ratio_window(cents: float, jnd_cents: float, clamp: bool) -> tuple[Fraction, Fraction]:
     # Exact Fraction bounds from the float powers keep comparisons deterministic.
     lo = Fraction(2.0 ** ((cents - jnd_cents) / 1200.0))
     hi = Fraction(2.0 ** ((cents + jnd_cents) / 1200.0))
-    return lo, hi
-
-
-def _simplest_in_closed(lo: Fraction, hi: Fraction) -> Fraction:
-    """Minimal-denominator fraction in [lo, hi], 0 < lo <= hi (Stern-Brocot)."""
-    a = math.ceil(lo)
-    if a <= math.floor(hi):
-        return Fraction(a)
-    whole = math.floor(lo)
-    inner = _simplest_in_closed(1 / (hi - whole), 1 / (lo - whole))
-    return whole + 1 / inner
+    return (max(lo, Fraction(1)), min(hi, Fraction(2))) if clamp else (lo, hi)
 
 
 def min_denominator_ratio(
@@ -100,21 +86,18 @@ def min_denominator_ratio(
 
     ``interval`` is in semitones, restricted to one octave; the search window
     is the JND band around it intersected with [1, 2].  Ties between equal
-    denominators resolve to the smaller numerator.
+    denominators resolve to the smaller numerator: the result is the first
+    of :func:`ratio_candidates`.
     """
     if not 0 <= interval <= 12:
         raise ValueError(f"interval must lie in [0, 12] semitones, got {interval!r}")
     cents = interval * CENTS_PER_SEMITONE
-    lo, hi = _ratio_window(cents, cfg.jnd_cents)
-    lo, hi = max(lo, Fraction(1)), min(hi, Fraction(2))
-    if lo > hi:
-        raise UnresolvableIntervalError(cents, cfg.jnd_cents, cfg.qmax, (float(lo), float(hi)))
-    simplest = _simplest_in_closed(lo, hi)
-    q = simplest.denominator
-    if q > cfg.qmax:
-        raise UnresolvableIntervalError(cents, cfg.jnd_cents, cfg.qmax, (float(lo), float(hi)))
-    # Any in-window numerator over the minimal q is automatically coprime.
-    return Fraction(math.ceil(lo * q), q)
+    candidates = ratio_candidates(cents, cfg)
+    if not candidates:
+        window = tuple(map(float, _ratio_window(cents, cfg.jnd_cents, clamp=True)))
+        raise UnresolvableIntervalError(cents, cfg.jnd_cents, cfg.qmax, window)
+    q, p, _ = candidates[0]
+    return Fraction(p, q)
 
 
 def dyad_periodicity(interval: float, cfg: PeriodicityConfig = PeriodicityConfig()) -> int:
@@ -125,25 +108,23 @@ def dyad_periodicity(interval: float, cfg: PeriodicityConfig = PeriodicityConfig
 @lru_cache(maxsize=65536)
 def _candidates_cached(
     cents: float, jnd_cents: float, qmax: int, clamp: bool
-) -> tuple[tuple[Fraction, float], ...]:
-    lo, hi = _ratio_window(cents, jnd_cents)
-    if clamp:
-        lo, hi = max(lo, Fraction(1)), min(hi, Fraction(2))
+) -> tuple[tuple[int, int, float], ...]:
+    lo, hi = _ratio_window(cents, jnd_cents, clamp)
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
     out = []
     for q in range(1, qmax + 1):
-        p_lo = math.ceil(lo * q)
-        p_hi = math.floor(hi * q)
-        for p in range(max(p_lo, 1), p_hi + 1):
+        # p runs over ceil(lo * q) .. floor(hi * q)
+        for p in range(max(-(-a * q // b), 1), c * q // d + 1):
             if math.gcd(p, q) == 1:
-                frac = Fraction(p, q)
-                out.append((frac, _cents_of(frac) - cents))
+                out.append((q, p, 1200.0 * math.log2(p / q) - cents))
     return tuple(out)
 
 
 def ratio_candidates(
     cents: float, cfg: PeriodicityConfig, clamp: bool = True
-) -> tuple[tuple[Fraction, float], ...]:
-    """All reduced fractions within the JND of a cent value, by denominator.
+) -> tuple[tuple[int, int, float], ...]:
+    """All reduced fractions p/q within the JND of a cent value, as
+    ``(q, p, detuning_cents)`` triples of plain numbers ordered by (q, p).
 
     With ``clamp`` the window is intersected with the octave [1, 2], matching
     chords normalized to one octave; without it any positive ratio is
@@ -158,72 +139,81 @@ def _window(cfg: PeriodicityConfig) -> float:
 
 
 def min_lcm(
-    lists: list[tuple[tuple[Fraction, float], ...]],
+    lists: list[tuple[tuple[int, int, float], ...]],
     window: float,
     seed_lcm: int = 1,
     lo: float = math.inf,
     hi: float = -math.inf,
     bound: int | None = None,
-) -> tuple[int, tuple[tuple[Fraction, float], ...]] | None:
+) -> tuple[int, tuple[tuple[int, int, float], ...]] | None:
     """Branch-and-bound for the minimal-lcm choice of one candidate per list.
 
-    ``lists`` hold (fraction, detuning) candidates in ascending-denominator
-    order, as :func:`ratio_candidates` returns them.  The running lcm starts
-    at ``seed_lcm`` and the detuning window at [lo, hi] (empty by default);
-    every chosen detuning must keep the window at most ``window`` cents wide.
-    Returns (lcm, chosen) for the first minimal choice in list order,
-    counting only results strictly below ``bound``, or None.
+    ``lists`` hold ``(q, p, detuning)`` candidates in ascending-denominator
+    order, as :func:`ratio_candidates` returns them.  The running lcm of the
+    denominators q starts at ``seed_lcm`` and the detuning window at [lo, hi]
+    (empty by default); every chosen detuning must keep the window at most
+    ``window`` cents wide.  Returns (lcm, chosen triples) for the first
+    minimal choice in list order, counting only results strictly below
+    ``bound``, or None.
     """
-    best: list = [math.inf if bound is None else bound, None]
+    best = math.inf if bound is None else bound
+    found = None
+    last, lcm = len(lists) - 1, math.lcm
 
     def search(i: int, cur: int, lo: float, hi: float, chosen: list):
-        if i == len(lists):
-            best[0], best[1] = cur, tuple(chosen)
-            return
-        for frac, d in lists[i]:
-            if frac.denominator >= best[0]:
+        nonlocal best, found
+        for c in lists[i]:
+            q, _, d = c
+            if q >= best:
                 break  # denominators ascend and the lcm is at least each one
-            nxt = math.lcm(cur, frac.denominator)
-            if nxt >= best[0]:
+            nxt = lcm(cur, q)
+            if nxt >= best:
                 continue
-            nlo, nhi = min(lo, d), max(hi, d)
+            nlo = d if d < lo else lo
+            nhi = d if d > hi else hi
             if nhi - nlo > window:
                 continue
-            chosen.append((frac, d))
-            search(i + 1, nxt, nlo, nhi, chosen)
+            chosen.append(c)
+            if i == last:
+                best, found = nxt, tuple(chosen)
+            else:
+                search(i + 1, nxt, nlo, nhi, chosen)
             chosen.pop()
 
-    if seed_lcm < best[0]:
+    if not lists:
+        return (seed_lcm, ()) if seed_lcm < best else None
+    if seed_lcm < best:
         search(0, seed_lcm, lo, hi, [])
-    return None if best[1] is None else (best[0], best[1])
+    return None if found is None else (best, found)
 
 
 def tunings_with_lcm(
-    lists: list[tuple[tuple[Fraction, float], ...]],
+    lists: list[tuple[tuple[int, int, float], ...]],
     target: int,
     window: float,
     seed_lcm: int = 1,
     lo: float = math.inf,
     hi: float = -math.inf,
-) -> Iterator[tuple[tuple[Fraction, float], ...]]:
-    """Every choice of one candidate per list whose lcm with ``seed_lcm`` is ``target``.
+) -> Iterator[tuple[tuple[int, int, float], ...]]:
+    """Every choice of one ``(q, p, detuning)`` candidate per list whose lcm
+    of denominators with ``seed_lcm`` is ``target``.
 
     Same window rule as :func:`min_lcm`; choices are yielded in list order.
     ``next(tunings_with_lcm(...), None) is not None`` tests existence.
     """
-    sub = [[c for c in lst if target % c[0].denominator == 0] for lst in lists]
+    sub = [[c for c in lst if target % c[0] == 0] for lst in lists]
 
     def walk(i: int, cur: int, lo: float, hi: float, chosen: list):
         if i == len(sub):
             if cur == target:
                 yield tuple(chosen)
             return
-        for frac, d in sub[i]:
-            nlo, nhi = min(lo, d), max(hi, d)
+        for c in sub[i]:
+            nlo, nhi = min(lo, c[2]), max(hi, c[2])
             if nhi - nlo > window:
                 continue
-            chosen.append((frac, d))
-            yield from walk(i + 1, math.lcm(cur, frac.denominator), nlo, nhi, chosen)
+            chosen.append(c)
+            yield from walk(i + 1, math.lcm(cur, c[0]), nlo, nhi, chosen)
             chosen.pop()
 
     if all(sub):
@@ -261,8 +251,8 @@ def chord_periodicity(
         )
     lcm, chosen = found
     tuning = RationalTuning(
-        ratios=(Fraction(1),) + tuple(f for f, _ in chosen),
-        detunings_cents=(0.0,) + tuple(d for _, d in chosen),
+        ratios=(Fraction(1),) + tuple(Fraction(p, q) for q, p, _ in chosen),
+        detunings_cents=(0.0,) + tuple(d for _, _, d in chosen),
         periodicity=lcm,
     )
     return lcm, tuning
@@ -312,15 +302,27 @@ def periodicity_field(
 ) -> ScalarField:
     """log2 chord periodicity on the one-octave grid of n-note chords.
 
-    Cells are evaluated independently through :func:`chord_periodicity`; the
-    ascending sweep formulation (:func:`sweep_periodicity_field`) computes
-    the same function and is kept as a cross-check, but cell-local evaluation
-    has no stamping-order dependence and parallelizes trivially.
+    Each cell holds :func:`chord_periodicity` of the cell's chord (an
+    infeasible cell raises its error), without building the chord or its
+    witness: one candidate list per axis value, from the cents that chord
+    sees (grid cents round-tripped through semitones), and one
+    :func:`min_lcm` per cell over its distinct non-root notes.  The sweep
+    formulation (:func:`sweep_periodicity_field`), kept as a cross-check,
+    reads the exact grid cents instead, which differ at some 1-cent cells.
     """
     if n not in (2, 3, 4):
         raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
     cells = simplex_cells(n - 1, resolution)
-    values = [math.log2(chord_periodicity(cell_chord(c), cfg)[0]) for c in cells]
+    lists = {
+        x: ratio_candidates(x / CENTS_PER_SEMITONE * CENTS_PER_SEMITONE, cfg)
+        for x in set().union(*cells)
+        if x  # a note at 0 is the root itself
+    }
+    window = _window(cfg)
+    values = []
+    for c in cells:
+        found = min_lcm([lists[x] for x in dict.fromkeys(c) if x], window, lo=0.0, hi=0.0)
+        values.append(math.log2(found[0] if found else chord_periodicity(cell_chord(c), cfg)[0]))
     return make_simplex_field(
         n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
     )

@@ -111,7 +111,7 @@ def _min_ratio(tunings, lists, p: int, jnd: float) -> int | None:
     root at detuning 0) extended by one candidate per list."""
     best: int | None = None
     for chosen in tunings:
-        ds = [0.0] + [d for _, d in chosen]
+        ds = [0.0] + [d for _, _, d in chosen]
         bound = None if best is None else best * p
         found = min_lcm(lists, jnd, p, min(ds), max(ds), bound)
         if found is not None:
@@ -313,7 +313,7 @@ def _feasible_at_ratio(prog: Progression, cfg: TransitiveConfig, ratio: int) -> 
         return False
     lists1, p2, tunings2 = second
     for chosen in tunings2:
-        ds = [0.0] + [d for _, d in chosen]
+        ds = [0.0] + [d for _, _, d in chosen]
         tunings = tunings_with_lcm(lists1, ratio * p2, pcfg.jnd_cents, p2, min(ds), max(ds))
         if next(tunings, None) is not None:
             return True

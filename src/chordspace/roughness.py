@@ -21,7 +21,7 @@ Partial frequencies or roughness values that overflow a float raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -214,14 +214,7 @@ def roughness_field(
         "resolution_cents": resolution,
         "f0_hz": f0,
         "spectrum": [[r, a] for r, a in spectrum.partials],
-        "params": {
-            "slow_decay": params.slow_decay,
-            "fast_decay": params.fast_decay,
-            "peak_fraction": params.peak_fraction,
-            "bandwidth_slope": params.bandwidth_slope,
-            "bandwidth_offset_hz": params.bandwidth_offset_hz,
-            "scale": params.scale,
-        },
+        "params": asdict(params),
         "sigma_cents": 0.0,
     }
     return make_simplex_field(n - 1, resolution, values, "roughness", meta)

@@ -4,7 +4,9 @@ Everything here is deliberately dumb: permutations instead of sorted
 matching, full candidate products instead of branch-and-bound, shortest
 paths over explicit chord graphs instead of the grouping dynamic program,
 per-cell neighbor scans instead of shifted-array filters, one roughness sum
-per chord instead of the batch kernel.
+per chord instead of the batch kernel, ``Fraction`` arithmetic instead of
+integer candidate bounds, one chord and witness per field cell instead of
+per-axis candidate lists.
 The production code must agree with these on small instances.
 """
 
@@ -19,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from chordspace.field import ScalarField, make_simplex_field, simplex_cells
-from chordspace.harmonicity import PeriodicityConfig, ratio_candidates
+from chordspace.harmonicity import PeriodicityConfig, chord_periodicity, ratio_candidates
 from chordspace.metric import NormChoice
 from chordspace.pitch import Chord, DEFAULT_F0_HZ, cell_chord, freq_from_pitch
 from chordspace.roughness import RoughnessParams, Spectrum, harmonic_spectrum
@@ -147,6 +149,27 @@ def scan_min_denominator(cents: float, jnd_cents: float, qmax: int) -> Fraction 
     return None
 
 
+def fraction_candidates(
+    cents: float, jnd_cents: float, qmax: int, clamp: bool
+) -> tuple[tuple[Fraction, float], ...]:
+    """(fraction, detuning) pairs in the JND window, by a ``Fraction`` q x p scan.
+
+    The window ends are the exact values of the float powers of two; with
+    ``clamp`` the window is cut to the octave [1, 2].
+    """
+    lo = Fraction(2.0 ** ((cents - jnd_cents) / 1200.0))
+    hi = Fraction(2.0 ** ((cents + jnd_cents) / 1200.0))
+    if clamp:
+        lo, hi = max(lo, Fraction(1)), min(hi, Fraction(2))
+    out = []
+    for q in range(1, qmax + 1):
+        for p in range(max(math.ceil(lo * q), 1), math.floor(hi * q) + 1):
+            if math.gcd(p, q) == 1:
+                frac = Fraction(p, q)
+                out.append((frac, 1200.0 * math.log2(frac) - cents))
+    return tuple(out)
+
+
 def exhaustive_chord_periodicity(
     notes_semitones: tuple[float, ...], cfg: PeriodicityConfig
 ) -> tuple[int, tuple[Fraction, ...]] | None:
@@ -159,15 +182,15 @@ def exhaustive_chord_periodicity(
     best = None
     best_fracs = None
     for combo in itertools.product(*lists):
-        ds = [0.0] + [d for _, d in combo]
+        ds = [0.0] + [d for _, _, d in combo]
         if any(abs(d) > cfg.jnd_cents for d in ds):
             continue
         if cfg.pairwise_constraint and max(ds) - min(ds) > cfg.jnd_cents:
             continue
-        value = math.lcm(*(f.denominator for f, _ in combo)) if combo else 1
+        value = math.lcm(*(q for q, _, _ in combo)) if combo else 1
         if best is None or value < best:
             best = value
-            best_fracs = tuple(f for f, _ in combo)
+            best_fracs = tuple(Fraction(p, q) for q, p, _ in combo)
     if best is None:
         return None
     return best, best_fracs
@@ -194,28 +217,28 @@ def exhaustive_transitive(
     second_tunings = []
     p2 = None
     for combo in itertools.product(*c2_lists):
-        ds = [0.0] + [d for _, d in combo]
+        ds = [0.0] + [d for _, _, d in combo]
         if max(ds) - min(ds) > jnd_cents:
             continue
-        value = math.lcm(1, *(f.denominator for f, _ in combo))
+        value = math.lcm(1, *(q for q, _, _ in combo))
         if p2 is None or value < p2:
             p2 = value
     if p2 is None:
         return None
     for combo in itertools.product(*c2_lists):
-        ds = [0.0] + [d for _, d in combo]
+        ds = [0.0] + [d for _, _, d in combo]
         if max(ds) - min(ds) > jnd_cents:
             continue
-        if math.lcm(1, *(f.denominator for f, _ in combo)) == p2:
+        if math.lcm(1, *(q for q, _, _ in combo)) == p2:
             second_tunings.append(tuple(ds))
 
     best = None
     for ds2 in second_tunings:
         for combo in itertools.product(*c1_lists):
-            ds = list(ds2) + [d for _, d in combo]
+            ds = list(ds2) + [d for _, _, d in combo]
             if max(ds) - min(ds) > jnd_cents:
                 continue
-            total = math.lcm(p2, *(f.denominator for f, _ in combo))
+            total = math.lcm(p2, *(q for q, _, _ in combo))
             ratio = total // p2
             if best is None or ratio < best:
                 best = ratio
@@ -237,10 +260,10 @@ def exhaustive_relative_to_first(
 
     p1 = None
     for combo in itertools.product(*c1_lists):
-        ds = [d for _, d in combo]
+        ds = [d for _, _, d in combo]
         if max(ds) - min(ds) > jnd_cents:
             continue
-        value = math.lcm(*(f.denominator for f, _ in combo))
+        value = math.lcm(*(q for q, _, _ in combo))
         if p1 is None or value < p1:
             p1 = value
     if p1 is None:
@@ -248,16 +271,16 @@ def exhaustive_relative_to_first(
 
     best = None
     for combo1 in itertools.product(*c1_lists):
-        ds1 = [d for _, d in combo1]
+        ds1 = [d for _, _, d in combo1]
         if max(ds1) - min(ds1) > jnd_cents:
             continue
-        if math.lcm(*(f.denominator for f, _ in combo1)) != p1:
+        if math.lcm(*(q for q, _, _ in combo1)) != p1:
             continue
         for combo2 in itertools.product(*c2_lists):
-            ds = ds1 + [0.0] + [d for _, d in combo2]
+            ds = ds1 + [0.0] + [d for _, _, d in combo2]
             if max(ds) - min(ds) > jnd_cents:
                 continue
-            total = math.lcm(p1, 1, *(f.denominator for f, _ in combo2))
+            total = math.lcm(p1, 1, *(q for q, _, _ in combo2))
             ratio = total // p1
             if best is None or ratio < best:
                 best = ratio
@@ -413,3 +436,23 @@ def per_cell_roughness_field(
         "sigma_cents": 0.0,
     }
     return make_simplex_field(n - 1, resolution, values, "roughness", meta)
+
+
+def per_cell_periodicity_field(
+    n: int, resolution: int, cfg: PeriodicityConfig = PeriodicityConfig()
+) -> ScalarField:
+    """log2 periodicity over the one-octave grid, one :func:`chord_periodicity` per cell."""
+    if n not in (2, 3, 4):
+        raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
+    cells = simplex_cells(n - 1, resolution)
+    values = [math.log2(chord_periodicity(cell_chord(c), cfg)[0]) for c in cells]
+    meta = {
+        "generator": "periodicity",
+        "domain": "intervals",
+        "resolution_cents": resolution,
+        "jnd_cents": cfg.jnd_cents,
+        "qmax": cfg.qmax,
+        "pairwise_constraint": cfg.pairwise_constraint,
+        "sigma_cents": 0.0,
+    }
+    return make_simplex_field(n - 1, resolution, values, "log2_periodicity", meta)

@@ -284,6 +284,51 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config" in err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"roughness": {"bogus": 1}},
+        {"roughness": {"scale": None}},
+        {"roughness": {"scale": "5"}},
+        {"roughness": [1]},
+        {"resolutions": {"2": None}},
+        {"resolutions": {"2": 2.5}},
+        {"resolutions": [1]},
+        {"spectrum": [[1.0, None]]},
+        {"spectrum": [[1.0, 1.0, 1.0]]},
+        {"spectrum": [1.0]},
+        {"spectrum": 5},
+        {"qmax": 2.5},
+        {"qmax": "50"},
+        {"qmax": True},
+        {"qmax": None},
+        {"jnd_cents": "18"},
+        {"jnd_cents": 10**400},  # a JSON integer beyond any float
+        {"f0_hz": None},
+        {"scope_cents": [200]},
+        {"sigma_mode": 3},
+    ],
+)
+def test_config_rejects_wrong_json_types(tmp_path, capsys, config):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "f.csv"
+    code, stdout, err = run_cli(capsys, "--config", str(cfg), "field", "roughness", "2",
+                                "--res", "100", "--out", str(out))
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert err.startswith("error:")
+
+
+def test_config_accepts_whole_numbers_as_integers(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"qmax": 64.0, "resolutions": {"2": 100.0}, "jnd_cents": 18}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "periodicity", "[0,7]")
+    assert code == 0
+    snapshot = json.loads(out)["config"]
+    assert snapshot["qmax"] == 64 and isinstance(snapshot["qmax"], int)
+    assert snapshot["resolutions"]["2"] == 100 and snapshot["jnd_cents"] == 18.0
+
+
 def test_config_env_var(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "conf.json"
     cfg.write_text(json.dumps({"qmax": 64}))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from chordspace.errors import UnresolvableChordError, UnresolvableIntervalError
 from chordspace.harmonicity import (
@@ -20,7 +20,12 @@ from chordspace.harmonicity import (
 )
 from chordspace.pitch import normalize
 
-from oracles import exhaustive_chord_periodicity, scan_min_denominator
+from oracles import (
+    exhaustive_chord_periodicity,
+    fraction_candidates,
+    per_cell_periodicity_field,
+    scan_min_denominator,
+)
 
 # the thirteen one-octave dyads: (semitones, ratio, periodicity)
 TABLE_ROWS = [
@@ -214,6 +219,53 @@ def test_field_known_triad_cell():
     assert fld.value_at((500.0, 900.0)) == pytest.approx(math.log2(3))
 
 
+def _field_or_error(make, n, res, cfg):
+    try:
+        return make(n, res, cfg)
+    except UnresolvableChordError as exc:
+        return str(exc)
+
+
+_DIVISORS_OF_1200 = [d for d in range(1, 1201) if 1200 % d == 0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    grid=st.one_of(
+        st.tuples(st.just(2), st.sampled_from(_DIVISORS_OF_1200)),
+        # the per-cell oracle is slow on finer triad grids
+        st.tuples(st.just(3), st.sampled_from([d for d in _DIVISORS_OF_1200 if d >= 10])),
+    ),
+    jnd=st.sampled_from([10.0, 18.0, 25.0, 50.0]),
+    qmax=st.integers(8, 100),
+    pairwise=st.booleans(),
+)
+# grids where exact grid cents would change cells the round-tripped cents set
+@example(grid=(3, 10), jnd=10.0, qmax=100, pairwise=True)
+@example(grid=(3, 10), jnd=50.0, qmax=100, pairwise=True)
+@example(grid=(3, 5), jnd=25.0, qmax=100, pairwise=True)
+def test_periodicity_field_equals_per_cell_oracle(grid, jnd, qmax, pairwise):
+    # JNDs of 10, 25 and 50 c put window edges on grid points; an infeasible
+    # cell raises the same error on both paths
+    n, res = grid
+    cfg = PeriodicityConfig(jnd_cents=jnd, qmax=qmax, pairwise_constraint=pairwise)
+    got = _field_or_error(periodicity_field, n, res, cfg)
+    want = _field_or_error(per_cell_periodicity_field, n, res, cfg)
+    event(f"n={n}, {'infeasible' if isinstance(want, str) else 'feasible'}")
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.values, want.values)
+    assert got.meta == want.meta and got.counts == want.counts
+
+
+def test_periodicity_field_equals_per_cell_oracle_full_dyad_grid():
+    for jnd in (10.0, 18.0, 25.0, 50.0):
+        cfg = PeriodicityConfig(jnd_cents=jnd)
+        got = periodicity_field(2, 1, cfg)
+        assert np.array_equal(got.values, per_cell_periodicity_field(2, 1, cfg).values)
+
+
 def test_sweep_equals_pointwise_dyads_and_triads():
     for n, res in ((2, 25), (3, 100)):
         a = periodicity_field(n, res)
@@ -250,10 +302,31 @@ def test_rational_tuning_validation():
 def test_ratio_candidates_sorted_and_within_window():
     cfg = PeriodicityConfig()
     cands = ratio_candidates(700.0, cfg)
-    assert cands[0][0] == Fraction(3, 2)
-    assert all(abs(d) <= cfg.jnd_cents + 1e-9 for _, d in cands)
-    denoms = [f.denominator for f, _ in cands]
+    assert Fraction(cands[0][1], cands[0][0]) == Fraction(3, 2)
+    assert all(abs(d) <= cfg.jnd_cents + 1e-9 for _, _, d in cands)
+    denoms = [q for q, _, _ in cands]
     assert denoms == sorted(denoms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    cents=st.floats(-1200.0, 2400.0),
+    jnd=st.floats(0.5, 100.0),
+    qmax=st.integers(2, 120),
+    clamp=st.booleans(),
+)
+@example(cents=0.0, jnd=18.0, qmax=100, clamp=True)
+@example(cents=1200.0, jnd=18.0, qmax=100, clamp=True)
+@example(cents=-1200.0, jnd=18.0, qmax=100, clamp=False)
+@example(cents=2400.0, jnd=18.0, qmax=100, clamp=False)
+@example(cents=701.955, jnd=18.0, qmax=100, clamp=True)
+def test_ratio_candidates_equal_fraction_scan(cents, jnd, qmax, clamp):
+    # integer window bounds give the Fraction scan's ratios, in its order,
+    # with bit-equal detunings
+    got = ratio_candidates(cents, PeriodicityConfig(jnd_cents=jnd, qmax=qmax), clamp)
+    want = fraction_candidates(cents, jnd, qmax, clamp)
+    assert [(p, q) for q, p, _ in got] == [(f.numerator, f.denominator) for f, _ in want]
+    assert [d.hex() for _, _, d in got] == [d.hex() for _, d in want]
 
 
 def test_config_validation():
