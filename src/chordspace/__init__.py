@@ -29,7 +29,6 @@ from .harmonicity import (
     min_denominator_ratio,
     periodicity_field,
     rerooted_periodicity,
-    sweep_periodicity_field,
 )
 from .metric import (
     GeodesicGroup,
@@ -70,7 +69,6 @@ from .resolve import (
     combined_chord,
     directional_derivative,
     relative_periodicity_to_first,
-    sweep_transitive_field,
     transitive_field,
     transitive_periodicity,
 )

@@ -218,12 +218,13 @@ class ScalarField:
         )
 
 
-def simplex_cells(dims: int, resolution: int) -> list[tuple[float, ...]]:
-    """Grid cells of the one-octave interval simplex, lexicographic order."""
+def simplex_cells(dims: int, resolution: int) -> np.ndarray:
+    """Grid cells of the one-octave interval simplex: a ``(cells, dims)``
+    array of cents, one row per cell in lexicographic order."""
     if 1200 % resolution != 0:
         raise ValueError(f"resolution {resolution} does not divide 1200")
     axis = np.arange(0, 1201, resolution, dtype=float)
-    return list(map(tuple, axis[np.argwhere(_cell_mask([axis] * dims, True))].tolist()))
+    return axis[np.argwhere(_cell_mask([axis] * dims, True))]
 
 
 def make_simplex_field(

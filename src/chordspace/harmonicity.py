@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-import numpy as np
-
 from .errors import UnresolvableChordError, UnresolvableIntervalError
 from .field import ScalarField, make_simplex_field, simplex_cells
 from .pitch import CENTS_PER_SEMITONE, Chord, cell_chord
@@ -30,7 +28,6 @@ __all__ = [
     "chord_periodicity",
     "rerooted_periodicity",
     "periodicity_field",
-    "sweep_periodicity_field",
     "ratio_candidates",
     "min_lcm",
     "tunings_with_lcm",
@@ -73,10 +70,20 @@ class RationalTuning:
 
 
 def _ratio_window(cents: float, jnd_cents: float, clamp: bool) -> tuple[Fraction, Fraction]:
+    where = f"the ratio window of {cents:g} cents with a JND of {jnd_cents:g} cents"
     # Exact Fraction bounds from the float powers keep comparisons deterministic.
-    lo = Fraction(2.0 ** ((cents - jnd_cents) / 1200.0))
-    hi = Fraction(2.0 ** ((cents + jnd_cents) / 1200.0))
-    return (max(lo, Fraction(1)), min(hi, Fraction(2))) if clamp else (lo, hi)
+    try:
+        lo = Fraction(2.0 ** ((cents - jnd_cents) / 1200.0))
+        hi = Fraction(2.0 ** ((cents + jnd_cents) / 1200.0))
+    except OverflowError:
+        raise ValueError(f"{where} overflows a float") from None
+    if clamp:
+        lo, hi = max(lo, Fraction(1)), min(hi, Fraction(2))
+    # The scan visits about (hi - lo) * qmax**2 / 2 numerators: a wider window
+    # (a note many octaves from the root, or a huge JND) would exhaust memory.
+    if hi - lo > 64:
+        raise ValueError(f"{where} spans {float(lo):g} to {float(hi):g}, wider than 64")
+    return lo, hi
 
 
 def min_denominator_ratio(
@@ -199,7 +206,6 @@ def tunings_with_lcm(
     of denominators with ``seed_lcm`` is ``target``.
 
     Same window rule as :func:`min_lcm`; choices are yielded in list order.
-    ``next(tunings_with_lcm(...), None) is not None`` tests existence.
     """
     sub = [[c for c in lst if target % c[0] == 0] for lst in lists]
 
@@ -306,13 +312,11 @@ def periodicity_field(
     infeasible cell raises its error), without building the chord or its
     witness: one candidate list per axis value, from the cents that chord
     sees (grid cents round-tripped through semitones), and one
-    :func:`min_lcm` per cell over its distinct non-root notes.  The sweep
-    formulation (:func:`sweep_periodicity_field`), kept as a cross-check,
-    reads the exact grid cents instead, which differ at some 1-cent cells.
+    :func:`min_lcm` per cell over its distinct non-root notes.
     """
     if n not in (2, 3, 4):
         raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
-    cells = simplex_cells(n - 1, resolution)
+    cells = simplex_cells(n - 1, resolution).tolist()
     lists = {
         x: ratio_candidates(x / CENTS_PER_SEMITONE * CENTS_PER_SEMITONE, cfg)
         for x in set().union(*cells)
@@ -323,55 +327,6 @@ def periodicity_field(
     for c in cells:
         found = min_lcm([lists[x] for x in dict.fromkeys(c) if x], window, lo=0.0, hi=0.0)
         values.append(math.log2(found[0] if found else chord_periodicity(cell_chord(c), cfg)[0]))
-    return make_simplex_field(
-        n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
-    )
-
-
-def sweep_periodicity_field(
-    n: int,
-    resolution: int,
-    cfg: PeriodicityConfig = PeriodicityConfig(),
-    max_periodicity: int = 100_000,
-) -> ScalarField:
-    """Ascending-periodicity sweep over the same grid as :func:`periodicity_field`.
-
-    Walks q = 1, 2, ... and stamps every not-yet-assigned cell whose JND
-    neighborhood contains a chord of periodicity exactly q.  Only tunings
-    near remaining cells are ever considered, which is the standard
-    efficiency shortcut; the assigned values are unchanged by it.
-    """
-    if n not in (2, 3, 4):
-        raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
-    cells = simplex_cells(n - 1, resolution)
-    cand_per_cell = [
-        [ratio_candidates(x, cfg, clamp=True) for x in coords] for coords in cells
-    ]
-    values = np.full(len(cells), np.nan)
-    remaining = set(range(len(cells)))
-    for i, lists in enumerate(cand_per_cell):
-        if any(not lst for lst in lists):
-            raise UnresolvableChordError(
-                f"cell {cells[i]} has a note with no admissible fraction"
-            )
-    window = _window(cfg)
-    q = 1
-    while remaining and q <= max_periodicity:
-        stamped = [
-            i
-            for i in remaining
-            if next(tunings_with_lcm(cand_per_cell[i], q, window, lo=0.0, hi=0.0), None)
-            is not None
-        ]
-        for i in stamped:
-            values[i] = math.log2(q)
-            remaining.discard(i)
-        q += 1
-    if remaining:
-        residual = [cells[i] for i in sorted(remaining)]
-        raise UnresolvableChordError(
-            f"sweep exhausted q <= {max_periodicity} with unassigned cells: {residual[:10]}"
-        )
     return make_simplex_field(
         n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
     )

@@ -35,7 +35,10 @@ def freq_from_pitch(p: float, f0: float = DEFAULT_F0_HZ) -> float:
         raise ValueError(f"reference frequency must be positive and finite, got {f0!r}")
     if not math.isfinite(p):
         raise ValueError(f"pitch must be finite, got {p!r}")
-    return f0 * 2.0 ** (p / 12.0)
+    f = f0 * 2.0 ** (p / 12.0) if p / 12.0 < 1024 else 0.0  # 2.0 ** 1024 overflows
+    if f == 0.0:  # the power overflows, or the frequency underflows
+        raise ValueError(f"pitch {p!r} has no positive float frequency")
+    return f
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .errors import UnresolvableProgressionError
 from .field import ScalarField, make_box_field
 from .harmonicity import (
@@ -47,7 +45,6 @@ __all__ = [
     "relative_periodicity_to_first",
     "chan_transitional_harmony",
     "transitive_field",
-    "sweep_transitive_field",
     "directional_derivative",
 ]
 
@@ -225,8 +222,8 @@ def chan_transitional_harmony(
 
 
 def _window_grid(c1: Chord, n: int, cfg: TransitiveConfig, resolution: int):
-    """Axes of the target window around ``c1``, its cells in cents and the
-    target chord of each cell."""
+    """Axes of the target window around ``c1`` and the target chord of each
+    cell, in lexicographic cell order."""
     if n != len(c1):
         raise ValueError(
             "window fields currently require the target size to match the "
@@ -247,9 +244,10 @@ def _window_grid(c1: Chord, n: int, cfg: TransitiveConfig, resolution: int):
     axes = [
         [o + resolution * i for i in range(c)] for o, c in zip(origins, counts)
     ]
-    cells = list(product(*axes))
-    targets = [Chord(tuple(x / CENTS_PER_SEMITONE for x in coords)) for coords in cells]
-    return origins, counts, cells, targets
+    targets = [
+        Chord(tuple(x / CENTS_PER_SEMITONE for x in coords)) for coords in product(*axes)
+    ]
+    return origins, counts, targets
 
 
 def _window_field(
@@ -284,7 +282,7 @@ def transitive_field(
     ``c1``.  Windows must not overlap, so every grid tuple is already sorted.
     """
     pcfg = cfg.periodicity_config()
-    origins, counts, _, targets = _window_grid(c1, n, cfg, resolution)
+    origins, counts, targets = _window_grid(c1, n, cfg, resolution)
     trans_vals = []
     comp_vals = []
     for c2 in targets:
@@ -304,57 +302,6 @@ def transitive_field(
     )
     return trans, comp
 
-
-def _feasible_at_ratio(prog: Progression, cfg: TransitiveConfig, ratio: int) -> bool:
-    """True iff some admissible joint tuning realizes exactly this ratio."""
-    pcfg = cfg.periodicity_config()
-    second = _second_side(prog, pcfg)
-    if second is None:
-        return False
-    lists1, p2, tunings2 = second
-    for chosen in tunings2:
-        ds = [0.0] + [d for _, _, d in chosen]
-        tunings = tunings_with_lcm(lists1, ratio * p2, pcfg.jnd_cents, p2, min(ds), max(ds))
-        if next(tunings, None) is not None:
-            return True
-    return False
-
-
-def sweep_transitive_field(
-    c1: Chord,
-    n: int,
-    cfg: TransitiveConfig = TransitiveConfig(),
-    resolution: int = 50,
-    max_ratio: int = 100_000,
-) -> ScalarField:
-    """Ascending-ratio sweep formulation of :func:`transitive_field`.
-
-    Stamps each window cell at the first ratio p = 1, 2, ... for which a
-    joint tuning exists; kept as the order-independent cross-check of the
-    cell-local minimization.
-    """
-    origins, counts, cells, targets = _window_grid(c1, n, cfg, resolution)
-    values = np.full(len(cells), np.nan)
-    remaining = set(range(len(cells)))
-    p = 1
-    while remaining and p <= max_ratio:
-        stamped = [
-            i for i in remaining
-            if _feasible_at_ratio(Progression(c1, targets[i]), cfg, p)
-        ]
-        for i in stamped:
-            values[i] = math.log2(p)
-            remaining.discard(i)
-        p += 1
-    if remaining:
-        residual = [cells[i] for i in sorted(remaining)]
-        raise UnresolvableProgressionError(
-            f"sweep exhausted ratios <= {max_ratio} with unassigned cells: {residual[:10]}"
-        )
-    return _window_field(
-        c1, cfg, resolution, origins, counts, values,
-        "log2_transitive_periodicity", "transitive",
-    )
 
 
 # -- derivatives --------------------------------------------------------------

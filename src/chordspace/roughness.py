@@ -198,7 +198,7 @@ def roughness_field(
         raise ValueError(f"roughness fields support 2 or 3 notes, got {n}")
     # the notes of pitch.cell_chord: root 0 plus the cell in semitones (already
     # ascending on the simplex), repeats dropped
-    cells = np.array(simplex_cells(n - 1, resolution))
+    cells = simplex_cells(n - 1, resolution)
     pitches = np.hstack([np.zeros((len(cells), 1)), cells / CENTS_PER_SEMITONE])
     distinct = np.diff(pitches, axis=1, prepend=-1.0) != 0  # notes are >= 0
     sizes = distinct.sum(axis=1)

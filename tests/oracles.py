@@ -6,7 +6,8 @@ paths over explicit chord graphs instead of the grouping dynamic program,
 per-cell neighbor scans instead of shifted-array filters, one roughness sum
 per chord instead of the batch kernel, ``Fraction`` arithmetic instead of
 integer candidate bounds, one chord and witness per field cell instead of
-per-axis candidate lists.
+per-axis candidate lists, ascending-periodicity sweeps that stamp each cell
+at the first feasible value instead of a minimization per cell.
 The production code must agree with these on small instances.
 """
 
@@ -20,10 +21,25 @@ from fractions import Fraction
 
 import numpy as np
 
+from chordspace.errors import UnresolvableChordError, UnresolvableProgressionError
 from chordspace.field import ScalarField, make_simplex_field, simplex_cells
-from chordspace.harmonicity import PeriodicityConfig, chord_periodicity, ratio_candidates
+from chordspace.harmonicity import (
+    PeriodicityConfig,
+    _field_meta,
+    _window,
+    chord_periodicity,
+    ratio_candidates,
+    tunings_with_lcm,
+)
 from chordspace.metric import NormChoice
 from chordspace.pitch import Chord, DEFAULT_F0_HZ, cell_chord, freq_from_pitch
+from chordspace.resolve import (
+    Progression,
+    TransitiveConfig,
+    _second_side,
+    _window_field,
+    _window_grid,
+)
 from chordspace.roughness import RoughnessParams, Spectrum, harmonic_spectrum
 
 
@@ -417,7 +433,7 @@ def per_cell_roughness_field(
     """Chord roughness over the one-octave grid, one :func:`per_chord_roughness` per cell."""
     if n not in (2, 3):
         raise ValueError(f"roughness fields support 2 or 3 notes, got {n}")
-    cells = simplex_cells(n - 1, resolution)
+    cells = simplex_cells(n - 1, resolution).tolist()
     values = [per_chord_roughness(cell_chord(coords), spectrum, f0, params) for coords in cells]
     meta = {
         "generator": "roughness",
@@ -444,7 +460,7 @@ def per_cell_periodicity_field(
     """log2 periodicity over the one-octave grid, one :func:`chord_periodicity` per cell."""
     if n not in (2, 3, 4):
         raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
-    cells = simplex_cells(n - 1, resolution)
+    cells = simplex_cells(n - 1, resolution).tolist()
     values = [math.log2(chord_periodicity(cell_chord(c), cfg)[0]) for c in cells]
     meta = {
         "generator": "periodicity",
@@ -456,3 +472,109 @@ def per_cell_periodicity_field(
         "sigma_cents": 0.0,
     }
     return make_simplex_field(n - 1, resolution, values, "log2_periodicity", meta)
+
+
+def sweep_periodicity_field(
+    n: int,
+    resolution: int,
+    cfg: PeriodicityConfig = PeriodicityConfig(),
+    max_periodicity: int = 100_000,
+) -> ScalarField:
+    """Ascending-periodicity sweep over the same grid as ``periodicity_field``.
+
+    Walks q = 1, 2, ... and stamps every not-yet-assigned cell whose JND
+    neighborhood contains a chord of periodicity exactly q.  Only tunings
+    near remaining cells are ever considered, which is the standard
+    efficiency shortcut; the assigned values are unchanged by it.  Reads the
+    exact grid cents, where ``periodicity_field`` reads them round-tripped
+    through semitones; the two differ at some 1-cent cells.
+    """
+    if n not in (2, 3, 4):
+        raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
+    cells = list(map(tuple, simplex_cells(n - 1, resolution).tolist()))
+    cand_per_cell = [
+        [ratio_candidates(x, cfg, clamp=True) for x in coords] for coords in cells
+    ]
+    values = np.full(len(cells), np.nan)
+    remaining = set(range(len(cells)))
+    for i, lists in enumerate(cand_per_cell):
+        if any(not lst for lst in lists):
+            raise UnresolvableChordError(
+                f"cell {cells[i]} has a note with no admissible fraction"
+            )
+    window = _window(cfg)
+    q = 1
+    while remaining and q <= max_periodicity:
+        stamped = [
+            i
+            for i in remaining
+            if next(tunings_with_lcm(cand_per_cell[i], q, window, lo=0.0, hi=0.0), None)
+            is not None
+        ]
+        for i in stamped:
+            values[i] = math.log2(q)
+            remaining.discard(i)
+        q += 1
+    if remaining:
+        residual = [cells[i] for i in sorted(remaining)]
+        raise UnresolvableChordError(
+            f"sweep exhausted q <= {max_periodicity} with unassigned cells: {residual[:10]}"
+        )
+    return make_simplex_field(
+        n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
+    )
+
+
+def _feasible_at_ratio(prog: Progression, cfg: TransitiveConfig, ratio: int) -> bool:
+    """True iff some admissible joint tuning realizes exactly this ratio."""
+    pcfg = cfg.periodicity_config()
+    second = _second_side(prog, pcfg)
+    if second is None:
+        return False
+    lists1, p2, tunings2 = second
+    for chosen in tunings2:
+        ds = [0.0] + [d for _, _, d in chosen]
+        tunings = tunings_with_lcm(lists1, ratio * p2, pcfg.jnd_cents, p2, min(ds), max(ds))
+        if next(tunings, None) is not None:
+            return True
+    return False
+
+
+def sweep_transitive_field(
+    c1: Chord,
+    n: int,
+    cfg: TransitiveConfig = TransitiveConfig(),
+    resolution: int = 50,
+    max_ratio: int = 100_000,
+) -> ScalarField:
+    """Ascending-ratio sweep formulation of ``transitive_field``.
+
+    Stamps each window cell at the first ratio p = 1, 2, ... for which a
+    joint tuning exists; the order-independent cross-check of the
+    cell-local minimization.
+    """
+    origins, counts, targets = _window_grid(c1, n, cfg, resolution)
+    cells = list(itertools.product(
+        *([o + resolution * i for i in range(c)] for o, c in zip(origins, counts))
+    ))
+    values = np.full(len(cells), np.nan)
+    remaining = set(range(len(cells)))
+    p = 1
+    while remaining and p <= max_ratio:
+        stamped = [
+            i for i in remaining
+            if _feasible_at_ratio(Progression(c1, targets[i]), cfg, p)
+        ]
+        for i in stamped:
+            values[i] = math.log2(p)
+            remaining.discard(i)
+        p += 1
+    if remaining:
+        residual = [cells[i] for i in sorted(remaining)]
+        raise UnresolvableProgressionError(
+            f"sweep exhausted ratios <= {max_ratio} with unassigned cells: {residual[:10]}"
+        )
+    return _window_field(
+        c1, cfg, resolution, origins, counts, values,
+        "log2_transitive_periodicity", "transitive",
+    )

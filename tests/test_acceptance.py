@@ -26,7 +26,6 @@ from chordspace.harmonicity import (
     dyad_periodicity,
     min_denominator_ratio,
     periodicity_field,
-    sweep_periodicity_field,
 )
 from chordspace.metric import chord_distance, chord_distance_n, geodesic_distance
 from chordspace.pitch import Chord, normalize, parse_chord
@@ -43,13 +42,17 @@ from chordspace.resolve import (
     TransitiveConfig,
     chan_transitional_harmony,
     directional_derivative,
-    sweep_transitive_field,
     transitive_field,
     transitive_periodicity,
 )
 from chordspace.roughness import harmonic_spectrum, pair_roughness, roughness_field
 
-from oracles import exhaustive_chord_periodicity, geodesic_apsp
+from oracles import (
+    exhaustive_chord_periodicity,
+    geodesic_apsp,
+    sweep_periodicity_field,
+    sweep_transitive_field,
+)
 
 TABLE = {0: (1, 1, 1), 1: (16, 15, 15), 2: (9, 8, 8), 3: (6, 5, 5), 4: (5, 4, 4),
          5: (4, 3, 3), 6: (7, 5, 5), 7: (3, 2, 2), 8: (8, 5, 5), 9: (5, 3, 3),

@@ -396,3 +396,62 @@ def test_field_roughness_config_never_exits_internal(size):
             argv = ["--config", str(cfg), "field", "roughness", size, "--res", "100",
                     "--out", str(Path(tmp) / "f.csv")]
             assert _exit_code(argv) in (0, 2), config
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("periodicity", "[0,4,7]", "--jnd", "1e300c"), "overflows a float"),
+        (("resolve", "[0,20000]", "[0]"), "overflows a float"),
+        (("resolve", "[0]", "[0]", "--jnd", "1e300c"), "overflows a float"),
+        (("field", "periodicity", "2", "--res", "600", "--jnd", "1e300c", "--out", "{out}"),
+         "overflows a float"),
+        (("field", "transitive", "2", "--from", "[0,20000]", "--scope", "100c", "--res", "100",
+          "--out", "{out}"), "overflows a float"),
+        (("resolve-field", "[0,20000]", "2", "--scope", "50c", "--res", "50", "--out", "{out}"),
+         "overflows a float"),
+        (("--config", "{config}", "field", "periodicity", "2", "--out", "{out}"),
+         "overflows a float"),
+        (("resolve", "[0,1e307]", "[0]"), "overflows a float"),  # infinite cents
+        # windows too wide to scan for fractions, refused rather than exhausted
+        (("resolve", "[0,1e4]", "[0]"), "wider than 64"),
+        (("periodicity", "[0,4,7]", "--jnd", "20000c", "--all-rerootings"), "wider than 64"),
+        (("resolve", "[1e300]", "[1e300]"), "no positive float frequency"),
+        (("resolve", "[-1e300]", "[-1e300]"), "no positive float frequency"),
+    ],
+)
+def test_pitch_out_of_float_range_exits_2(tmp_path, capsys, argv, message):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"jnd_cents": 1e300}))
+    argv = [part.format(out=tmp_path / "f.csv", config=config) for part in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+NOTES = st.sampled_from([0, 0.5, 4, 7, 11.99, 12, 13, -5, 1e4, 1e300, -1e300])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from([
+        ("distance",),
+        ("periodicity",),
+        ("periodicity", "--all-rerootings"),
+        ("periodicity", "--per-note-only"),
+        ("periodicity", "--all-rerootings", "--per-note-only"),
+        ("resolve",),
+    ]),
+    chords=st.lists(st.lists(NOTES, min_size=1, max_size=4), min_size=2, max_size=2),
+    jnd=st.sampled_from([None, "6c", "18c", "0c", "-1c", "2000c", "1e300c", "nanc"]),
+    qmax=st.sampled_from([None, "1", "2", "12", "100"]),  # a large qmax is unbounded work
+)
+def test_chord_commands_never_exit_internal(command, chords, jnd, qmax):
+    """User input never makes distance, periodicity or resolve exit 4."""
+    name, *flags = command
+    texts = ["[" + ",".join(map(repr, notes)) + "]" for notes in chords]
+    argv = [name] + texts[: 1 if name == "periodicity" else 2] + flags
+    if name != "distance":
+        argv += [f"--jnd={jnd}"] * (jnd is not None) + [f"--qmax={qmax}"] * (qmax is not None)
+    assert _exit_code(argv) in (0, 2, 3)

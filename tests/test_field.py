@@ -22,7 +22,7 @@ import oracles
 
 
 def _triad_field(resolution=200):
-    cells = simplex_cells(2, resolution)
+    cells = simplex_cells(2, resolution).tolist()
     # values chosen to be fixpoints of 6-decimal formatting
     values = [float(f"{x2 * 0.001 + x3 * 1e-6:.6f}") for x2, x3 in cells]
     return make_simplex_field(2, resolution, values, "value", {})
@@ -30,7 +30,7 @@ def _triad_field(resolution=200):
 
 def test_simplex_cell_count_and_order():
     cells = simplex_cells(2, 400)
-    assert cells == [
+    assert list(map(tuple, cells.tolist())) == [
         (0.0, 0.0), (0.0, 400.0), (0.0, 800.0), (0.0, 1200.0),
         (400.0, 400.0), (400.0, 800.0), (400.0, 1200.0),
         (800.0, 800.0), (800.0, 1200.0), (1200.0, 1200.0),
@@ -154,7 +154,7 @@ def test_slice_of_simplex_whose_later_axis_starts_above_the_pin():
 
 
 def test_slices_commute_on_tetrad_grid():
-    cells = simplex_cells(3, 300)
+    cells = simplex_cells(3, 300).tolist()
     values = [x2 * 1.0 + x3 * 0.01 + x4 * 0.0001 for x2, x3, x4 in cells]
     fld = make_simplex_field(3, 300, values, "value", {})
     a = slice_field(slice_field(fld, 0, 300.0), 1, 900.0)  # pin x2 then x4
@@ -232,7 +232,7 @@ def test_mask_orders_cells_like_simplex_cells():
     fld = _triad_field(300)
     assert fld.mask.shape == fld.counts
     assert fld.mask.sum() == fld.n_cells == len(fld.cells)
-    assert list(fld.cells) == simplex_cells(2, 300)
+    assert list(fld.cells) == list(map(tuple, simplex_cells(2, 300).tolist()))
     assert all(fld.index_of(c) == i for i, c in enumerate(fld.cells))
     with pytest.raises(ValueError, match="not a grid cell"):
         fld.index_of((600.0, 300.0))  # outside the simplex

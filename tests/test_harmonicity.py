@@ -16,7 +16,6 @@ from chordspace.harmonicity import (
     periodicity_field,
     ratio_candidates,
     rerooted_periodicity,
-    sweep_periodicity_field,
 )
 from chordspace.pitch import normalize
 
@@ -25,6 +24,7 @@ from oracles import (
     fraction_candidates,
     per_cell_periodicity_field,
     scan_min_denominator,
+    sweep_periodicity_field,
 )
 
 # the thirteen one-octave dyads: (semitones, ratio, periodicity)

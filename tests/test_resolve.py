@@ -17,12 +17,11 @@ from chordspace.resolve import (
     combined_chord,
     directional_derivative,
     relative_periodicity_to_first,
-    sweep_transitive_field,
     transitive_field,
     transitive_periodicity,
 )
 
-from oracles import exhaustive_relative_to_first, exhaustive_transitive
+from oracles import exhaustive_relative_to_first, exhaustive_transitive, sweep_transitive_field
 
 TRITONE = parse_chord("[3,9]")
 EIGHT_TARGETS = ["[2,8]", "[2,9]", "[2,10]", "[3,8]", "[3,10]", "[4,8]", "[4,9]", "[4,10]"]
