@@ -354,7 +354,8 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
     if not 0 <= axis < field.dims:
         raise ValueError(f"axis {axis} out of range for {field.dims}-d field")
     t = (float(value_cents) - field.origins[axis]) / field.resolution
-    if abs(t - round(t)) > 1e-9 or not 0 <= round(t) < field.counts[axis]:
+    on_grid = math.isfinite(t) and abs(t - round(t)) <= 1e-9
+    if not on_grid or not 0 <= round(t) < field.counts[axis]:
         raise ValueError(f"{value_cents} cents is not on the grid of axis {axis}")
 
     origins, counts, names = [], [], []

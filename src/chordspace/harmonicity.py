@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import UnresolvableChordError, UnresolvableIntervalError
 from .field import ScalarField, make_simplex_field, simplex_cells
@@ -30,7 +29,6 @@ __all__ = [
     "periodicity_field",
     "ratio_candidates",
     "min_lcm",
-    "tunings_with_lcm",
 ]
 
 
@@ -151,7 +149,6 @@ def min_lcm(
     seed_lcm: int = 1,
     lo: float = math.inf,
     hi: float = -math.inf,
-    bound: int | None = None,
 ) -> tuple[int, tuple[tuple[int, int, float], ...]] | None:
     """Branch-and-bound for the minimal-lcm choice of one candidate per list.
 
@@ -160,10 +157,9 @@ def min_lcm(
     denominators q starts at ``seed_lcm`` and the detuning window at [lo, hi]
     (empty by default); every chosen detuning must keep the window at most
     ``window`` cents wide.  Returns (lcm, chosen triples) for the first
-    minimal choice in list order, counting only results strictly below
-    ``bound``, or None.
+    minimal choice in list order, or None.
     """
-    best = math.inf if bound is None else bound
+    best = math.inf
     found = None
     last, lcm = len(lists) - 1, math.lcm
 
@@ -188,42 +184,9 @@ def min_lcm(
             chosen.pop()
 
     if not lists:
-        return (seed_lcm, ()) if seed_lcm < best else None
-    if seed_lcm < best:
-        search(0, seed_lcm, lo, hi, [])
+        return seed_lcm, ()
+    search(0, seed_lcm, lo, hi, [])
     return None if found is None else (best, found)
-
-
-def tunings_with_lcm(
-    lists: list[tuple[tuple[int, int, float], ...]],
-    target: int,
-    window: float,
-    seed_lcm: int = 1,
-    lo: float = math.inf,
-    hi: float = -math.inf,
-) -> Iterator[tuple[tuple[int, int, float], ...]]:
-    """Every choice of one ``(q, p, detuning)`` candidate per list whose lcm
-    of denominators with ``seed_lcm`` is ``target``.
-
-    Same window rule as :func:`min_lcm`; choices are yielded in list order.
-    """
-    sub = [[c for c in lst if target % c[0] == 0] for lst in lists]
-
-    def walk(i: int, cur: int, lo: float, hi: float, chosen: list):
-        if i == len(sub):
-            if cur == target:
-                yield tuple(chosen)
-            return
-        for c in sub[i]:
-            nlo, nhi = min(lo, c[2]), max(hi, c[2])
-            if nhi - nlo > window:
-                continue
-            chosen.append(c)
-            yield from walk(i + 1, math.lcm(cur, c[0]), nlo, nhi, chosen)
-            chosen.pop()
-
-    if all(sub):
-        yield from walk(0, seed_lcm, lo, hi, [])
 
 
 def chord_periodicity(
@@ -246,7 +209,7 @@ def chord_periodicity(
     """
     if c.notes[0] != 0:
         raise ValueError(f"chord must be rooted at 0, got root {c.notes[0]!r}")
-    if c.notes[-1] > 12:
+    if c.notes[-1] > 12 + 1e-9:  # shift() may land an octave at 12.000000000000002
         raise ValueError(f"chord must stay within one octave, got {c.notes}")
     lists = [ratio_candidates(p * CENTS_PER_SEMITONE, cfg) for p in c.notes[1:]]
     found = min_lcm(lists, _window(cfg), lo=0.0, hi=0.0)  # the root's 1/1 is exact

@@ -75,8 +75,7 @@ def gaussian_product_sigma(s1: float, s2: float) -> float:
     return s1 * s2 / math.hypot(s1, s2)
 
 
-def _kernel(sigma_cents: float, resolution: int) -> np.ndarray:
-    radius = int(6.0 * sigma_cents // resolution)
+def _kernel(sigma_cents: float, resolution: int, radius: int) -> np.ndarray:
     offsets = np.arange(-radius, radius + 1, dtype=float) * resolution
     k = np.exp(-0.5 * (offsets / sigma_cents) ** 2)
     return k / k.sum()
@@ -91,16 +90,24 @@ def gaussian_smooth(field: ScalarField, sigma_cents: float) -> ScalarField:
     inventing mass beyond the edges.  Simplex fields are smoothed on their
     symmetric extension (mirrored across note reordering) and restricted
     back, so the diagonal sees its true surroundings.  ``sigma_cents = 0``
-    returns the field unchanged.
+    returns the field unchanged.  A kernel reaching further than the longest
+    axis is refused: its outer taps would read only the replicated edge.
     """
-    if sigma_cents < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma_cents < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma_cents!r}")
     if sigma_cents == 0:
         return field
-    kernel = _kernel(sigma_cents, field.resolution)
-    radius = (len(kernel) - 1) // 2
+    # NaN once six sigma overflows a float
+    reach = 6.0 * sigma_cents // field.resolution if field.dims else 0.0
+    if not reach <= max(field.counts, default=0):
+        raise ValueError(
+            f"sigma {sigma_cents:g} cents: the kernel reaches {6.0 * sigma_cents:g} cents, "
+            f"beyond the longest axis ({max(field.counts)} cells of {field.resolution} cents)"
+        )
+    radius = int(reach)
     dense = field.dense()
     if radius > 0:
+        kernel = _kernel(sigma_cents, field.resolution, radius)
         for axis in range(field.dims):
             padded = np.pad(
                 dense, [(radius, radius) if k == axis else (0, 0) for k in range(field.dims)],

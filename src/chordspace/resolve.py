@@ -33,7 +33,6 @@ from .harmonicity import (
     chord_periodicity,
     min_lcm,
     ratio_candidates,
-    tunings_with_lcm,
 )
 from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch, normalize, shift
 
@@ -89,31 +88,18 @@ def _candidates(notes, pcfg: PeriodicityConfig) -> list:
     return [ratio_candidates(p * CENTS_PER_SEMITONE, pcfg, clamp=False) for p in notes]
 
 
-def _second_side(prog: Progression, pcfg: PeriodicityConfig):
-    """The first chord's candidate lists over the second chord's root, the
-    second chord's minimal periodicity p2 (root pinned to 1/1) and its
-    tunings that realize p2; None when the second chord has no tuning."""
-    c1, c2 = _shifted(prog)
-    lists2 = _candidates(c2.notes[1:], pcfg)
-    found = min_lcm(lists2, pcfg.jnd_cents, lo=0.0, hi=0.0)
-    if found is None:
-        return None
-    p2 = found[0]
-    tunings2 = tunings_with_lcm(lists2, p2, pcfg.jnd_cents, lo=0.0, hi=0.0)
-    return _candidates(c1.notes, pcfg), p2, tunings2
+def _min_ratio(pinned, p: int, others, jnd: float) -> int | None:
+    """Minimal lcm / p over joint tunings whose pinned chord realizes its own
+    minimal lcm ``p``, with the second chord's root at detuning 0.
 
-
-def _min_ratio(tunings, lists, p: int, jnd: float) -> int | None:
-    """Minimal lcm / p over the pinned tunings (lcm p, with the second chord's
-    root at detuning 0) extended by one candidate per list."""
-    best: int | None = None
-    for chosen in tunings:
-        ds = [0.0] + [d for _, _, d in chosen]
-        bound = None if best is None else best * p
-        found = min_lcm(lists, jnd, p, min(ds), max(ds), bound)
-        if found is not None:
-            best = found[0] // p  # a multiple of p strictly below the bound
-    return best
+    One search: the pinned lists keep only candidates whose denominator
+    divides p, and the running lcm starts at p.  Each pinned sub-tuning fits
+    a window its minimal search also allowed, so its lcm is at least p; as
+    every denominator divides p, it is exactly p.
+    """
+    sub = [[c for c in lst if p % c[0] == 0] for lst in pinned]
+    found = min_lcm(sub + others, jnd, p, 0.0, 0.0)
+    return None if found is None else found[0] // p
 
 
 def transitive_periodicity(prog: Progression, cfg: TransitiveConfig = TransitiveConfig()) -> int:
@@ -129,13 +115,15 @@ def transitive_periodicity(prog: Progression, cfg: TransitiveConfig = Transitive
     chord's tuning outright.
     """
     pcfg = cfg.periodicity_config()
-    second = _second_side(prog, pcfg)
-    if second is None:
+    jnd = pcfg.jnd_cents
+    c1, c2 = _shifted(prog)
+    lists2 = _candidates(c2.notes[1:], pcfg)
+    found = min_lcm(lists2, jnd, lo=0.0, hi=0.0)
+    if found is None:
         raise UnresolvableProgressionError(
             f"second chord {prog.second} admits no rational tuning within bounds"
         )
-    lists1, p2, tunings2 = second
-    best = _min_ratio(tunings2, lists1, p2, pcfg.jnd_cents)
+    best = _min_ratio(lists2, found[0], _candidates(c1.notes, pcfg), jnd)
     if best is None:
         raise UnresolvableProgressionError(
             f"no joint tuning of {prog.first} -> {prog.second} within bounds"
@@ -162,10 +150,7 @@ def relative_periodicity_to_first(
         raise UnresolvableProgressionError(
             f"first chord {prog.first} admits no rational tuning within bounds"
         )
-    p1 = found[0]
-    # The second chord's root joins the window with detuning 0.
-    tunings1 = tunings_with_lcm(lists1, p1, jnd, lo=0.0, hi=0.0)
-    best = _min_ratio(tunings1, _candidates(c2.notes[1:], pcfg), p1, jnd)
+    best = _min_ratio(lists1, found[0], _candidates(c2.notes[1:], pcfg), jnd)
     if best is None:
         raise UnresolvableProgressionError(
             f"no joint tuning of {prog.first} -> {prog.second} within bounds"

@@ -7,7 +7,8 @@ per-cell neighbor scans instead of shifted-array filters, one roughness sum
 per chord instead of the batch kernel, ``Fraction`` arithmetic instead of
 integer candidate bounds, one chord and witness per field cell instead of
 per-axis candidate lists, ascending-periodicity sweeps that stamp each cell
-at the first feasible value instead of a minimization per cell.
+at the first feasible value instead of a minimization per cell, and every
+minimal tuning of a pinned chord enumerated instead of one joint search.
 The production code must agree with these on small instances.
 """
 
@@ -18,6 +19,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -28,15 +30,16 @@ from chordspace.harmonicity import (
     _field_meta,
     _window,
     chord_periodicity,
+    min_lcm,
     ratio_candidates,
-    tunings_with_lcm,
 )
 from chordspace.metric import NormChoice
 from chordspace.pitch import Chord, DEFAULT_F0_HZ, cell_chord, freq_from_pitch
 from chordspace.resolve import (
     Progression,
     TransitiveConfig,
-    _second_side,
+    _candidates,
+    _shifted,
     _window_field,
     _window_grid,
 )
@@ -474,6 +477,38 @@ def per_cell_periodicity_field(
     return make_simplex_field(n - 1, resolution, values, "log2_periodicity", meta)
 
 
+def tunings_with_lcm(
+    lists: list[tuple[tuple[int, int, float], ...]],
+    target: int,
+    window: float,
+    seed_lcm: int = 1,
+    lo: float = math.inf,
+    hi: float = -math.inf,
+) -> Iterator[tuple[tuple[int, int, float], ...]]:
+    """Every choice of one ``(q, p, detuning)`` candidate per list whose lcm
+    of denominators with ``seed_lcm`` is ``target``.
+
+    Same window rule as :func:`min_lcm`; choices are yielded in list order.
+    """
+    sub = [[c for c in lst if target % c[0] == 0] for lst in lists]
+
+    def walk(i: int, cur: int, lo: float, hi: float, chosen: list):
+        if i == len(sub):
+            if cur == target:
+                yield tuple(chosen)
+            return
+        for c in sub[i]:
+            nlo, nhi = min(lo, c[2]), max(hi, c[2])
+            if nhi - nlo > window:
+                continue
+            chosen.append(c)
+            yield from walk(i + 1, math.lcm(cur, c[0]), nlo, nhi, chosen)
+            chosen.pop()
+
+    if all(sub):
+        yield from walk(0, seed_lcm, lo, hi, [])
+
+
 def sweep_periodicity_field(
     n: int,
     resolution: int,
@@ -523,6 +558,20 @@ def sweep_periodicity_field(
     return make_simplex_field(
         n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
     )
+
+
+def _second_side(prog: Progression, pcfg: PeriodicityConfig):
+    """The first chord's candidate lists over the second chord's root, the
+    second chord's minimal periodicity p2 (root pinned to 1/1) and its
+    tunings that realize p2; None when the second chord has no tuning."""
+    c1, c2 = _shifted(prog)
+    lists2 = _candidates(c2.notes[1:], pcfg)
+    found = min_lcm(lists2, pcfg.jnd_cents, lo=0.0, hi=0.0)
+    if found is None:
+        return None
+    p2 = found[0]
+    tunings2 = tunings_with_lcm(lists2, p2, pcfg.jnd_cents, lo=0.0, hi=0.0)
+    return _candidates(c1.notes, pcfg), p2, tunings2
 
 
 def _feasible_at_ratio(prog: Progression, cfg: TransitiveConfig, ratio: int) -> bool:

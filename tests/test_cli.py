@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chordspace.cli import main, parse_cents
 
@@ -105,6 +105,22 @@ def test_periodicity_shift_flag_and_infeasible_exit(capsys):
     assert code == 2  # not rooted at zero and no shift requested
 
 
+def test_octave_shifted_to_the_root_resolves(capsys):
+    code, out, _ = run_cli(capsys, "periodicity", "[11.78,23.78]", "--shift-to-root")
+    assert code == 0
+    assert json.loads(out)["periodicity"] == 1
+
+    code, out, _ = run_cli(capsys, "resolve", "[4.5,8.48,15.24]", "[11.78,23.78]")
+    assert code == 0
+    data = json.loads(out)
+    assert data["periodicity_second"] == 1
+    assert data["transitive"] == 23
+    assert data["relative_to_first"] == 1
+
+    code, _, err = run_cli(capsys, "periodicity", "[0,13]")
+    assert code == 2 and "one octave" in err
+
+
 def test_periodicity_rerooting_flag(capsys):
     code, out, _ = run_cli(capsys, "periodicity", "[0,3,9]", "--all-rerootings")
     data = json.loads(out)
@@ -177,6 +193,15 @@ def test_non_finite_width_flags_exit_2(tmp_path, capsys, argv):
         main([*argv, *(["--out", str(tmp_path / "a.csv")] if argv[0] == "field" else [])])
     assert exc.value.code == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("res, sigma", [("100", "1e12c"), ("600", "1200c")])
+def test_smoothing_wider_than_the_grid_exits_2(tmp_path, capsys, res, sigma):
+    code = main(["field", "roughness", "2", "--res", res, "--sigma", sigma,
+                 "--out", str(tmp_path / "f.csv")])
+    assert code == 2
+    assert "longest axis" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_non_finite_config_scope_exits_2(tmp_path, capsys):
@@ -358,9 +383,11 @@ def _exit_code(argv) -> int:
     ]),
     size=st.integers(0, 5),
     res=st.sampled_from(["0", "-50", "7", "600"]),
-    sigma=st.sampled_from([None, "0c", "6c", "-1", "nanc", "infc"]),
+    sigma=st.sampled_from([None, "0c", "6c", "-1", "nanc", "infc", "1e12c", "1e300c"]),
     scope=st.sampled_from([None, "100c", "-1", "nanc", "infc"]),
 )
+# a kernel of 1e10 cells, which the random draws pair only with rejected flags
+@example(command=("field", "roughness", "{size}"), size=2, res="600", sigma="1e12c", scope=None)
 def test_field_commands_never_exit_internal(command, size, res, sigma, scope):
     """User input never makes the field commands exit 4 (internal error)."""
     argv = [part.format(size=size) for part in command] + ["--res", res]

@@ -137,6 +137,9 @@ def test_slice_constant_stays_constant():
 def test_slice_requires_on_grid_value():
     with pytest.raises(ValueError):
         slice_field(_triad_field(200), 0, 150.0)
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not on the grid"):
+            slice_field(_triad_field(200), 0, value)
 
 
 def test_slice_of_simplex_whose_later_axis_starts_above_the_pin():

@@ -17,7 +17,7 @@ from chordspace.harmonicity import (
     ratio_candidates,
     rerooted_periodicity,
 )
-from chordspace.pitch import normalize
+from chordspace.pitch import Chord, normalize, shift
 
 from oracles import (
     exhaustive_chord_periodicity,
@@ -161,6 +161,16 @@ def test_chord_periodicity_requires_normalized_octave():
         chord_periodicity(normalize([1, 5, 8]))
     with pytest.raises(ValueError):
         chord_periodicity(normalize([0, 13]))
+
+
+def test_chord_periodicity_accepts_an_octave_shifted_to_the_root():
+    # float subtraction lands the octave just above 12 semitones
+    rooted = shift(Chord((11.78, 23.78)), 11.78)
+    assert rooted.notes == (0.0, 12.000000000000002)
+    period, tuning = chord_periodicity(rooted)
+    assert period == 1 and tuning.ratios == (Fraction(1), Fraction(2))
+    with pytest.raises(ValueError, match="one octave"):
+        chord_periodicity(Chord((0.0, 12.0 + 1e-8)))
 
 
 def test_chord_periodicity_infeasible_raises():

@@ -128,3 +128,18 @@ def test_smooth_rejects_negative_sigma():
     fld = make_simplex_field(1, 100, [0.0] * 13, "value", {})
     with pytest.raises(ValueError):
         gaussian_smooth(fld, -1.0)
+
+
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+def test_smooth_rejects_non_finite_sigma(sigma):
+    fld = make_simplex_field(1, 100, [0.0] * 13, "value", {})
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_smooth(fld, sigma)
+
+
+def test_smooth_rejects_a_kernel_beyond_the_longest_axis():
+    fld = make_simplex_field(1, 100, [float(i) for i in range(13)], "value", {})
+    gaussian_smooth(fld, 217.0)  # radius 13 cells: the axis length
+    for sigma in (234.0, 1e12, 1e300):  # radius 14 cells and beyond
+        with pytest.raises(ValueError, match="longest axis"):
+            gaussian_smooth(fld, sigma)

@@ -124,6 +124,38 @@ def test_triad_transitive_quantities_equal_exhaustive_oracles(first, second):
             assert fast(prog, cfg) == want
 
 
+def _chords(n: int):
+    """n notes at 100*s + o cents: distinct s in 0..13, o off the lattice by a few cents."""
+    return st.tuples(
+        st.permutations(range(14)),
+        st.lists(st.sampled_from([-7, -3, 0, 2, 5]), min_size=n, max_size=n),
+    ).map(lambda so: Chord(tuple(sorted((100 * s + o) / 100.0 for s, o in zip(*so)))))
+
+
+#: (first, second) pairs beyond triads: 4 -> 4, 2 -> 5, 5 -> 2 and 4 -> 3 notes
+LARGER_PAIRS = st.sampled_from([(4, 4), (2, 5), (5, 2), (4, 3)]).flatmap(
+    lambda sizes: st.tuples(_chords(sizes[0]), _chords(sizes[1]))
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pair=LARGER_PAIRS)
+def test_larger_chord_transitive_quantities_equal_exhaustive_oracles(pair):
+    first, second = pair
+    cfg = TransitiveConfig(qmax=24)
+    prog = Progression(first, second)
+    for fast, oracle in (
+        (transitive_periodicity, exhaustive_transitive),
+        (relative_periodicity_to_first, exhaustive_relative_to_first),
+    ):
+        want = oracle(first, second, qmax=24)
+        if want is None:
+            with pytest.raises(UnresolvableProgressionError):
+                fast(prog, cfg)
+        else:
+            assert fast(prog, cfg) == want
+
+
 def test_infeasible_progression_raises():
     cfg = TransitiveConfig(jnd_cents=18.0, qmax=7)
     with pytest.raises(UnresolvableProgressionError):
