@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import UnresolvableChordError, UnresolvableIntervalError
 from .field import ScalarField, make_simplex_field, simplex_cells
@@ -67,21 +68,25 @@ class RationalTuning:
             raise ValueError("periodicity must equal the lcm of the denominators")
 
 
-def _ratio_window(cents: float, jnd_cents: float, clamp: bool) -> tuple[Fraction, Fraction]:
+def _ratio_window(
+    cents: float, jnd_cents: float, clamp: bool, qmax: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
     where = f"the ratio window of {cents:g} cents with a JND of {jnd_cents:g} cents"
-    # Exact Fraction bounds from the float powers keep comparisons deterministic.
+    # Exact integer ratios, taken before clamping so that an infinite end fails here.
     try:
-        lo = Fraction(2.0 ** ((cents - jnd_cents) / 1200.0))
-        hi = Fraction(2.0 ** ((cents + jnd_cents) / 1200.0))
+        a, b = (2.0 ** ((cents - jnd_cents) / 1200.0)).as_integer_ratio()
+        c, d = (2.0 ** ((cents + jnd_cents) / 1200.0)).as_integer_ratio()
     except OverflowError:
         raise ValueError(f"{where} overflows a float") from None
-    if clamp:
-        lo, hi = max(lo, Fraction(1)), min(hi, Fraction(2))
-    # The scan visits about (hi - lo) * qmax**2 / 2 numerators: a wider window
-    # (a note many octaves from the root, or a huge JND) would exhaust memory.
-    if hi - lo > 64:
-        raise ValueError(f"{where} spans {float(lo):g} to {float(hi):g}, wider than 64")
-    return lo, hi
+    if clamp:  # cut the window to the octave [1, 2]
+        a, b = (a, b) if a >= b else (1, 1)
+        c, d = (c, d) if c <= 2 * d else (2, 1)
+    # The walk costs time and memory for each of about (hi - lo) * qmax**2 * 3 / pi**2 ratios.
+    if c * b - a * d > 64 * b * d:
+        raise ValueError(f"{where} spans {a / b:g} to {c / d:g}, wider than 64")
+    if (c * b - a * d) * qmax**2 > 4_000_000 * b * d:
+        raise ValueError(f"{where} holds too many ratios with denominators up to {qmax}")
+    return (a, b), (c, d)
 
 
 def min_denominator_ratio(
@@ -94,12 +99,12 @@ def min_denominator_ratio(
     denominators resolve to the smaller numerator: the result is the first
     of :func:`ratio_candidates`.
     """
-    if not 0 <= interval <= 12:
+    if not 0 <= interval <= 12 + 1e-9:  # as chord_periodicity: 23.78 - 11.78 is an octave
         raise ValueError(f"interval must lie in [0, 12] semitones, got {interval!r}")
     cents = interval * CENTS_PER_SEMITONE
     candidates = ratio_candidates(cents, cfg)
     if not candidates:
-        window = tuple(map(float, _ratio_window(cents, cfg.jnd_cents, clamp=True)))
+        window = tuple(n / m for n, m in _ratio_window(cents, cfg.jnd_cents, True, cfg.qmax))
         raise UnresolvableIntervalError(cents, cfg.jnd_cents, cfg.qmax, window)
     q, p, _ = candidates[0]
     return Fraction(p, q)
@@ -110,19 +115,41 @@ def dyad_periodicity(interval: float, cfg: PeriodicityConfig = PeriodicityConfig
     return min_denominator_ratio(interval, cfg).denominator
 
 
+def _farey_start(a: int, b: int, n: int) -> tuple[int, int, int, int]:
+    """(p, q, r, s): the least p/q >= a/b > 0 with q <= n and its Farey successor r/s, by
+    a Stern-Brocot descent that keeps neighbours L < a/b <= R, each run of steps at once."""
+    lp = (a - 1) // b  # L < a/b <= R, both integers
+    lq, rp, rq = 1, lp + 1, 1
+    while lq + rq <= n:
+        below, above = a * lq - b * lp, b * rp - a * rq
+        if below <= above:  # a/b <= mediant: R moves towards L
+            k = min(above // below, (n - rq) // lq)
+            rp, rq = rp + k * lp, rq + k * lq
+        else:  # L moves towards R, staying below a/b
+            k = min((below - 1) // above if above else n, (n - lq) // rq)
+            lp, lq = lp + k * rp, lq + k * rq
+    k = (n + lq) // rq
+    return rp, rq, k * rp - lp, k * rq - lq
+
+
 @lru_cache(maxsize=65536)
 def _candidates_cached(
     cents: float, jnd_cents: float, qmax: int, clamp: bool
 ) -> tuple[tuple[int, int, float], ...]:
-    lo, hi = _ratio_window(cents, jnd_cents, clamp)
-    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    out = []
-    for q in range(1, qmax + 1):
-        # p runs over ceil(lo * q) .. floor(hi * q)
-        for p in range(max(-(-a * q // b), 1), c * q // d + 1):
-            if math.gcd(p, q) == 1:
-                out.append((q, p, 1200.0 * math.log2(p / q) - cents))
-    return tuple(out)
+    """Walk the Farey sequence of order qmax through the window: p/q < r/s
+    are followed by (k*r - p)/(k*s - q), k = (qmax + q) // s (Graham, Knuth &
+    Patashnik, *Concrete Mathematics*, 2nd ed., section 4.5)."""
+    (a, b), (c, d) = _ratio_window(cents, jnd_cents, clamp, qmax)
+    # a lower end that underflowed to 0 starts at 1/qmax, the least ratio with p >= 1
+    p, q, r, s = _farey_start(a, b, qmax) if a else _farey_start(1, qmax, qmax)
+    pairs, log2 = [], math.log2
+    while p * d <= c * q:
+        pairs.append((q, p))
+        k = (qmax + q) // s
+        p, r = r, k * r - p
+        q, s = s, k * s - q
+    pairs.sort(key=itemgetter(0))  # stable: each q's numerators already ascend
+    return tuple([(q, p, 1200.0 * log2(p / q) - cents) for q, p in pairs])
 
 
 def ratio_candidates(
@@ -133,7 +160,10 @@ def ratio_candidates(
 
     With ``clamp`` the window is intersected with the octave [1, 2], matching
     chords normalized to one octave; without it any positive ratio is
-    admitted, which covers notes outside the reference octave.
+    admitted, which covers notes outside the reference octave.  A walk along
+    the Farey sequence of order ``qmax`` (Graham, Knuth & Patashnik, *Concrete
+    Mathematics*, section 4.5) lists exactly these; over about 1.2 million of
+    them, ``(hi - lo) * qmax**2 > 4e6``, raise ``ValueError`` instead.
     """
     return _candidates_cached(float(cents), cfg.jnd_cents, cfg.qmax, clamp)
 

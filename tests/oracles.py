@@ -4,8 +4,8 @@ Everything here is deliberately dumb: permutations instead of sorted
 matching, full candidate products instead of branch-and-bound, shortest
 paths over explicit chord graphs instead of the grouping dynamic program,
 per-cell neighbor scans instead of shifted-array filters, one roughness sum
-per chord instead of the batch kernel, ``Fraction`` arithmetic instead of
-integer candidate bounds, one chord and witness per field cell instead of
+per chord instead of the batch kernel, a ``Fraction`` q x p scan instead of
+a Farey walk on integers, one chord and witness per field cell instead of
 per-axis candidate lists, ascending-periodicity sweeps that stamp each cell
 at the first feasible value instead of a minimization per cell, and every
 minimal tuning of a pinned chord enumerated instead of one joint search.
@@ -187,6 +187,19 @@ def fraction_candidates(
                 frac = Fraction(p, q)
                 out.append((frac, 1200.0 * math.log2(frac) - cents))
     return tuple(out)
+
+
+def farey_start_scan(a: int, b: int, n: int) -> tuple[int, int, int, int]:
+    """The least reduced fraction p/q >= a/b with q <= n and the least r/s
+    above it with s <= n, as (p, q, r, s), by scanning every denominator."""
+
+    def least(x: Fraction, strict: bool) -> Fraction:
+        return min(Fraction(math.floor(x * q) + 1 if strict else math.ceil(x * q), q)
+                   for q in range(1, n + 1))
+
+    first = least(Fraction(a, b), strict=False)
+    second = least(first, strict=True)
+    return first.numerator, first.denominator, second.numerator, second.denominator
 
 
 def exhaustive_chord_periodicity(

@@ -445,6 +445,8 @@ def test_field_roughness_config_never_exits_internal(size):
         (("periodicity", "[0,4,7]", "--jnd", "20000c", "--all-rerootings"), "wider than 64"),
         (("resolve", "[1e300]", "[1e300]"), "no positive float frequency"),
         (("resolve", "[-1e300]", "[-1e300]"), "no positive float frequency"),
+        # about 10**14 ratios with denominators up to 10**8, refused before any is built
+        (("periodicity", "[0,4,7]", "--qmax", "100000000"), "too many ratios"),
     ],
 )
 def test_pitch_out_of_float_range_exits_2(tmp_path, capsys, argv, message):
@@ -472,7 +474,7 @@ NOTES = st.sampled_from([0, 0.5, 4, 7, 11.99, 12, 13, -5, 1e4, 1e300, -1e300])
     ]),
     chords=st.lists(st.lists(NOTES, min_size=1, max_size=4), min_size=2, max_size=2),
     jnd=st.sampled_from([None, "6c", "18c", "0c", "-1c", "2000c", "1e300c", "nanc"]),
-    qmax=st.sampled_from([None, "1", "2", "12", "100"]),  # a large qmax is unbounded work
+    qmax=st.sampled_from([None, "1", "2", "12", "100", "100000000"]),
 )
 def test_chord_commands_never_exit_internal(command, chords, jnd, qmax):
     """User input never makes distance, periodicity or resolve exit 4."""

@@ -9,6 +9,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from chordspace.errors import UnresolvableChordError, UnresolvableIntervalError
 from chordspace.harmonicity import (
     PeriodicityConfig,
+    _farey_start,
     RationalTuning,
     chord_periodicity,
     dyad_periodicity,
@@ -21,6 +22,7 @@ from chordspace.pitch import Chord, normalize, shift
 
 from oracles import (
     exhaustive_chord_periodicity,
+    farey_start_scan,
     fraction_candidates,
     per_cell_periodicity_field,
     scan_min_denominator,
@@ -89,6 +91,14 @@ def test_interval_domain_validation():
         min_denominator_ratio(-0.1)
     with pytest.raises(ValueError):
         min_denominator_ratio(12.1)
+
+
+def test_min_denominator_ratio_accepts_an_octave_with_a_rounding_error():
+    # 23.78 - 11.78 == 12.000000000000002; chord_periodicity accepts it too
+    assert min_denominator_ratio(23.78 - 11.78) == Fraction(2)
+    assert dyad_periodicity(23.78 - 11.78) == 1
+    with pytest.raises(ValueError, match="must lie in"):
+        min_denominator_ratio(12 + 1e-8)
 
 
 def test_chord_periodicity_witnesses():
@@ -318,23 +328,59 @@ def test_ratio_candidates_sorted_and_within_window():
     assert denoms == sorted(denoms)
 
 
+def _positive_rationals(n: int):
+    # random rationals, exact Farey terms, integers, values below 1/n, and
+    # the exact ratios of floats down to the subnormal range
+    return st.one_of(
+        st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+        st.tuples(st.integers(1, 5 * n), st.integers(1, n)),
+        st.tuples(st.integers(1, 200), st.just(1)),
+        st.tuples(st.just(1), st.integers(n + 1, 10**9)),
+        st.floats(5e-324, 1e3).map(float.as_integer_ratio),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), _positive_rationals(n))))
+def test_farey_start_equals_scan(case):
+    n, (a, b) = case
+    assert _farey_start(a, b, n) == farey_start_scan(a, b, n)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    cents=st.floats(-1200.0, 2400.0),
-    jnd=st.floats(0.5, 100.0),
-    qmax=st.integers(2, 120),
+    cents=st.one_of(
+        st.floats(-1200.0, 2400.0),
+        st.floats(-1e300, -1e6),  # the lower end underflows to 0 below about -1.29e6
+        st.sampled_from([math.inf, -math.inf]),
+    ),
+    # narrow windows up to qmax 120, and unclamped ones spanning several units
+    jnd_qmax=st.one_of(
+        st.tuples(st.floats(0.5, 100.0), st.integers(2, 120)),
+        st.tuples(st.floats(100.0, 2400.0), st.integers(2, 40)),
+    ),
     clamp=st.booleans(),
 )
-@example(cents=0.0, jnd=18.0, qmax=100, clamp=True)
-@example(cents=1200.0, jnd=18.0, qmax=100, clamp=True)
-@example(cents=-1200.0, jnd=18.0, qmax=100, clamp=False)
-@example(cents=2400.0, jnd=18.0, qmax=100, clamp=False)
-@example(cents=701.955, jnd=18.0, qmax=100, clamp=True)
-def test_ratio_candidates_equal_fraction_scan(cents, jnd, qmax, clamp):
-    # integer window bounds give the Fraction scan's ratios, in its order,
-    # with bit-equal detunings
-    got = ratio_candidates(cents, PeriodicityConfig(jnd_cents=jnd, qmax=qmax), clamp)
-    want = fraction_candidates(cents, jnd, qmax, clamp)
+@example(cents=0.0, jnd_qmax=(18.0, 100), clamp=True)
+@example(cents=1200.0, jnd_qmax=(18.0, 100), clamp=True)
+@example(cents=-1200.0, jnd_qmax=(18.0, 100), clamp=False)
+@example(cents=2400.0, jnd_qmax=(18.0, 100), clamp=False)
+@example(cents=701.955, jnd_qmax=(18.0, 100), clamp=True)
+@example(cents=-7e5, jnd_qmax=(7e5, 12), clamp=False)  # (0, 1]: lo underflows, p starts at 1
+@example(cents=math.inf, jnd_qmax=(18.0, 100), clamp=True)
+@example(cents=math.inf, jnd_qmax=(18.0, 100), clamp=False)
+def test_ratio_candidates_equal_fraction_scan(cents, jnd_qmax, clamp):
+    # the Farey walk on integer window bounds gives the Fraction scan's
+    # ratios, in its order, with bit-equal detunings
+    jnd, qmax = jnd_qmax
+    cfg = PeriodicityConfig(jnd_cents=jnd, qmax=qmax)
+    try:
+        want = fraction_candidates(cents, jnd, qmax, clamp)
+    except OverflowError:  # Fraction(inf): an infinite window end
+        with pytest.raises(ValueError, match="overflows a float"):
+            ratio_candidates(cents, cfg, clamp)
+        return
+    got = ratio_candidates(cents, cfg, clamp)
     assert [(p, q) for q, p, _ in got] == [(f.numerator, f.denominator) for f, _ in want]
     assert [d.hex() for _, _, d in got] == [d.hex() for _, d in want]
 
