@@ -11,10 +11,14 @@ every pairwise detuning difference within the JND as well.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 from operator import itemgetter
+
+import numpy as np
 
 from .errors import UnresolvableChordError, UnresolvableIntervalError
 from .field import ScalarField, make_simplex_field, simplex_cells
@@ -301,25 +305,51 @@ def periodicity_field(
 ) -> ScalarField:
     """log2 chord periodicity on the one-octave grid of n-note chords.
 
-    Each cell holds :func:`chord_periodicity` of the cell's chord (an
-    infeasible cell raises its error), without building the chord or its
-    witness: one candidate list per axis value, from the cents that chord
-    sees (grid cents round-tripped through semitones), and one
-    :func:`min_lcm` per cell over its distinct non-root notes.
+    Each cell holds :func:`chord_periodicity` of the cell's chord, from one
+    candidate list per axis value (grid cents round-tripped through semitones).
+    A cell's minimal lcm L* is the least L at which some joint tuning uses only
+    candidates whose denominator q divides L, so one lcm ladder serves the grid:
+    for L = 1 ... ``cfg.qmax`` it keeps each axis value's detunings with q | L
+    and gives L to every unassigned cell with a choice whose float max - min,
+    the root's 0 included, fits :func:`min_lcm`'s window.  Cells left after qmax
+    run :func:`min_lcm` one by one in lexicographic order (L* > qmax); the first
+    infeasible one raises :func:`chord_periodicity`'s error.
     """
     if n not in (2, 3, 4):
         raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
-    cells = simplex_cells(n - 1, resolution).tolist()
-    lists = {
-        x: ratio_candidates(x / CENTS_PER_SEMITONE * CENTS_PER_SEMITONE, cfg)
-        for x in set().union(*cells)
-        if x  # a note at 0 is the root itself
-    }
-    window = _window(cfg)
-    values = []
-    for c in cells:
-        found = min_lcm([lists[x] for x in dict.fromkeys(c) if x], window, lo=0.0, hi=0.0)
-        values.append(math.log2(found[0] if found else chord_periodicity(cell_chord(c), cfg)[0]))
+    idx = (simplex_cells(n - 1, resolution).T / resolution).astype(np.intp)  # a row per note
+    lists = [((1, 1, 0.0),)] + [  # axis value 0 is the root, tuned to 1/1
+        ratio_candidates(k * resolution / CENTS_PER_SEMITONE * CENTS_PER_SEMITONE, cfg)
+        for k in range(1, 1200 // resolution + 1)
+    ]
+    window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])
+    cands, read, lcm, bound = np.empty((0, 3)), [0] * len(lists), 0, 0  # rows (q, axis, detuning)
+    while len(pos) and lcm < cfg.qmax:
+        lcm += 1
+        if lcm > bound:  # read on to q <= 2 lcm, only for axis values still in use
+            bound, upto = min(2 * lcm, cfg.qmax), read.copy()
+            for k in np.flatnonzero(np.bincount(idx.ravel(), minlength=len(lists))).tolist():
+                upto[k] = bisect_right(lists[k], bound, key=itemgetter(0))
+            new = np.array([c for lst, i, j in zip(lists, read, upto) for c in lst[i:j]])
+            new = np.concatenate([cands, new.reshape(-1, 3)])
+            new[len(cands) :, 1] = np.repeat(np.arange(len(lists)), np.subtract(upto, read))
+            cands, read = new[np.argsort(new[:, 1], kind="stable")], upto
+        sel = cands[lcm % cands[:, 0] == 0]  # grouped by axis value
+        axis = sel[:, 1].astype(np.intp)
+        count = np.bincount(axis, minlength=len(lists))
+        table = np.full((count.max(), len(lists)), np.nan)  # NaN pads fail the window
+        table[np.arange(len(axis)) - (np.cumsum(count) - count)[axis], axis] = sel[:, 2]
+        live = np.flatnonzero(np.logical_and.reduce((count > 0)[idx], axis=0))
+        ok = np.zeros(len(live), dtype=bool)
+        for picks in product(*[[t[r] for t in table] for r in idx[:, live]]):
+            ok |= reduce(np.maximum, picks, 0.0) - reduce(np.minimum, picks, 0.0) <= window
+        keep = np.bincount(live[ok], minlength=len(pos)) == 0
+        values[pos[~keep]] = math.log2(lcm)
+        idx, pos = idx[:, keep], pos[keep]
+    for p, row in zip(pos.tolist(), idx.T.tolist()):
+        found = min_lcm([lists[k] for k in dict.fromkeys(row)], window, lo=0.0, hi=0.0)
+        chord = cell_chord(tuple(float(k * resolution) for k in row))
+        values[p] = math.log2(found[0] if found else chord_periodicity(chord, cfg)[0])
     return make_simplex_field(
         n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
     )

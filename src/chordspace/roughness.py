@@ -194,8 +194,8 @@ def roughness_field(
     params: RoughnessParams = RoughnessParams(),
 ) -> ScalarField:
     """Chord roughness over the one-octave grid (same convention as periodicity)."""
-    if n not in (2, 3):
-        raise ValueError(f"roughness fields support 2 or 3 notes, got {n}")
+    if n not in (2, 3, 4):
+        raise ValueError(f"roughness fields support 2 to 4 notes, got {n}")
     # the notes of pitch.cell_chord: root 0 plus the cell in semitones (already
     # ascending on the simplex), repeats dropped
     cells = simplex_cells(n - 1, resolution)

@@ -447,8 +447,8 @@ def per_cell_roughness_field(
     params: RoughnessParams = RoughnessParams(),
 ) -> ScalarField:
     """Chord roughness over the one-octave grid, one :func:`per_chord_roughness` per cell."""
-    if n not in (2, 3):
-        raise ValueError(f"roughness fields support 2 or 3 notes, got {n}")
+    if n not in (2, 3, 4):
+        raise ValueError(f"roughness fields support 2 to 4 notes, got {n}")
     cells = simplex_cells(n - 1, resolution).tolist()
     values = [per_chord_roughness(cell_chord(coords), spectrum, f0, params) for coords in cells]
     meta = {

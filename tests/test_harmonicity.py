@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -249,12 +250,13 @@ def _field_or_error(make, n, res, cfg):
 _DIVISORS_OF_1200 = [d for d in range(1, 1201) if 1200 % d == 0]
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     grid=st.one_of(
         st.tuples(st.just(2), st.sampled_from(_DIVISORS_OF_1200)),
-        # the per-cell oracle is slow on finer triad grids
+        # the per-cell oracle is slow on finer triad and tetrad grids
         st.tuples(st.just(3), st.sampled_from([d for d in _DIVISORS_OF_1200 if d >= 10])),
+        st.tuples(st.just(4), st.sampled_from([d for d in _DIVISORS_OF_1200 if d >= 50])),
     ),
     jnd=st.sampled_from([10.0, 18.0, 25.0, 50.0]),
     qmax=st.integers(8, 100),
@@ -264,6 +266,15 @@ _DIVISORS_OF_1200 = [d for d in range(1, 1201) if 1200 % d == 0]
 @example(grid=(3, 10), jnd=10.0, qmax=100, pairwise=True)
 @example(grid=(3, 10), jnd=50.0, qmax=100, pairwise=True)
 @example(grid=(3, 5), jnd=25.0, qmax=100, pairwise=True)
+# 16 cells have a minimal lcm above qmax (up to 304): the per-cell fallback sets them
+@example(grid=(3, 100), jnd=10.0, qmax=19, pairwise=True)
+@example(grid=(4, 100), jnd=10.0, qmax=19, pairwise=True)
+# infeasible: [0, 0.2] has no tuning with denominators up to 30
+@example(grid=(3, 5), jnd=18.0, qmax=30, pairwise=True)
+# the 20 c tetrad grid at the default config, and tetrads without the pairwise bound
+@example(grid=(4, 20), jnd=18.0, qmax=100, pairwise=True)
+@example(grid=(4, 50), jnd=18.0, qmax=100, pairwise=False)
+@example(grid=(4, 50), jnd=50.0, qmax=100, pairwise=False)
 def test_periodicity_field_equals_per_cell_oracle(grid, jnd, qmax, pairwise):
     # JNDs of 10, 25 and 50 c put window edges on grid points; an infeasible
     # cell raises the same error on both paths
@@ -284,6 +295,19 @@ def test_periodicity_field_equals_per_cell_oracle_full_dyad_grid():
         cfg = PeriodicityConfig(jnd_cents=jnd)
         got = periodicity_field(2, 1, cfg)
         assert np.array_equal(got.values, per_cell_periodicity_field(2, 1, cfg).values)
+
+
+@pytest.mark.parametrize(
+    "n,resolution,sha256",
+    [
+        (3, 1, "f484b64a0687560a54239db864536b14c7868ecd15a936fcac253b7c92eb8334"),
+        (4, 10, "91c8b127656424be0bde816c7d248dca6d9f60c278ea42d3a34fdcb044b69890"),
+    ],
+)
+def test_fine_periodicity_fields_keep_their_bytes(n, resolution, sha256):
+    # recorded from the per-cell min_lcm loop that the lcm ladder replaced
+    values = periodicity_field(n, resolution).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == sha256
 
 
 def test_sweep_equals_pointwise_dyads_and_triads():

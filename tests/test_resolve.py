@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chordspace.errors import UnresolvableProgressionError
 from chordspace.field import make_simplex_field
@@ -160,6 +160,45 @@ def test_infeasible_progression_raises():
     cfg = TransitiveConfig(jnd_cents=18.0, qmax=7)
     with pytest.raises(UnresolvableProgressionError):
         transitive_periodicity(Progression(parse_chord("[0,5.5]"), parse_chord("[0,1]")), cfg)
+
+
+def _outcome(fn, prog, cfg):
+    try:
+        return fn(prog, cfg)
+    except UnresolvableProgressionError:
+        return "infeasible"
+
+
+#: 1 to 4 distinct notes in the octave above 0, in whole cents
+OCTAVE_CENTS = st.lists(st.integers(0, 1200), min_size=1, max_size=4, unique=True)
+
+
+# Known defect: the chords are shifted to the second chord's root in float
+# semitones, so (c + t) / 100 - (s + t) / 100 differs from c / 100 - s / 100 in
+# the last bits.  A candidate that lies exactly on a window edge (an octave
+# ratio JND cents away from a note) then enters or leaves with t.  Snapping
+# the shifted cents makes the property hold, but changes 26 of the 8,000
+# recorded benchmark progressions, so it waits for a change that re-records
+# them.  strict: the test fails once the defect is mended.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="float shift moves window edges")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    first=OCTAVE_CENTS,
+    second=OCTAVE_CENTS,
+    t=st.integers(-1200, 1200),
+    jnd=st.sampled_from([10.0, 18.0, 25.0]),
+)
+@example(first=[0], second=[10], t=-34, jnd=10.0)  # transitive: 1, transposed infeasible
+@example(first=[0], second=[0, 18], t=-1, jnd=18.0)  # relative to first: 1, transposed 48
+def test_transition_quantities_are_transposition_invariant(first, second, t, jnd):
+    def chord(cents, t):
+        return Chord(tuple(sorted((c + t) / 100.0 for c in cents)))
+
+    cfg = TransitiveConfig(jnd_cents=jnd, qmax=48)
+    prog = Progression(chord(first, 0), chord(second, 0))
+    moved = Progression(chord(first, t), chord(second, t))
+    for fn in (transitive_periodicity, relative_periodicity_to_first):
+        assert _outcome(fn, moved, cfg) == _outcome(fn, prog, cfg), fn.__name__
 
 
 def test_chan_zero_for_perfectly_tuned_chords():

@@ -118,8 +118,8 @@ def test_peak_interval_narrows_with_register():
 def test_roughness_field_triad_and_validation():
     fld = roughness_field(3, 300)
     assert fld.dims == 2
-    with pytest.raises(ValueError):
-        roughness_field(4, 100)
+    with pytest.raises(ValueError, match="2 to 4 notes"):
+        roughness_field(5, 100)
 
 
 def test_spectrum_validation():
@@ -236,6 +236,8 @@ _DIVISORS_FROM_10 = [r for r in range(10, 1201) if 1200 % r == 0]
     params=roughness_params(),
 )
 @example(n=3, resolution=10, spectrum=harmonic_spectrum(8, 0.7), f0=DEFAULT_F0_HZ,
+         params=RoughnessParams())
+@example(n=4, resolution=50, spectrum=harmonic_spectrum(), f0=DEFAULT_F0_HZ,
          params=RoughnessParams())
 def test_roughness_field_equals_per_cell_oracle(n, resolution, spectrum, f0, params):
     fld = roughness_field(n, resolution, spectrum, f0, params)
