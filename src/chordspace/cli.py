@@ -136,10 +136,6 @@ def cmd_periodicity(args) -> int:
     return EXIT_OK
 
 
-def _smooth(fld: ScalarField, sigma_cents: float) -> ScalarField:
-    return psychometric.gaussian_smooth(fld, sigma_cents)
-
-
 def cmd_field(args) -> int:
     cfg = _load_config(args)
     resolution = args.res if args.res is not None else cfg.resolution_for(args.size)
@@ -163,8 +159,8 @@ def cmd_field(args) -> int:
         trans, companion = resolve.transitive_field(
             args.from_chord, args.size, tcfg, resolution
         )
-        trans = _smooth(trans, sigma)
-        companion = _smooth(companion, sigma)
+        trans = psychometric.gaussian_smooth(trans, sigma)
+        companion = psychometric.gaussian_smooth(companion, sigma)
         companion_path = out.with_name(out.stem + "_p2" + out.suffix)
         sidecar = {
             "panels": [
@@ -179,7 +175,7 @@ def cmd_field(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.kind)
 
-    fld = _smooth(fld, sigma)
+    fld = psychometric.gaussian_smooth(fld, sigma)
     sidecar = _write_field(fld, out, cfg, {"sigma": _both_units(sigma)})
     if args.matrix:
         export_matrix(fld, args.matrix)

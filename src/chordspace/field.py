@@ -411,21 +411,18 @@ def import_csv(path) -> ScalarField:
     from the coordinate columns.  Malformed rows raise ``ValueError`` with
     the offending line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip() != ""]
+    with open(path, "r", encoding="utf-8") as fh:  # blank lines keep their numbers
+        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: line 1: empty file")
-    header = lines[0].split(",")
-    if len(header) < 1:
-        raise ValueError(f"{path}: line 1: malformed header")
+    header = lines[0][1].split(",")
     axis_names = tuple(header[:-1])
     value_name = header[-1]
     dims = len(axis_names)
 
     coords_rows: list[tuple[float, ...]] = []
     values: list[float] = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != dims + 1:
             raise ValueError(
@@ -446,7 +443,7 @@ def import_csv(path) -> ScalarField:
         )
 
     if not coords_rows:
-        raise ValueError(f"{path}: line 2: no data rows")
+        raise ValueError(f"{path}: line {lines[0][0] + 1}: no data rows")
     rows = np.asarray(coords_rows)
     uniques = [np.unique(rows[:, k]) for k in range(dims)]
     steps = [float(np.diff(u).min()) for u in uniques if len(u) >= 2]

@@ -223,6 +223,12 @@ def min_lcm(
     return None if found is None else (best, found)
 
 
+def _check_octave(c: Chord) -> None:
+    """Reject a rooted chord whose top note lies beyond the octave."""
+    if c.notes[-1] > 12 + 1e-9:  # shift() may land an octave at 12.000000000000002
+        raise ValueError(f"chord must stay within one octave, got {c.notes}")
+
+
 def chord_periodicity(
     c: Chord, cfg: PeriodicityConfig = PeriodicityConfig()
 ) -> tuple[int, RationalTuning]:
@@ -243,8 +249,7 @@ def chord_periodicity(
     """
     if c.notes[0] != 0:
         raise ValueError(f"chord must be rooted at 0, got root {c.notes[0]!r}")
-    if c.notes[-1] > 12 + 1e-9:  # shift() may land an octave at 12.000000000000002
-        raise ValueError(f"chord must stay within one octave, got {c.notes}")
+    _check_octave(c)
     lists = [ratio_candidates(p * CENTS_PER_SEMITONE, cfg) for p in c.notes[1:]]
     found = min_lcm(lists, _window(cfg), lo=0.0, hi=0.0)  # the root's 1/1 is exact
     if found is None:

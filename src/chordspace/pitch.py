@@ -17,7 +17,6 @@ from typing import Iterable, Iterator
 DEFAULT_F0_HZ = 261.626
 
 CENTS_PER_SEMITONE = 100.0
-SEMITONES_PER_OCTAVE = 12.0
 
 
 def pitch_from_freq(f: float, f0: float = DEFAULT_F0_HZ) -> float:

@@ -30,6 +30,7 @@ from .errors import UnresolvableProgressionError
 from .field import ScalarField, make_box_field
 from .harmonicity import (
     PeriodicityConfig,
+    _check_octave,
     chord_periodicity,
     min_lcm,
     ratio_candidates,
@@ -102,6 +103,37 @@ def _min_ratio(pinned, p: int, others, jnd: float) -> int | None:
     return None if found is None else found[0] // p
 
 
+def _transition(prog: Progression, cfg: TransitiveConfig, pin_second: bool) -> tuple[int, int]:
+    """(:func:`_min_ratio`, p) for the pinned chord's own minimal lcm p.
+
+    A pinned second chord starts the window at its root's 0, a pinned first
+    chord starts it empty.  The other chord's lists are built only after the
+    pinned search succeeds, so an infeasible pinned chord wins over an
+    overflowing window.  A pinned second chord within the octave gets the p
+    and first witness of :func:`chord_periodicity` from unclamped lists: they
+    add only ratios below 1/1 or above 2/1, detuned further from the root's 0
+    than 1/1 or 2/1 (both q = 1).  Swapping in 1/1 or 2/1 keeps the window,
+    cannot raise the lcm and comes earlier in (q, p) order.
+    """
+    pcfg = cfg.periodicity_config()
+    c1, c2 = _shifted(prog)
+    pinned, other = (c2.notes[1:], c1.notes) if pin_second else (c1.notes, c2.notes[1:])
+    lists = _candidates(pinned, pcfg)
+    lo, hi = (0.0, 0.0) if pin_second else (math.inf, -math.inf)
+    found = min_lcm(lists, pcfg.jnd_cents, 1, lo, hi)
+    if found is None:
+        which, chord = ("second", prog.second) if pin_second else ("first", prog.first)
+        raise UnresolvableProgressionError(
+            f"{which} chord {chord} admits no rational tuning within bounds"
+        )
+    ratio = _min_ratio(lists, found[0], _candidates(other, pcfg), pcfg.jnd_cents)
+    if ratio is None:
+        raise UnresolvableProgressionError(
+            f"no joint tuning of {prog.first} -> {prog.second} within bounds"
+        )
+    return ratio, found[0]
+
+
 def transitive_periodicity(prog: Progression, cfg: TransitiveConfig = TransitiveConfig()) -> int:
     """Periods of the second chord needed to match a period multiple of the first.
 
@@ -114,21 +146,7 @@ def transitive_periodicity(prog: Progression, cfg: TransitiveConfig = Transitive
     Self-progressions resolve to 1: the first chord can copy the second
     chord's tuning outright.
     """
-    pcfg = cfg.periodicity_config()
-    jnd = pcfg.jnd_cents
-    c1, c2 = _shifted(prog)
-    lists2 = _candidates(c2.notes[1:], pcfg)
-    found = min_lcm(lists2, jnd, lo=0.0, hi=0.0)
-    if found is None:
-        raise UnresolvableProgressionError(
-            f"second chord {prog.second} admits no rational tuning within bounds"
-        )
-    best = _min_ratio(lists2, found[0], _candidates(c1.notes, pcfg), jnd)
-    if best is None:
-        raise UnresolvableProgressionError(
-            f"no joint tuning of {prog.first} -> {prog.second} within bounds"
-        )
-    return best
+    return _transition(prog, cfg, True)[0]
 
 
 def relative_periodicity_to_first(
@@ -141,21 +159,7 @@ def relative_periodicity_to_first(
     second chord's root, so no coordinate is pinned to 1/1 unless the first
     chord contains that root), and the second chord's coordinates extend it.
     """
-    pcfg = cfg.periodicity_config()
-    jnd = pcfg.jnd_cents
-    c1, c2 = _shifted(prog)
-    lists1 = _candidates(c1.notes, pcfg)
-    found = min_lcm(lists1, jnd)
-    if found is None:
-        raise UnresolvableProgressionError(
-            f"first chord {prog.first} admits no rational tuning within bounds"
-        )
-    best = _min_ratio(lists1, found[0], _candidates(c2.notes[1:], pcfg), jnd)
-    if best is None:
-        raise UnresolvableProgressionError(
-            f"no joint tuning of {prog.first} -> {prog.second} within bounds"
-        )
-    return best
+    return _transition(prog, cfg, False)[0]
 
 
 def chan_transitional_harmony(
@@ -265,18 +269,16 @@ def transitive_field(
     periodicity of ``c2``) on the same grid: one axis per note of the target
     chord, each spanning ``scope`` cents around the corresponding note of
     ``c1``.  Windows must not overlap, so every grid tuple is already sorted.
+    One search per cell fills both panels (see :func:`_transition`); a target
+    beyond the octave raises after that cell's transition errors.
     """
-    pcfg = cfg.periodicity_config()
     origins, counts, targets = _window_grid(c1, n, cfg, resolution)
-    trans_vals = []
-    comp_vals = []
+    trans_vals, comp_vals = [], []
     for c2 in targets:
-        trans_vals.append(
-            math.log2(transitive_periodicity(Progression(c1, c2), cfg))
-        )
-        comp_vals.append(
-            math.log2(chord_periodicity(shift(c2, c2.root), pcfg)[0])
-        )
+        ratio, p = _transition(Progression(c1, c2), cfg, True)
+        _check_octave(shift(c2, c2.root))
+        trans_vals.append(math.log2(ratio))
+        comp_vals.append(math.log2(p))
     trans = _window_field(
         c1, cfg, resolution, origins, counts, trans_vals,
         "log2_transitive_periodicity", "transitive",
@@ -286,7 +288,6 @@ def transitive_field(
         "log2_periodicity", "periodicity_of_second",
     )
     return trans, comp
-
 
 
 # -- derivatives --------------------------------------------------------------

@@ -447,6 +447,11 @@ def test_field_roughness_config_never_exits_internal(size):
         (("resolve", "[-1e300]", "[-1e300]"), "no positive float frequency"),
         # about 10**14 ratios with denominators up to 10**8, refused before any is built
         (("periodicity", "[0,4,7]", "--qmax", "100000000"), "too many ratios"),
+        # target windows reaching beyond the octave
+        (("field", "transitive", "2", "--from", "[0,13]", "--scope", "100c", "--res", "50",
+          "--out", "{out}"), "one octave"),
+        (("resolve-field", "[0,13]", "2", "--scope", "100c", "--res", "50", "--out", "{out}"),
+         "one octave"),
     ],
 )
 def test_pitch_out_of_float_range_exits_2(tmp_path, capsys, argv, message):

@@ -103,6 +103,11 @@ def test_import_rejects_empty_and_malformed(tmp_path):
     with pytest.raises(ValueError, match="line 3"):
         import_csv(bad)
 
+    gap = tmp_path / "gap.csv"
+    gap.write_text("x2,v\n0,1.0\n\n600,2.0\n1200,abc\n")
+    with pytest.raises(ValueError, match="line 5: malformed number"):
+        import_csv(gap)
+
     short = tmp_path / "short.csv"
     short.write_text("x2,value\n0,1.0\n100,2.0\n300,3.0\n")
     with pytest.raises(ValueError, match="row count"):

@@ -15,6 +15,7 @@ from chordspace.harmonicity import (
     chord_periodicity,
     dyad_periodicity,
     min_denominator_ratio,
+    min_lcm,
     periodicity_field,
     ratio_candidates,
     rerooted_periodicity,
@@ -407,6 +408,25 @@ def test_ratio_candidates_equal_fraction_scan(cents, jnd_qmax, clamp):
     got = ratio_candidates(cents, cfg, clamp)
     assert [(p, q) for q, p, _ in got] == [(f.numerator, f.denominator) for f, _ in want]
     assert [d.hex() for _, _, d in got] == [d.hex() for _, d in want]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    notes=st.lists(st.floats(0.0, 12.0, exclude_min=True), min_size=1, max_size=3, unique=True),
+    jnd=st.sampled_from([10.0, 18.0, 25.0]),
+)
+@example(notes=[11.82], jnd=18.0)  # 18 c below the octave: 2/1 sits on the window's edge
+@example(notes=[0.05, 7.0], jnd=10.0)  # within the JND of the root: 1/1 sits inside
+@example(notes=[23.78 - 11.78], jnd=18.0)  # shift() of [11.78, 23.78]: 12.000000000000002
+def test_min_lcm_of_rooted_octave_chord_ignores_clamping(notes, jnd):
+    # notes in (0, 12] with the root pinned at 0: unclamped lists add only
+    # ratios beyond 1/1 or 2/1, which never beat those q = 1 ratios, so both
+    # the minimal lcm and the first minimal witness stay the same
+    cfg = PeriodicityConfig(jnd_cents=jnd)
+    clamped, unclamped = (
+        [ratio_candidates(x * 100.0, cfg, clamp) for x in sorted(notes)] for clamp in (True, False)
+    )
+    assert min_lcm(clamped, jnd, lo=0.0, hi=0.0) == min_lcm(unclamped, jnd, lo=0.0, hi=0.0)
 
 
 def test_config_validation():

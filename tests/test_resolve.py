@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -257,6 +258,34 @@ def test_transitive_field_pair_and_sweep_equality():
     for coords, value in zip(companion.cells, companion.values):
         c2 = Chord(tuple(x / 100.0 for x in coords))
         assert value == math.log2(chord_periodicity(shift(c2, c2.root), pcfg)[0])
+
+
+@pytest.mark.parametrize(
+    "chord, n, scope, resolution, sha256",
+    [
+        ("[3,9]", 2, 200.0, 10, (
+            "781ca4a6a967b97f04c6219fef865222b87214adbb0b00e20d296193fe2eed32",
+            "ec9452d935456e1eeea26e0e29597cbb1e5e0b8197acb46b7189f46af3bf55bb",
+        )),
+        ("[0,4,7]", 3, 100.0, 10, (
+            "e07d681427e76daf32e4a3c81b2fd85df469c7f566d37e156dcc441fa9d28a26",
+            "e38c2329daf399391c56ece705648fccc5205cdef04a5ee879b796de17c7095c",
+        )),
+    ],
+)
+def test_window_field_panels_keep_their_bytes(chord, n, scope, resolution, sha256):
+    cfg = TransitiveConfig(scope_cents=scope)
+    panels = transitive_field(parse_chord(chord), n, cfg, resolution)
+    assert tuple(hashlib.sha256(f.values.tobytes()).hexdigest() for f in panels) == sha256
+
+
+def test_transitive_field_rejects_targets_beyond_the_octave():
+    c1, cfg = parse_chord("[0,13]"), TransitiveConfig(scope_cents=100.0)
+    with pytest.raises(ValueError, match=r"one octave, got \(0\.0, 13\.0\)"):
+        transitive_field(c1, 2, cfg, 50)
+    # the first cell's transition error comes before its octave error
+    with pytest.raises(UnresolvableProgressionError, match="second chord"):
+        transitive_field(c1, 2, TransitiveConfig(qmax=2, scope_cents=100.0), 50)
 
 
 def test_transitive_field_rejects_overlapping_windows():
