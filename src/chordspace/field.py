@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Sequence
@@ -39,6 +40,10 @@ def _fmt_coord(c: float) -> str:
     if abs(c - round(c)) < 1e-9:
         return str(int(round(c)))
     return f"{c:.4f}"
+
+
+#: The CSV and matrix value format: 6 decimals.
+_fmt_value = "{:.6f}".format
 
 
 def _cell_mask(axes: Sequence[np.ndarray], simplex: bool) -> np.ndarray:
@@ -394,57 +399,96 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
 
 
 def export_csv(field: ScalarField, path) -> None:
-    """Write cells as CSV: coordinate columns, then the value at 6 decimals."""
-    lines = [",".join(field.axis_names + (field.value_name,))]
-    for coords, v in zip(field.cells if field.dims else [()], field.values.reshape(-1)):
-        parts = [_fmt_coord(c) for c in coords]
-        parts.append(f"{float(v):.6f}")
-        lines.append(",".join(parts))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write cells as CSV: coordinate columns, then the value at 6 decimals.
 
-
-def import_csv(path) -> ScalarField:
-    """Rebuild a field from :func:`export_csv` output.
-
-    Grid structure (origins, counts, resolution, simplex flag) is inferred
-    from the coordinate columns.  Malformed rows raise ``ValueError`` with
-    the offending line number.
+    Each axis's coordinates are formatted once; every cell picks its labels
+    by grid index, so no per-cell tuple is built.
     """
-    with open(path, "r", encoding="utf-8") as fh:  # blank lines keep their numbers
-        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: line 1: empty file")
-    header = lines[0][1].split(",")
-    axis_names = tuple(header[:-1])
-    value_name = header[-1]
-    dims = len(axis_names)
+    idx = np.argwhere(field.mask)
+    columns = [
+        np.array([_fmt_coord(c) for c in field.axis_coords(k).tolist()], dtype=object)[
+            idx[:, k]
+        ].tolist()
+        for k in range(field.dims)
+    ]
+    rows = map(",".join, zip(*columns, map(_fmt_value, field.values.tolist())))
+    header = ",".join(field.axis_names + (field.value_name,))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(itertools.chain([header], rows)) + "\n")
 
-    coords_rows: list[tuple[float, ...]] = []
-    values: list[float] = []
-    for lineno, ln in lines[1:]:
+
+def _data_lines(path, header_line: int) -> list[tuple[int, str]]:
+    """(physical line number, text) of every non-blank line after the header."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [
+            (i, ln.rstrip("\n"))
+            for i, ln in enumerate(fh, start=1)
+            if i > header_line and ln.strip()
+        ]
+
+
+def _parse_rows(path, header_line: int, dims: int) -> np.ndarray:
+    """The data rows parsed line by line with ``float``; raises at the first
+    bad physical line."""
+    rows = []
+    for lineno, ln in _data_lines(path, header_line):
         parts = ln.split(",")
         if len(parts) != dims + 1:
             raise ValueError(
                 f"{path}: line {lineno}: expected {dims + 1} columns, got {len(parts)}"
             )
         try:
-            coords_rows.append(tuple(float(p) for p in parts[:-1]))
-            values.append(float(parts[-1]))
+            rows.append([float(p) for p in parts])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed number") from None
+    return np.array(rows, dtype=float).reshape(len(rows), dims + 1)
+
+
+def import_csv(path) -> ScalarField:
+    """Rebuild a field from :func:`export_csv` output.
+
+    Grid structure (origins, counts, resolution, simplex flag) is inferred
+    from the coordinate columns.  The header is the first non-blank line;
+    the data rows are parsed in one ``np.loadtxt`` pass.  Malformed rows
+    raise ``ValueError`` with the offending physical line number.  Only when
+    that pass fails, or finds the wrong column count, are the rows parsed
+    again line by line with ``float``: that fallback exists only to name the
+    bad line (and to read the few spellings, such as ``1_000``, that
+    ``float`` accepts and ``loadtxt`` does not).
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header, header_line = "", 0
+        while not header.strip():
+            header = fh.readline()
+            header_line += 1
+            if not header:
+                raise ValueError(f"{path}: line 1: empty file")
+    names = header.rstrip("\n").split(",")
+    axis_names, value_name, dims = tuple(names[:-1]), names[-1], len(names) - 1
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without data rows
+            data = np.loadtxt(
+                path, delimiter=",", ndmin=2, comments=None,
+                skiprows=header_line, encoding="utf-8",
+            )
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != dims + 1:
+        data = _parse_rows(path, header_line, dims)
+    rows, values = data[:, :dims], np.ascontiguousarray(data[:, dims])
 
     if dims == 0:
         if len(values) != 1:
             raise ValueError(f"{path}: expected exactly one value row for 0-d field")
         return ScalarField(
             resolution=1, origins=(), counts=(), simplex=False, axis_names=(),
-            values=np.asarray(values), value_name=value_name, meta={},
+            values=values, value_name=value_name, meta={},
         )
 
-    if not coords_rows:
-        raise ValueError(f"{path}: line {lines[0][0] + 1}: no data rows")
-    rows = np.asarray(coords_rows)
+    if not len(values):
+        raise ValueError(f"{path}: line {header_line + 1}: no data rows")
     uniques = [np.unique(rows[:, k]) for k in range(dims)]
     steps = [float(np.diff(u).min()) for u in uniques if len(u) >= 2]
     resolution = int(round(min(steps))) if steps else 1
@@ -452,7 +496,7 @@ def import_csv(path) -> ScalarField:
     counts = tuple(int(round(float(u[-1] - u[0]) / resolution)) + 1 for u in uniques)
 
     box_count = int(np.prod(counts))
-    simplex = dims >= 2 and len(coords_rows) < box_count
+    simplex = dims >= 2 and len(values) < box_count
     try:
         fld = ScalarField(
             resolution=resolution,
@@ -460,19 +504,20 @@ def import_csv(path) -> ScalarField:
             counts=counts,
             simplex=simplex,
             axis_names=axis_names,
-            values=np.asarray(values),
+            values=values,
             value_name=value_name,
             meta={},
         )
     except ValueError as exc:
         raise ValueError(
-            f"{path}: row count {len(coords_rows)} does not match the inferred grid ({exc})"
+            f"{path}: row count {len(values)} does not match the inferred grid ({exc})"
         ) from None
     off = np.abs(rows - fld._coords(np.argwhere(fld.mask))) > 1e-6
     bad = np.flatnonzero(off.any(axis=1))
     if bad.size:
+        lineno = _data_lines(path, header_line)[bad[0]][0]
         raise ValueError(
-            f"{path}: line {bad[0] + 2}: coordinates {coords_rows[bad[0]]} "
+            f"{path}: line {lineno}: coordinates {tuple(rows[bad[0]].tolist())} "
             "break lexicographic order"
         )
     return fld
@@ -482,7 +527,6 @@ def export_matrix(field: ScalarField, path) -> None:
     """Whitespace-separated dense matrix (rows follow the first axis)."""
     if field.dims != 2:
         raise ValueError("matrix export is defined for 2-d fields only")
-    dense = field.dense()
+    lines = (" ".join(map(_fmt_value, row)) + "\n" for row in field.dense().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in dense:
-            fh.write(" ".join(f"{v:.6f}" for v in row) + "\n")
+        fh.write("".join(lines))

@@ -3,12 +3,14 @@
 Everything here is deliberately dumb: permutations instead of sorted
 matching, full candidate products instead of branch-and-bound, shortest
 paths over explicit chord graphs instead of the grouping dynamic program,
-per-cell neighbor scans instead of shifted-array filters, one roughness sum
-per chord instead of the batch kernel, a ``Fraction`` q x p scan instead of
-a Farey walk on integers, one chord and witness per field cell instead of
-per-axis candidate lists, ascending-periodicity sweeps that stamp each cell
-at the first feasible value instead of a minimization per cell, and every
-minimal tuning of a pinned chord enumerated instead of one joint search.
+per-cell neighbor scans instead of shifted-array filters, one CSV row
+formatted per cell and parsed per line instead of per-axis labels and
+``np.loadtxt``, one roughness sum per chord instead of the batch kernel, a
+``Fraction`` q x p scan instead of a Farey walk on integers, one chord and
+witness per field cell instead of per-axis candidate lists,
+ascending-periodicity sweeps that stamp each cell at the first feasible
+value instead of a minimization per cell, and every minimal tuning of a
+pinned chord enumerated instead of one joint search.
 The production code must agree with these on small instances.
 """
 
@@ -24,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from chordspace.errors import UnresolvableChordError, UnresolvableProgressionError
-from chordspace.field import ScalarField, make_simplex_field, simplex_cells
+from chordspace.field import ScalarField, _fmt_coord, make_simplex_field, simplex_cells
 from chordspace.harmonicity import (
     PeriodicityConfig,
     _field_meta,
@@ -407,6 +409,91 @@ def symmetric_extension(field: ScalarField) -> np.ndarray:
         coords = [field.origins[k] + field.resolution * i for k, i in enumerate(idx)]
         out[idx] = field.value_at(sorted(coords) if field.simplex else coords)
     return out
+
+
+def per_cell_export_csv(field: ScalarField, path) -> None:
+    """Write cells as CSV: coordinate columns, then the value at 6 decimals."""
+    lines = [",".join(field.axis_names + (field.value_name,))]
+    for coords, v in zip(field.cells if field.dims else [()], field.values.reshape(-1)):
+        parts = [_fmt_coord(c) for c in coords]
+        parts.append(f"{float(v):.6f}")
+        lines.append(",".join(parts))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def row_import_csv(path) -> ScalarField:
+    """Rebuild a field from :func:`export_csv` output.
+
+    Grid structure (origins, counts, resolution, simplex flag) is inferred
+    from the coordinate columns.  Malformed rows raise ``ValueError`` with
+    the offending line number.
+    """
+    with open(path, "r", encoding="utf-8") as fh:  # blank lines keep their numbers
+        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: line 1: empty file")
+    header = lines[0][1].split(",")
+    axis_names = tuple(header[:-1])
+    value_name = header[-1]
+    dims = len(axis_names)
+
+    coords_rows: list[tuple[float, ...]] = []
+    values: list[float] = []
+    for lineno, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != dims + 1:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {dims + 1} columns, got {len(parts)}"
+            )
+        try:
+            coords_rows.append(tuple(float(p) for p in parts[:-1]))
+            values.append(float(parts[-1]))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed number") from None
+
+    if dims == 0:
+        if len(values) != 1:
+            raise ValueError(f"{path}: expected exactly one value row for 0-d field")
+        return ScalarField(
+            resolution=1, origins=(), counts=(), simplex=False, axis_names=(),
+            values=np.asarray(values), value_name=value_name, meta={},
+        )
+
+    if not coords_rows:
+        raise ValueError(f"{path}: line {lines[0][0] + 1}: no data rows")
+    rows = np.asarray(coords_rows)
+    uniques = [np.unique(rows[:, k]) for k in range(dims)]
+    steps = [float(np.diff(u).min()) for u in uniques if len(u) >= 2]
+    resolution = int(round(min(steps))) if steps else 1
+    origins = tuple(float(u[0]) for u in uniques)
+    counts = tuple(int(round(float(u[-1] - u[0]) / resolution)) + 1 for u in uniques)
+
+    box_count = int(np.prod(counts))
+    simplex = dims >= 2 and len(coords_rows) < box_count
+    try:
+        fld = ScalarField(
+            resolution=resolution,
+            origins=origins,
+            counts=counts,
+            simplex=simplex,
+            axis_names=axis_names,
+            values=np.asarray(values),
+            value_name=value_name,
+            meta={},
+        )
+    except ValueError as exc:
+        raise ValueError(
+            f"{path}: row count {len(coords_rows)} does not match the inferred grid ({exc})"
+        ) from None
+    off = np.abs(rows - fld._coords(np.argwhere(fld.mask))) > 1e-6
+    bad = np.flatnonzero(off.any(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{path}: line {bad[0] + 2}: coordinates {coords_rows[bad[0]]} "
+            "break lexicographic order"
+        )
+    return fld
 
 
 def per_chord_roughness(

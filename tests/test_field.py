@@ -1,6 +1,9 @@
 import itertools
+import math
 import os
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +110,15 @@ def test_import_rejects_empty_and_malformed(tmp_path):
     gap.write_text("x2,v\n0,1.0\n\n600,2.0\n1200,abc\n")
     with pytest.raises(ValueError, match="line 5: malformed number"):
         import_csv(gap)
+
+    # the order error names the physical line, not the data-row index
+    unordered = tmp_path / "unordered.csv"
+    unordered.write_text("x2,v\n0,1.0\n\n600,2.0\n300,3.0\n")
+    with pytest.raises(
+        ValueError,
+        match=re.escape("line 4: coordinates (600.0,) break lexicographic order"),
+    ):
+        import_csv(unordered)
 
     short = tmp_path / "short.csv"
     short.write_text("x2,value\n0,1.0\n100,2.0\n300,3.0\n")
@@ -338,3 +350,140 @@ def test_slice_values_equal_parent_values(fld, data):
     for coords, value in zip(cut.cells, cut.values):
         assert value == cut.value_at(coords)
         assert value == fld.value_at(coords[:axis] + (at,) + coords[axis:])
+
+
+#: Every float, with the edge cases export_csv's formatter must keep drawn often.
+ANY_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from((-0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 2.5e-310)),
+)
+
+
+@st.composite
+def csv_box_fields(draw, values=ANY_FLOATS):
+    """Box fields at any resolution whose origins need not be whole cents."""
+    dims = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 5), min_size=dims, max_size=dims))
+    origin = st.one_of(
+        st.integers(-2400, 2400).map(float),
+        st.floats(-2400.0, 2400.0),
+        st.integers(-2400, 2400).map(lambda c: c + 1e-10),
+    )
+    origins = draw(st.lists(origin, min_size=dims, max_size=dims))
+    res = draw(st.integers(1, 100))
+    vals = draw(st.lists(values, min_size=int(np.prod(counts)), max_size=int(np.prod(counts))))
+    names = [f"n{k + 1}" for k in range(dims)]
+    return make_box_field(res, origins, counts, vals, names, draw(st.sampled_from(("v", "höhe"))), {})
+
+
+def point_fields(values=ANY_FLOATS):
+    """0-d fields: one value, no axes."""
+    return values.map(lambda v: ScalarField(
+        resolution=1, origins=(), counts=(), simplex=False, axis_names=(), values=[v],
+        value_name="v",
+    ))
+
+
+def csv_fields(values=ANY_FLOATS):
+    return st.one_of(simplex_fields(values), csv_box_fields(values), point_fields(values))
+
+
+@PROPERTY
+@given(fld=csv_fields())
+def test_export_csv_equals_per_cell_oracle(fld):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        export_csv(fld, got)
+        oracles.per_cell_export_csv(fld, want)
+        assert Path(got).read_bytes() == Path(want).read_bytes()
+
+
+def _import_outcome(read, path):
+    """What reading ``path`` gives: the field's parts with its value bits, or
+    the exception's type and message."""
+    try:
+        fld = read(path)
+    except Exception as exc:  # the oracle's overflow errors must match too
+        return type(exc), str(exc)
+    return (
+        fld.resolution, repr(fld.origins), fld.counts, fld.simplex,
+        fld.axis_names, fld.value_name, fld.values.tobytes(),
+    )
+
+
+def _oracle_import_outcome(path):
+    """``row_import_csv``'s outcome, its order error renumbered to the
+    physical line: the oracle counts non-blank lines there, a defect that
+    ``import_csv`` mends."""
+    outcome = _import_outcome(oracles.row_import_csv, path)
+    match = re.search(r": line (\d+): coordinates", str(outcome[1]))
+    if outcome[0] is ValueError and match:
+        with open(path, encoding="utf-8") as fh:
+            physical = [i for i, ln in enumerate(fh, start=1) if ln.strip()]
+        line = physical[int(match.group(1)) - 1]
+        return ValueError, outcome[1].replace(match.group(0), f": line {line}: coordinates", 1)
+    return outcome
+
+
+def _check_import_against_oracle(text: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        assert _import_outcome(import_csv, path) == _oracle_import_outcome(path)
+
+
+BLANK_LINES = ("", "  ", "\t", "\x0c", "\u3000")
+#: Tokens that float() and loadtxt disagree on, or that neither reads.
+BAD_TOKENS = ("abc", "1_000", "\u0661\u0662", "", "#1")
+
+
+@PROPERTY
+@given(fld=csv_fields(), data=st.data())
+def test_import_csv_equals_row_oracle(fld, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.csv")
+        export_csv(fld, path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")[:-1]
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(("blank", "token", "column", "swap")))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "blank":
+            lines.insert(i, data.draw(st.sampled_from(BLANK_LINES)))
+        elif kind == "token":
+            parts = lines[i].split(",")
+            parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(st.sampled_from(BAD_TOKENS))
+            lines[i] = ",".join(parts)
+        elif kind == "column":
+            j = data.draw(st.integers(0, len(lines[i].split(","))))
+            drop = data.draw(st.booleans())
+            targets = range(len(lines)) if data.draw(st.booleans()) else [i]
+            for t in targets:
+                parts = lines[t].split(",")
+                if drop and j < len(parts):
+                    del parts[j]
+                elif not drop:
+                    parts.insert(j, "0")
+                lines[t] = ",".join(parts)
+        else:
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    _check_import_against_oracle("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    "x2,v\n0,1.0\n\n600,2.0\n300,3.0\n",  # order error after a blank line
+    "x2,v\n0,\u0661\u0662\n1_000,1.5\n",  # float() reads these, loadtxt does not
+    "x2,v\n0,1\n#1,2\n",  # a '#' row is data, not a comment
+    "x2,v\n0,1\n \t\n\u3000\n600,2\n",  # whitespace-only lines are blank
+    "\n\n x2,v\n0,1\n600,2",  # leading blank lines, no final newline
+    "x2,v\r\n0,1\r\n600,2\r\n",  # CRLF line ends
+    "x2,v\n0,1\n600\n",  # too few columns
+    "x2,v\n",  # no data rows
+    "v\n1.5\n2.5\n",  # a 0-d field has one row
+    "v\nnan\n",
+    "x2,x3,v\n0,0,1\n0,600,2\n600,600,3\n",  # a simplex
+])
+def test_import_csv_equals_row_oracle_on_hand_written_text(text):
+    _check_import_against_oracle(text)
