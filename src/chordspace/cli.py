@@ -145,41 +145,35 @@ def cmd_field(args) -> int:
     sigma = args.sigma if args.sigma is not None else cfg.sigma_cents()
     out = Path(args.out)
 
+    paths = [out]
     if args.kind == "periodicity":
-        fld = harmonicity.periodicity_field(args.size, resolution, cfg.periodicity_config())
+        panels = [harmonicity.periodicity_field(args.size, resolution, cfg.periodicity_config())]
     elif args.kind == "roughness":
-        fld = roughness.roughness_field(
-            args.size, resolution, cfg.spectrum, cfg.f0_hz, cfg.roughness
-        )
+        panels = [
+            roughness.roughness_field(args.size, resolution, cfg.spectrum, cfg.f0_hz, cfg.roughness)
+        ]
     elif args.kind == "transitive":
         if args.from_chord is None:
             print("error: --from CHORD is required for transitive fields", file=sys.stderr)
             return EXIT_USAGE
+        if args.matrix:
+            print("error: --matrix applies to periodicity and roughness fields only", file=sys.stderr)
+            return EXIT_USAGE
         tcfg = cfg.transitive_config(args.scope)
-        trans, companion = resolve.transitive_field(
-            args.from_chord, args.size, tcfg, resolution
-        )
-        trans = psychometric.gaussian_smooth(trans, sigma)
-        companion = psychometric.gaussian_smooth(companion, sigma)
-        companion_path = out.with_name(out.stem + "_p2" + out.suffix)
-        sidecar = {
-            "panels": [
-                _write_field(trans, out, cfg, {"sigma": _both_units(sigma)}),
-                _write_field(companion, companion_path, cfg, {"sigma": _both_units(sigma)}),
-            ]
-        }
-        with open(out.with_suffix(out.suffix + ".json"), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-        _emit(sidecar)
-        return EXIT_OK
+        panels = resolve.transitive_field(args.from_chord, args.size, tcfg, resolution)
+        paths.append(out.with_name(out.stem + "_p2" + out.suffix))
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.kind)
 
-    fld = psychometric.gaussian_smooth(fld, sigma)
-    sidecar = _write_field(fld, out, cfg, {"sigma": _both_units(sigma)})
+    panels = [psychometric.gaussian_smooth(fld, sigma) for fld in panels]
+    sidecars = [
+        _write_field(fld, path, cfg, {"sigma": _both_units(sigma)})
+        for fld, path in zip(panels, paths)
+    ]
     if args.matrix:
-        export_matrix(fld, args.matrix)
-        sidecar["matrix_file"] = str(args.matrix)
+        export_matrix(panels[0], args.matrix)
+        sidecars[0]["matrix_file"] = str(args.matrix)
+    sidecar = sidecars[0] if len(sidecars) == 1 else {"panels": sidecars}
     with open(out.with_suffix(out.suffix + ".json"), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)
     _emit(sidecar)

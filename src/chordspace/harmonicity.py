@@ -223,10 +223,15 @@ def min_lcm(
     return None if found is None else (best, found)
 
 
-def _check_octave(c: Chord) -> None:
-    """Reject a rooted chord whose top note lies beyond the octave."""
-    if c.notes[-1] > 12 + 1e-9:  # shift() may land an octave at 12.000000000000002
-        raise ValueError(f"chord must stay within one octave, got {c.notes}")
+def _unclamped(notes, cfg: PeriodicityConfig) -> list:
+    """Unclamped candidate lists of notes given in semitones over the 1/1."""
+    return [ratio_candidates(p * CENTS_PER_SEMITONE, cfg, clamp=False) for p in notes]
+
+
+def _check_octave(notes: tuple[float, ...]) -> None:
+    """Reject rooted notes whose top note lies beyond the octave."""
+    if notes[-1] > 12 + 1e-9:  # shift() may land an octave at 12.000000000000002
+        raise ValueError(f"chord must stay within one octave, got {notes}")
 
 
 def chord_periodicity(
@@ -249,7 +254,7 @@ def chord_periodicity(
     """
     if c.notes[0] != 0:
         raise ValueError(f"chord must be rooted at 0, got root {c.notes[0]!r}")
-    _check_octave(c)
+    _check_octave(c.notes)
     lists = [ratio_candidates(p * CENTS_PER_SEMITONE, cfg) for p in c.notes[1:]]
     found = min_lcm(lists, _window(cfg), lo=0.0, hi=0.0)  # the root's 1/1 is exact
     if found is None:
@@ -279,11 +284,7 @@ def rerooted_periodicity(
     per_root: dict[float, int | None] = {}
     best = None
     for r in c.notes:
-        lists = [
-            ratio_candidates((p - r) * CENTS_PER_SEMITONE, cfg, clamp=False)
-            for p in c.notes
-            if p != r
-        ]
+        lists = _unclamped([p - r for p in c.notes if p != r], cfg)
         found = min_lcm(lists, _window(cfg), lo=0.0, hi=0.0)
         per_root[r] = found[0] if found else None
         if found and (best is None or found[0] < best):

@@ -154,31 +154,23 @@ def geodesic_witness(c1: Chord, c2: Chord) -> GeodesicWitness:
     n_src = [0, *accumulate(1 - kind for _, kind in pts)]
     n_tgt = [0, *accumulate(kind for _, kind in pts)]
 
-    def seg_valid(i: int, j: int) -> bool:
-        # segment covers pts[i:j]
-        return n_src[j] - n_src[i] >= 1 and n_tgt[j] - n_tgt[i] >= 1
-
-    # Suffix DP so the witness can be rebuilt with earliest-boundary ties.
+    # Suffix DP; cut[i] is the smallest j whose group pts[i:j] attains best[i].
     best = [math.inf] * (k + 1)
     best[k] = 0.0
+    cut = [k] * (k + 1)
     for i in range(k - 1, -1, -1):
         for j in range(i + 1, k + 1):
-            if seg_valid(i, j):
+            if n_src[j] - n_src[i] >= 1 and n_tgt[j] - n_tgt[i] >= 1:
                 cost = pts[j - 1][0] - pts[i][0] + best[j]
                 if cost < best[i]:
-                    best[i] = cost
+                    best[i], cut[i] = cost, j
     if math.isinf(best[0]):  # every grouping's span overflows a float
         raise ValueError("distance overflows a float: the notes are too far apart")
 
     groups = []
     i = 0
     while i < k:
-        # Smallest j reproduces best[i] with the exact arithmetic used above.
-        j = next(
-            j
-            for j in range(i + 1, k + 1)
-            if seg_valid(i, j) and pts[j - 1][0] - pts[i][0] + best[j] == best[i]
-        )
+        j = cut[i]
         seg = pts[i:j]
         groups.append(
             GeodesicGroup(

@@ -28,13 +28,7 @@ from itertools import product
 
 from .errors import UnresolvableProgressionError
 from .field import ScalarField, make_box_field
-from .harmonicity import (
-    PeriodicityConfig,
-    _check_octave,
-    chord_periodicity,
-    min_lcm,
-    ratio_candidates,
-)
+from .harmonicity import PeriodicityConfig, _check_octave, _unclamped, chord_periodicity, min_lcm
 from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch, normalize, shift
 
 __all__ = [
@@ -80,13 +74,13 @@ def combined_chord(prog: Progression) -> Chord:
 # -- joint tuning search ------------------------------------------------------
 
 
-def _shifted(prog: Progression) -> tuple[Chord, Chord]:
-    s = prog.second.root
-    return shift(prog.first, s), shift(prog.second, s)
-
-
-def _candidates(notes, pcfg: PeriodicityConfig) -> list:
-    return [ratio_candidates(p * CENTS_PER_SEMITONE, pcfg, clamp=False) for p in notes]
+def _rooted(notes, s: float) -> tuple[float, ...]:
+    """``notes`` shifted down by ``s`` as :func:`shift` does it; a shift that
+    overflows or merges two notes raises the error :func:`shift` raises."""
+    out = tuple(x - s for x in notes)
+    if not (math.isfinite(out[0]) and math.isfinite(out[-1]) and len(set(out)) == len(out)):
+        Chord(out)
+    return out
 
 
 def _min_ratio(pinned, p: int, others, jnd: float) -> int | None:
@@ -103,8 +97,11 @@ def _min_ratio(pinned, p: int, others, jnd: float) -> int | None:
     return None if found is None else found[0] // p
 
 
-def _transition(prog: Progression, cfg: TransitiveConfig, pin_second: bool) -> tuple[int, int]:
-    """(:func:`_min_ratio`, p) for the pinned chord's own minimal lcm p.
+def _transition(
+    first: tuple[float, ...], second: tuple[float, ...], pcfg: PeriodicityConfig, pin_second: bool
+) -> tuple[int, int]:
+    """(:func:`_min_ratio`, p) for the pinned chord's own minimal lcm p, from
+    the two chords' notes shifted down by the second chord's root.
 
     A pinned second chord starts the window at its root's 0, a pinned first
     chord starts it empty.  The other chord's lists are built only after the
@@ -115,21 +112,20 @@ def _transition(prog: Progression, cfg: TransitiveConfig, pin_second: bool) -> t
     than 1/1 or 2/1 (both q = 1).  Swapping in 1/1 or 2/1 keeps the window,
     cannot raise the lcm and comes earlier in (q, p) order.
     """
-    pcfg = cfg.periodicity_config()
-    c1, c2 = _shifted(prog)
-    pinned, other = (c2.notes[1:], c1.notes) if pin_second else (c1.notes, c2.notes[1:])
-    lists = _candidates(pinned, pcfg)
+    c1, c2 = _rooted(first, second[0]), _rooted(second, second[0])
+    pinned, other = (c2[1:], c1) if pin_second else (c1, c2[1:])
+    lists = _unclamped(pinned, pcfg)
     lo, hi = (0.0, 0.0) if pin_second else (math.inf, -math.inf)
     found = min_lcm(lists, pcfg.jnd_cents, 1, lo, hi)
     if found is None:
-        which, chord = ("second", prog.second) if pin_second else ("first", prog.first)
+        which, notes = ("second", second) if pin_second else ("first", first)
         raise UnresolvableProgressionError(
-            f"{which} chord {chord} admits no rational tuning within bounds"
+            f"{which} chord {Chord(notes)} admits no rational tuning within bounds"
         )
-    ratio = _min_ratio(lists, found[0], _candidates(other, pcfg), pcfg.jnd_cents)
+    ratio = _min_ratio(lists, found[0], _unclamped(other, pcfg), pcfg.jnd_cents)
     if ratio is None:
         raise UnresolvableProgressionError(
-            f"no joint tuning of {prog.first} -> {prog.second} within bounds"
+            f"no joint tuning of {Chord(first)} -> {Chord(second)} within bounds"
         )
     return ratio, found[0]
 
@@ -146,7 +142,7 @@ def transitive_periodicity(prog: Progression, cfg: TransitiveConfig = Transitive
     Self-progressions resolve to 1: the first chord can copy the second
     chord's tuning outright.
     """
-    return _transition(prog, cfg, True)[0]
+    return _transition(prog.first.notes, prog.second.notes, cfg.periodicity_config(), True)[0]
 
 
 def relative_periodicity_to_first(
@@ -159,7 +155,7 @@ def relative_periodicity_to_first(
     second chord's root, so no coordinate is pinned to 1/1 unless the first
     chord contains that root), and the second chord's coordinates extend it.
     """
-    return _transition(prog, cfg, False)[0]
+    return _transition(prog.first.notes, prog.second.notes, cfg.periodicity_config(), False)[0]
 
 
 def chan_transitional_harmony(
@@ -210,9 +206,21 @@ def chan_transitional_harmony(
 # -- fields over target windows ----------------------------------------------
 
 
-def _window_grid(c1: Chord, n: int, cfg: TransitiveConfig, resolution: int):
-    """Axes of the target window around ``c1`` and the target chord of each
-    cell, in lexicographic cell order."""
+def transitive_field(
+    c1: Chord,
+    n: int,
+    cfg: TransitiveConfig = TransitiveConfig(),
+    resolution: int = 50,
+) -> tuple[ScalarField, ScalarField]:
+    """Transitive periodicity over a window of target chords around ``c1``.
+
+    Returns the pair (log2 transitive periodicity of ``c1 -> c2``, log2
+    periodicity of ``c2``) on the same grid: one axis per note of the target
+    chord, each spanning ``scope`` cents around the corresponding note of
+    ``c1``.  Windows must not overlap, so every grid tuple is already sorted.
+    One search per cell fills both panels (see :func:`_transition`); a target
+    beyond the octave raises after that cell's transition errors.
+    """
     if n != len(c1):
         raise ValueError(
             "window fields currently require the target size to match the "
@@ -230,19 +238,20 @@ def _window_grid(c1: Chord, n: int, cfg: TransitiveConfig, resolution: int):
     k = int(cfg.scope_cents // resolution)
     origins = tuple(p * CENTS_PER_SEMITONE - k * resolution for p in c1.notes)
     counts = (2 * k + 1,) * len(c1)
-    axes = [
-        [o + resolution * i for i in range(c)] for o, c in zip(origins, counts)
-    ]
-    targets = [
-        Chord(tuple(x / CENTS_PER_SEMITONE for x in coords)) for coords in product(*axes)
-    ]
-    return origins, counts, targets
-
-
-def _window_field(
-    c1: Chord, cfg: TransitiveConfig, resolution: int, origins, counts,
-    values, value_name: str, generator: str,
-) -> ScalarField:
+    axes = [[(o + resolution * i) / CENTS_PER_SEMITONE for i in range(2 * k + 1)] for o in origins]
+    # every target is a chord iff all axes are finite and each lies below the next
+    if not all(math.isfinite(x) for a in axes for x in a) or any(
+        max(a) >= min(b) for a, b in zip(axes, axes[1:])
+    ):
+        for target in product(*axes):
+            Chord(target)  # raises the first bad target's error
+    pcfg = cfg.periodicity_config()
+    trans_vals, comp_vals = [], []
+    for target in product(*axes):
+        ratio, p = _transition(c1.notes, target, pcfg, True)
+        _check_octave(tuple(x - target[0] for x in target))
+        trans_vals.append(math.log2(ratio))
+        comp_vals.append(math.log2(p))
     meta = {
         "domain": "notes",
         "from_chord": list(c1.notes),
@@ -251,43 +260,17 @@ def _window_field(
         "jnd_cents": cfg.jnd_cents,
         "qmax": cfg.qmax,
         "sigma_cents": 0.0,
-        "generator": generator,
     }
     names = tuple(f"x{i + 1}" for i in range(len(c1)))
-    return make_box_field(resolution, origins, counts, values, names, value_name, meta)
-
-
-def transitive_field(
-    c1: Chord,
-    n: int,
-    cfg: TransitiveConfig = TransitiveConfig(),
-    resolution: int = 50,
-) -> tuple[ScalarField, ScalarField]:
-    """Transitive periodicity over a window of target chords around ``c1``.
-
-    Returns the pair (log2 transitive periodicity of ``c1 -> c2``, log2
-    periodicity of ``c2``) on the same grid: one axis per note of the target
-    chord, each spanning ``scope`` cents around the corresponding note of
-    ``c1``.  Windows must not overlap, so every grid tuple is already sorted.
-    One search per cell fills both panels (see :func:`_transition`); a target
-    beyond the octave raises after that cell's transition errors.
-    """
-    origins, counts, targets = _window_grid(c1, n, cfg, resolution)
-    trans_vals, comp_vals = [], []
-    for c2 in targets:
-        ratio, p = _transition(Progression(c1, c2), cfg, True)
-        _check_octave(shift(c2, c2.root))
-        trans_vals.append(math.log2(ratio))
-        comp_vals.append(math.log2(p))
-    trans = _window_field(
-        c1, cfg, resolution, origins, counts, trans_vals,
-        "log2_transitive_periodicity", "transitive",
+    return tuple(
+        make_box_field(
+            resolution, origins, counts, values, names, value_name, {**meta, "generator": generator}
+        )
+        for values, value_name, generator in (
+            (trans_vals, "log2_transitive_periodicity", "transitive"),
+            (comp_vals, "log2_periodicity", "periodicity_of_second"),
+        )
     )
-    comp = _window_field(
-        c1, cfg, resolution, origins, counts, comp_vals,
-        "log2_periodicity", "periodicity_of_second",
-    )
-    return trans, comp
 
 
 # -- derivatives --------------------------------------------------------------

@@ -7,7 +7,9 @@ per-cell neighbor scans instead of shifted-array filters, one CSV row
 formatted per cell and parsed per line instead of per-axis labels and
 ``np.loadtxt``, one roughness sum per chord instead of the batch kernel, a
 ``Fraction`` q x p scan instead of a Farey walk on integers, one chord and
-witness per field cell instead of per-axis candidate lists,
+witness per field cell instead of per-axis candidate lists, one
+``Progression`` per window cell instead of plain note tuples, a scan for
+each geodesic group's end instead of the end the dynamic program recorded,
 ascending-periodicity sweeps that stamp each cell at the first feasible
 value instead of a minimization per cell, and every minimal tuning of a
 pinned chord enumerated instead of one joint search.
@@ -21,12 +23,19 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
 
 from chordspace.errors import UnresolvableChordError, UnresolvableProgressionError
-from chordspace.field import ScalarField, _fmt_coord, make_simplex_field, simplex_cells
+from chordspace.field import (
+    ScalarField,
+    _fmt_coord,
+    make_box_field,
+    make_simplex_field,
+    simplex_cells,
+)
 from chordspace.harmonicity import (
     PeriodicityConfig,
     _field_meta,
@@ -35,16 +44,9 @@ from chordspace.harmonicity import (
     min_lcm,
     ratio_candidates,
 )
-from chordspace.metric import NormChoice
-from chordspace.pitch import Chord, DEFAULT_F0_HZ, cell_chord, freq_from_pitch
-from chordspace.resolve import (
-    Progression,
-    TransitiveConfig,
-    _candidates,
-    _shifted,
-    _window_field,
-    _window_grid,
-)
+from chordspace.metric import GeodesicGroup, GeodesicWitness, NormChoice
+from chordspace.pitch import Chord, DEFAULT_F0_HZ, cell_chord, freq_from_pitch, shift
+from chordspace.resolve import Progression, TransitiveConfig, transitive_periodicity
 from chordspace.roughness import RoughnessParams, Spectrum, harmonic_spectrum
 
 
@@ -158,6 +160,53 @@ def geodesic_shortest_path(c1: Chord, c2: Chord) -> float:
     ]
     table = geodesic_apsp(nodes)
     return table[(c1.notes, c2.notes)]
+
+
+def scan_geodesic_witness(c1: Chord, c2: Chord) -> GeodesicWitness:
+    """``geodesic_witness`` rebuilding each group by a scan for the smallest
+    j that reproduces best[i], instead of the j recorded by the DP."""
+    pts = sorted(
+        [(p, 0) for p in c1.notes] + [(p, 1) for p in c2.notes]
+    )  # kind 0 = source, 1 = target; sources sort first at equal pitch
+    k = len(pts)
+    n_src = [0, *accumulate(1 - kind for _, kind in pts)]
+    n_tgt = [0, *accumulate(kind for _, kind in pts)]
+
+    def seg_valid(i: int, j: int) -> bool:
+        # segment covers pts[i:j]
+        return n_src[j] - n_src[i] >= 1 and n_tgt[j] - n_tgt[i] >= 1
+
+    # Suffix DP so the witness can be rebuilt with earliest-boundary ties.
+    best = [math.inf] * (k + 1)
+    best[k] = 0.0
+    for i in range(k - 1, -1, -1):
+        for j in range(i + 1, k + 1):
+            if seg_valid(i, j):
+                cost = pts[j - 1][0] - pts[i][0] + best[j]
+                if cost < best[i]:
+                    best[i] = cost
+    if math.isinf(best[0]):  # every grouping's span overflows a float
+        raise ValueError("distance overflows a float: the notes are too far apart")
+
+    groups = []
+    i = 0
+    while i < k:
+        # Smallest j reproduces best[i] with the exact arithmetic used above.
+        j = next(
+            j
+            for j in range(i + 1, k + 1)
+            if seg_valid(i, j) and pts[j - 1][0] - pts[i][0] + best[j] == best[i]
+        )
+        seg = pts[i:j]
+        groups.append(
+            GeodesicGroup(
+                sources=tuple(p for p, kind in seg if kind == 0),
+                targets=tuple(p for p, kind in seg if kind == 1),
+                cost=pts[j - 1][0] - pts[i][0],
+            )
+        )
+        i = j
+    return GeodesicWitness(groups=tuple(groups), total=best[0])
 
 
 def scan_min_denominator(cents: float, jnd_cents: float, qmax: int) -> Fraction | None:
@@ -664,14 +713,15 @@ def _second_side(prog: Progression, pcfg: PeriodicityConfig):
     """The first chord's candidate lists over the second chord's root, the
     second chord's minimal periodicity p2 (root pinned to 1/1) and its
     tunings that realize p2; None when the second chord has no tuning."""
-    c1, c2 = _shifted(prog)
-    lists2 = _candidates(c2.notes[1:], pcfg)
+    s = prog.second.root
+    lists2 = [ratio_candidates((x - s) * 100.0, pcfg, clamp=False) for x in prog.second.notes[1:]]
     found = min_lcm(lists2, pcfg.jnd_cents, lo=0.0, hi=0.0)
     if found is None:
         return None
     p2 = found[0]
     tunings2 = tunings_with_lcm(lists2, p2, pcfg.jnd_cents, lo=0.0, hi=0.0)
-    return _candidates(c1.notes, pcfg), p2, tunings2
+    lists1 = [ratio_candidates((x - s) * 100.0, pcfg, clamp=False) for x in prog.first.notes]
+    return lists1, p2, tunings2
 
 
 def _feasible_at_ratio(prog: Progression, cfg: TransitiveConfig, ratio: int) -> bool:
@@ -689,6 +739,74 @@ def _feasible_at_ratio(prog: Progression, cfg: TransitiveConfig, ratio: int) -> 
     return False
 
 
+def _window_cells(c1: Chord, n: int, cfg: TransitiveConfig, resolution: int):
+    """Origins, counts and cent coordinates of the target window around
+    ``c1``, in lexicographic cell order, with ``transitive_field``'s checks."""
+    if n != len(c1):
+        raise ValueError(
+            "window fields currently require the target size to match the "
+            f"starting chord ({len(c1)} notes), got {n}"
+        )
+    gaps = [(b - a) * 100.0 for a, b in zip(c1.notes, c1.notes[1:])]
+    if gaps and 2 * cfg.scope_cents >= min(gaps):
+        raise ValueError(
+            f"scope {cfg.scope_cents:g} cents makes note windows overlap "
+            f"(minimal note gap is {min(gaps):g} cents)"
+        )
+    k = int(cfg.scope_cents // resolution)
+    origins = tuple(p * 100.0 - k * resolution for p in c1.notes)
+    counts = (2 * k + 1,) * len(c1)
+    cells = list(itertools.product(
+        *([o + resolution * i for i in range(c)] for o, c in zip(origins, counts))
+    ))
+    return origins, counts, cells
+
+
+def _window_panel(
+    c1: Chord, cfg: TransitiveConfig, resolution: int, origins, counts, values,
+    value_name: str, generator: str,
+) -> ScalarField:
+    meta = {
+        "domain": "notes",
+        "from_chord": list(c1.notes),
+        "scope_cents": cfg.scope_cents,
+        "resolution_cents": resolution,
+        "jnd_cents": cfg.jnd_cents,
+        "qmax": cfg.qmax,
+        "sigma_cents": 0.0,
+        "generator": generator,
+    }
+    names = tuple(f"x{i + 1}" for i in range(len(c1)))
+    return make_box_field(resolution, origins, counts, values, names, value_name, meta)
+
+
+def per_cell_transitive_field(
+    c1: Chord,
+    n: int,
+    cfg: TransitiveConfig = TransitiveConfig(),
+    resolution: int = 50,
+) -> tuple[ScalarField, ScalarField]:
+    """``transitive_field`` from one target chord per cell: its transitive
+    periodicity, then the periodicity of the target shifted to its root."""
+    origins, counts, cells = _window_cells(c1, n, cfg, resolution)
+    targets = [Chord(tuple(x / 100.0 for x in coords)) for coords in cells]
+    pcfg = cfg.periodicity_config()
+    trans, comp = [], []
+    for c2 in targets:
+        trans.append(math.log2(transitive_periodicity(Progression(c1, c2), cfg)))
+        comp.append(math.log2(chord_periodicity(shift(c2, c2.root), pcfg)[0]))
+    return (
+        _window_panel(
+            c1, cfg, resolution, origins, counts, trans,
+            "log2_transitive_periodicity", "transitive",
+        ),
+        _window_panel(
+            c1, cfg, resolution, origins, counts, comp,
+            "log2_periodicity", "periodicity_of_second",
+        ),
+    )
+
+
 def sweep_transitive_field(
     c1: Chord,
     n: int,
@@ -702,10 +820,8 @@ def sweep_transitive_field(
     joint tuning exists; the order-independent cross-check of the
     cell-local minimization.
     """
-    origins, counts, targets = _window_grid(c1, n, cfg, resolution)
-    cells = list(itertools.product(
-        *([o + resolution * i for i in range(c)] for o, c in zip(origins, counts))
-    ))
+    origins, counts, cells = _window_cells(c1, n, cfg, resolution)
+    targets = [Chord(tuple(x / 100.0 for x in coords)) for coords in cells]
     values = np.full(len(cells), np.nan)
     remaining = set(range(len(cells)))
     p = 1
@@ -723,7 +839,7 @@ def sweep_transitive_field(
         raise UnresolvableProgressionError(
             f"sweep exhausted ratios <= {max_ratio} with unassigned cells: {residual[:10]}"
         )
-    return _window_field(
+    return _window_panel(
         c1, cfg, resolution, origins, counts, values,
         "log2_transitive_periodicity", "transitive",
     )

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -261,6 +262,35 @@ def test_field_transitive_emits_pair(tmp_path, capsys):
     )
     assert code2 == 0
     assert (tmp_path / "win2.csv").read_bytes() == out.read_bytes()
+
+
+def test_field_transitive_rejects_matrix_before_computing(tmp_path, capsys):
+    code, stdout, err = run_cli(
+        capsys, "field", "transitive", "2", "--from", "[3,9]", "--scope", "200c",
+        "--res", "10", "--out", str(tmp_path / "w.csv"), "--matrix", str(tmp_path / "m.txt"),
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "--matrix" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_window_command_keeps_its_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CHORDSPACE_CONFIG", raising=False)
+    code, stdout, _ = run_cli(
+        capsys, "resolve-field", "[3,9]", "2", "--scope", "200c", "--res", "10",
+        "--out", str(tmp_path / "window.csv"),
+    )
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("window.csv", "window_p2.csv", "window.csv.json")
+    }
+    assert digests == {
+        "window.csv": "b93c58a0b5e5710137417521bd10095c60d8319d422a418c75c5773f1270bedf",
+        "window_p2.csv": "4eeb2e8b63bd499c4bdf1458b7a6e22d0ae7aee74da139a0727447e3ce82b2a2",
+        "window.csv.json": "797354b1c51b1151e12a1e3df5c3c708bd58022fd2d90d3fe8ba4c6e27376483",
+    }
+    assert json.loads(stdout) == json.loads((tmp_path / "window.csv.json").read_text())
 
 
 def test_field_transitive_requires_from(tmp_path, capsys):

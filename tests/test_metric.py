@@ -21,6 +21,7 @@ from oracles import (
     expansion_distance_fast,
     geodesic_shortest_path,
     perm_distance,
+    scan_geodesic_witness,
 )
 
 
@@ -210,6 +211,17 @@ def test_geodesic_witness_always_consistent():
             assert g.cost == pytest.approx(max(pts) - min(pts), abs=1e-12)
         assert tuple(sorted(p for g in w.groups for p in g.sources)) == c1.notes
         assert tuple(sorted(set(p for g in w.groups for p in g.targets))) == c2.notes
+
+
+small_chords = st.lists(st.integers(-3, 6), min_size=1, max_size=5).map(normalize)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_chords, small_chords, st.sampled_from([1.0, 0.1, 100.0]))
+def test_geodesic_witness_equals_scan_oracle(c1, c2, scale):
+    # small integer pitches make equal-cost groupings, so tie-breaking is exercised
+    c1, c2 = normalize(x * scale for x in c1), normalize(x * scale for x in c2)
+    assert geodesic_witness(c1, c2) == scan_geodesic_witness(c1, c2)
 
 
 def test_geodesic_never_exceeds_duplication_distance():

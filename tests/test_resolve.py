@@ -22,7 +22,12 @@ from chordspace.resolve import (
     transitive_periodicity,
 )
 
-from oracles import exhaustive_relative_to_first, exhaustive_transitive, sweep_transitive_field
+from oracles import (
+    exhaustive_relative_to_first,
+    exhaustive_transitive,
+    per_cell_transitive_field,
+    sweep_transitive_field,
+)
 
 TRITONE = parse_chord("[3,9]")
 EIGHT_TARGETS = ["[2,8]", "[2,9]", "[2,10]", "[3,8]", "[3,10]", "[4,8]", "[4,9]", "[4,10]"]
@@ -271,12 +276,64 @@ def test_transitive_field_pair_and_sweep_equality():
             "e07d681427e76daf32e4a3c81b2fd85df469c7f566d37e156dcc441fa9d28a26",
             "e38c2329daf399391c56ece705648fccc5205cdef04a5ee879b796de17c7095c",
         )),
+        ("[3,9]", 2, 200.0, 2, (
+            "6e7a8930cf2876dc9152335930f471669cf6a07db22090bd6e871d043124361b",
+            "804c325243e5b04295dd507d3dfc13061f9d8ebd5942a5e8b5485c92e395b56d",
+        )),
+        ("[2,6,9]", 3, 60.0, 5, (
+            "8d382dea87862e94c6bc33e39d19267b468809c9553403c9e198226c722ff830",
+            "19d457815025b534bcb5ecaa23fc6557725cc94b85beda09f0d2200ce4487736",
+        )),
     ],
 )
 def test_window_field_panels_keep_their_bytes(chord, n, scope, resolution, sha256):
     cfg = TransitiveConfig(scope_cents=scope)
     panels = transitive_field(parse_chord(chord), n, cfg, resolution)
     assert tuple(hashlib.sha256(f.values.tobytes()).hexdigest() for f in panels) == sha256
+
+
+@st.composite
+def windows(draw):
+    """A starting chord of 1-3 whole-cent notes whose windows do not overlap,
+    with the window's scope, resolution and search bounds."""
+    resolution = draw(st.integers(5, 50))
+    scope = draw(st.integers(0, 3 * resolution - 1))
+    n = draw(st.integers(1, 3))
+    cents = [draw(st.integers(-600, 1800))]
+    for _ in range(n - 1):
+        cents.append(cents[-1] + 2 * scope + draw(st.integers(1, 700)))
+    cfg = TransitiveConfig(
+        jnd_cents=draw(st.sampled_from([10.0, 18.0, 25.0])),
+        qmax=draw(st.integers(2, 100)),
+        scope_cents=float(scope),
+    )
+    return Chord(tuple(c / 100 for c in cents)), cfg, resolution
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows())
+@example((parse_chord("[0,13]"), TransitiveConfig(scope_cents=100.0), 50))  # beyond the octave
+@example((parse_chord("[0,13]"), TransitiveConfig(qmax=2, scope_cents=100.0), 50))
+@example((parse_chord("[3,9]"), TransitiveConfig(qmax=3, scope_cents=20.0), 10))  # infeasible
+@example((parse_chord("[0,4,7]"), TransitiveConfig(jnd_cents=10.0, scope_cents=30.0), 15))
+def test_transitive_field_equals_per_cell_oracle(window):
+    c1, cfg, resolution = window
+    got = _outcome(transitive_field, c1, len(c1), cfg, resolution)
+    want = _outcome(per_cell_transitive_field, c1, len(c1), cfg, resolution)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.values, w.values)
+        assert g.meta == w.meta and g.value_name == w.value_name
+        assert g.axis_names == w.axis_names and g.cells == w.cells
 
 
 def test_transitive_field_rejects_targets_beyond_the_octave():
@@ -286,6 +343,30 @@ def test_transitive_field_rejects_targets_beyond_the_octave():
     # the first cell's transition error comes before its octave error
     with pytest.raises(UnresolvableProgressionError, match="second chord"):
         transitive_field(c1, 2, TransitiveConfig(qmax=2, scope_cents=100.0), 50)
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ((1e308,), (-1e308,), "finite, got inf"),
+        ((0.0,), (-1e308, 1e308), "finite, got inf"),
+        ((1.0, 1.0000000000000002), (-1e10,), r"increasing, got \(10000000001\.0, 10000000001\.0\)"),
+        ((0.0, 7.0), (1e300,), r"increasing, got \(-1e\+300, -1e\+300\)"),
+    ],
+)
+def test_transition_shift_keeps_the_chord_errors(first, second, message):
+    # a shift by the second root that overflows or merges notes fails as a chord would
+    prog = Progression(Chord(first), Chord(second))
+    for quantity in (transitive_periodicity, relative_periodicity_to_first):
+        with pytest.raises(ValueError, match=message):
+            quantity(prog)
+
+
+def test_transitive_field_rejects_targets_off_the_float_range():
+    with pytest.raises(ValueError, match="finite, got inf"):
+        transitive_field(Chord((1e307,)), 1, TransitiveConfig(scope_cents=100.0), 50)
+    with pytest.raises(ValueError, match="finite, got -inf"):
+        transitive_field(Chord((-1e307, 0.0)), 2, TransitiveConfig(scope_cents=100.0), 50)
 
 
 def test_transitive_field_rejects_overlapping_windows():
