@@ -43,10 +43,8 @@ from .metric import (
 from .pitch import (
     DEFAULT_F0_HZ,
     Chord,
-    JndBox,
     format_chord,
     freq_from_pitch,
-    jnd_contains,
     normalize,
     parse_chord,
     pitch_from_freq,

@@ -144,6 +144,9 @@ def cmd_field(args) -> int:
         return EXIT_USAGE
     sigma = args.sigma if args.sigma is not None else cfg.sigma_cents()
     out = Path(args.out)
+    if args.matrix and args.kind != "transitive" and args.size != 3:
+        print("error: matrix export is defined for 2-d fields only", file=sys.stderr)
+        return EXIT_USAGE
 
     paths = [out]
     if args.kind == "periodicity":

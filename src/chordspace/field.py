@@ -363,33 +363,19 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
     if not on_grid or not 0 <= round(t) < field.counts[axis]:
         raise ValueError(f"{value_cents} cents is not on the grid of axis {axis}")
 
-    origins, counts, names = [], [], []
-    window: list = []
-    for k in range(field.dims):
-        if k == axis:
-            window.append(int(round(t)))
-            continue
-        o, c, drop = field.origins[k], field.counts[k], 0
-        if field.simplex and k < axis:
-            c = min(c, int((value_cents - o) // field.resolution) + 1)
-        if field.simplex and k > axis:
-            drop = max(0, int((value_cents - o) // field.resolution))
-            o, c = o + drop * field.resolution, c - drop
-        window.append(slice(drop, drop + c))
-        origins.append(o)
-        counts.append(c)
-        names.append(field.axis_names[k])
-
-    keep_simplex = field.simplex and len(counts) >= 2
-    axes = [o + field.resolution * np.arange(c, dtype=float) for o, c in zip(origins, counts)]
-    values = field.dense()[tuple(window)][_cell_mask(axes, keep_simplex)]
+    at = (slice(None),) * axis + (int(round(t)),)
+    values, kept = field.dense()[at], field.mask[at]  # dense() first: it owns the grid error
+    box = np.argwhere(kept)  # nonzero would raise on the 0-d slice of a dyad field
+    lo, hi = box.min(axis=0).tolist(), (box.max(axis=0) + 1).tolist()
+    window = tuple(map(slice, lo, hi))
+    rest = [k for k in range(field.dims) if k != axis]
     return ScalarField(
         resolution=field.resolution,
-        origins=tuple(origins),
-        counts=tuple(counts),
-        simplex=keep_simplex,
-        axis_names=tuple(names),
-        values=values,
+        origins=tuple(field.origins[k] + field.resolution * a for k, a in zip(rest, lo)),
+        counts=tuple(b - a for a, b in zip(lo, hi)),
+        simplex=field.simplex,
+        axis_names=tuple(field.axis_names[k] for k in rest),
+        values=values[window][kept[window]],
         value_name=field.value_name,
         meta=dict(field.meta, sliced_axis=field.axis_names[axis], sliced_at=value_cents),
     )

@@ -177,21 +177,22 @@ def _window(cfg: PeriodicityConfig) -> float:
     return cfg.jnd_cents if cfg.pairwise_constraint else math.inf
 
 
+#: The root's candidate list: exactly 1/1, detuned by 0 cents.
+_ROOT = ((1, 1, 0.0),)
+
+
 def min_lcm(
-    lists: list[tuple[tuple[int, int, float], ...]],
-    window: float,
-    seed_lcm: int = 1,
-    lo: float = math.inf,
-    hi: float = -math.inf,
+    lists: list[tuple[tuple[int, int, float], ...]], window: float, seed_lcm: int = 1
 ) -> tuple[int, tuple[tuple[int, int, float], ...]] | None:
     """Branch-and-bound for the minimal-lcm choice of one candidate per list.
 
     ``lists`` hold ``(q, p, detuning)`` candidates in ascending-denominator
     order, as :func:`ratio_candidates` returns them.  The running lcm of the
-    denominators q starts at ``seed_lcm`` and the detuning window at [lo, hi]
-    (empty by default); every chosen detuning must keep the window at most
-    ``window`` cents wide.  Returns (lcm, chosen triples) for the first
-    minimal choice in list order, or None.
+    denominators q starts at ``seed_lcm`` and the detuning window starts
+    empty; every chosen detuning must keep the window at most ``window``
+    cents wide.  A pinned root is the one-candidate list :data:`_ROOT`,
+    placed first so that the window opens at its 0.  Returns (lcm, chosen
+    triples) for the first minimal choice in list order, or None.
     """
     best = math.inf
     found = None
@@ -219,7 +220,7 @@ def min_lcm(
 
     if not lists:
         return seed_lcm, ()
-    search(0, seed_lcm, lo, hi, [])
+    search(0, seed_lcm, math.inf, -math.inf, [])
     return None if found is None else (best, found)
 
 
@@ -256,19 +257,15 @@ def chord_periodicity(
         raise ValueError(f"chord must be rooted at 0, got root {c.notes[0]!r}")
     _check_octave(c.notes)
     lists = [ratio_candidates(p * CENTS_PER_SEMITONE, cfg) for p in c.notes[1:]]
-    found = min_lcm(lists, _window(cfg), lo=0.0, hi=0.0)  # the root's 1/1 is exact
+    found = min_lcm([_ROOT] + lists, _window(cfg))
     if found is None:
         raise UnresolvableChordError(
             f"no joint rational tuning of {c} within {cfg.jnd_cents:g} cents "
             f"and denominators <= {cfg.qmax}"
         )
     lcm, chosen = found
-    tuning = RationalTuning(
-        ratios=(Fraction(1),) + tuple(Fraction(p, q) for q, p, _ in chosen),
-        detunings_cents=(0.0,) + tuple(d for _, _, d in chosen),
-        periodicity=lcm,
-    )
-    return lcm, tuning
+    ratios = tuple(Fraction(p, q) for q, p, _ in chosen)
+    return lcm, RationalTuning(ratios, tuple(d for _, _, d in chosen), lcm)
 
 
 def rerooted_periodicity(
@@ -285,7 +282,7 @@ def rerooted_periodicity(
     best = None
     for r in c.notes:
         lists = _unclamped([p - r for p in c.notes if p != r], cfg)
-        found = min_lcm(lists, _window(cfg), lo=0.0, hi=0.0)
+        found = min_lcm([_ROOT] + lists, _window(cfg))
         per_root[r] = found[0] if found else None
         if found and (best is None or found[0] < best):
             best = found[0]
@@ -318,13 +315,13 @@ def periodicity_field(
     for L = 1 ... ``cfg.qmax`` it keeps each axis value's detunings with q | L
     and gives L to every unassigned cell with a choice whose float max - min,
     the root's 0 included, fits :func:`min_lcm`'s window.  Cells left after qmax
-    run :func:`min_lcm` one by one in lexicographic order (L* > qmax); the first
-    infeasible one raises :func:`chord_periodicity`'s error.
+    (L* > qmax) run :func:`chord_periodicity` one by one in lexicographic order,
+    on the same candidate lists; the first infeasible one raises its error.
     """
     if n not in (2, 3, 4):
         raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
     idx = (simplex_cells(n - 1, resolution).T / resolution).astype(np.intp)  # a row per note
-    lists = [((1, 1, 0.0),)] + [  # axis value 0 is the root, tuned to 1/1
+    lists = [_ROOT] + [  # axis value 0 is the root, tuned to 1/1
         ratio_candidates(k * resolution / CENTS_PER_SEMITONE * CENTS_PER_SEMITONE, cfg)
         for k in range(1, 1200 // resolution + 1)
     ]
@@ -353,9 +350,8 @@ def periodicity_field(
         values[pos[~keep]] = math.log2(lcm)
         idx, pos = idx[:, keep], pos[keep]
     for p, row in zip(pos.tolist(), idx.T.tolist()):
-        found = min_lcm([lists[k] for k in dict.fromkeys(row)], window, lo=0.0, hi=0.0)
         chord = cell_chord(tuple(float(k * resolution) for k in row))
-        values[p] = math.log2(found[0] if found else chord_periodicity(chord, cfg)[0])
+        values[p] = math.log2(chord_periodicity(chord, cfg)[0])
     return make_simplex_field(
         n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
     )

@@ -1,9 +1,9 @@
-"""Pitch/frequency conversion, chord normalization and detuning neighborhoods.
+"""Pitch/frequency conversion and chord normalization.
 
 Pitches are real numbers in semitones relative to C4 (one semitone = 100
 cents).  A chord is the canonical representative of an unordered pitch set:
 strictly increasing, exact duplicates removed.  Tolerance-based identification
-is never part of chord equality; it lives in :class:`JndBox`.
+is never part of chord equality; the JND window lives in the tuning search.
 """
 
 from __future__ import annotations
@@ -95,37 +95,6 @@ def cell_chord(coords: tuple[float, ...]) -> Chord:
 def shift(c: Chord, p: float) -> Chord:
     """Translate every note of ``c`` down by ``p`` semitones."""
     return Chord(tuple(x - p for x in c.notes))
-
-
-@dataclass(frozen=True)
-class JndBox:
-    """Detuning neighborhood: per-note bound and pairwise bound, both in cents."""
-
-    jnd_cents: float = 18.0
-
-    def __post_init__(self):
-        if not (self.jnd_cents > 0 and math.isfinite(self.jnd_cents)):
-            raise ValueError(f"jnd_cents must be positive, got {self.jnd_cents!r}")
-
-
-def jnd_contains(center: Chord, candidate: Chord, box: JndBox) -> bool:
-    """True iff per-note detunings stay within the box, coordinate by coordinate.
-
-    Detunings d_i = candidate_i - center_i (in cents) must satisfy
-    ``|d_i| <= jnd`` and ``|d_i - d_j| <= jnd`` for all pairs.  Symmetric in
-    its two chord arguments.
-    """
-    if len(center) != len(candidate):
-        raise ValueError(
-            f"note counts differ: {len(center)} vs {len(candidate)}"
-        )
-    ds = [
-        (q - p) * CENTS_PER_SEMITONE
-        for p, q in zip(center.notes, candidate.notes)
-    ]
-    if any(abs(d) > box.jnd_cents for d in ds):
-        return False
-    return max(ds) - min(ds) <= box.jnd_cents
 
 
 _CHORD_RE = re.compile(r"^\s*\[?\s*(.*?)\s*\]?\s*$", re.S)

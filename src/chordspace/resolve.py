@@ -28,7 +28,9 @@ from itertools import product
 
 from .errors import UnresolvableProgressionError
 from .field import ScalarField, make_box_field
-from .harmonicity import PeriodicityConfig, _check_octave, _unclamped, chord_periodicity, min_lcm
+from .harmonicity import (
+    _ROOT, PeriodicityConfig, _check_octave, _unclamped, chord_periodicity, min_lcm
+)
 from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch, normalize, shift
 
 __all__ = [
@@ -83,51 +85,45 @@ def _rooted(notes, s: float) -> tuple[float, ...]:
     return out
 
 
-def _min_ratio(pinned, p: int, others, jnd: float) -> int | None:
-    """Minimal lcm / p over joint tunings whose pinned chord realizes its own
-    minimal lcm ``p``, with the second chord's root at detuning 0.
-
-    One search: the pinned lists keep only candidates whose denominator
-    divides p, and the running lcm starts at p.  Each pinned sub-tuning fits
-    a window its minimal search also allowed, so its lcm is at least p; as
-    every denominator divides p, it is exactly p.
-    """
-    sub = [[c for c in lst if p % c[0] == 0] for lst in pinned]
-    found = min_lcm(sub + others, jnd, p, 0.0, 0.0)
-    return None if found is None else found[0] // p
-
-
 def _transition(
     first: tuple[float, ...], second: tuple[float, ...], pcfg: PeriodicityConfig, pin_second: bool
 ) -> tuple[int, int]:
-    """(:func:`_min_ratio`, p) for the pinned chord's own minimal lcm p, from
-    the two chords' notes shifted down by the second chord's root.
+    """(L / p, p): p is the pinned chord's own minimal lcm, L the minimal lcm
+    of a joint tuning of both chords in which the pinned chord realizes p,
+    from the two chords' notes shifted down by the second chord's root.
 
-    A pinned second chord starts the window at its root's 0, a pinned first
-    chord starts it empty.  The other chord's lists are built only after the
-    pinned search succeeds, so an infeasible pinned chord wins over an
-    overflowing window.  A pinned second chord within the octave gets the p
-    and first witness of :func:`chord_periodicity` from unclamped lists: they
-    add only ratios below 1/1 or above 2/1, detuned further from the root's 0
-    than 1/1 or 2/1 (both q = 1).  Swapping in 1/1 or 2/1 keeps the window,
-    cannot raise the lcm and comes earlier in (q, p) order.
+    A pinned second chord leads its lists with :data:`_ROOT`, so its window
+    opens at its root's 0; a pinned first chord's window starts empty.  The
+    joint search leads with :data:`_ROOT` as well, keeps only the pinned
+    candidates whose denominator divides p and starts its lcm at p.  Each
+    pinned sub-tuning fits a window its minimal search also allowed, so its
+    lcm is at least p; as every denominator divides p, it is exactly p.
+
+    The other chord's lists are built only after the pinned search succeeds,
+    so an infeasible pinned chord wins over an overflowing window.  A pinned
+    second chord within the octave gets the p and first witness of
+    :func:`chord_periodicity` from unclamped lists: they add only ratios
+    below 1/1 or above 2/1, detuned further from the root's 0 than 1/1 or 2/1
+    (both q = 1).  Swapping in 1/1 or 2/1 keeps the window, cannot raise the
+    lcm and comes earlier in (q, p) order.
     """
     c1, c2 = _rooted(first, second[0]), _rooted(second, second[0])
     pinned, other = (c2[1:], c1) if pin_second else (c1, c2[1:])
     lists = _unclamped(pinned, pcfg)
-    lo, hi = (0.0, 0.0) if pin_second else (math.inf, -math.inf)
-    found = min_lcm(lists, pcfg.jnd_cents, 1, lo, hi)
+    found = min_lcm([_ROOT] + lists if pin_second else lists, pcfg.jnd_cents)
     if found is None:
         which, notes = ("second", second) if pin_second else ("first", first)
         raise UnresolvableProgressionError(
             f"{which} chord {Chord(notes)} admits no rational tuning within bounds"
         )
-    ratio = _min_ratio(lists, found[0], _unclamped(other, pcfg), pcfg.jnd_cents)
-    if ratio is None:
+    p = found[0]
+    sub = [[c for c in lst if p % c[0] == 0] for lst in lists]
+    found = min_lcm([_ROOT] + sub + _unclamped(other, pcfg), pcfg.jnd_cents, p)
+    if found is None:
         raise UnresolvableProgressionError(
             f"no joint tuning of {Chord(first)} -> {Chord(second)} within bounds"
         )
-    return ratio, found[0]
+    return found[0] // p, p
 
 
 def transitive_periodicity(prog: Progression, cfg: TransitiveConfig = TransitiveConfig()) -> int:

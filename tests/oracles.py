@@ -37,6 +37,7 @@ from chordspace.field import (
     simplex_cells,
 )
 from chordspace.harmonicity import (
+    _ROOT,
     PeriodicityConfig,
     _field_meta,
     _window,
@@ -253,6 +254,16 @@ def farey_start_scan(a: int, b: int, n: int) -> tuple[int, int, int, int]:
     return first.numerator, first.denominator, second.numerator, second.denominator
 
 
+def within_jnd(detunings: tuple[float, ...], jnd_cents: float, pairwise: bool = True) -> bool:
+    """The window rule on a tuning's detunings (cents): each within the JND
+    and, with ``pairwise``, every pairwise difference as well.  Stated on
+    detunings, not chords: a witness may tune two notes to the same ratio,
+    which no ``Chord`` can hold."""
+    if any(abs(d) > jnd_cents for d in detunings):
+        return False
+    return not pairwise or max(detunings) - min(detunings) <= jnd_cents
+
+
 def exhaustive_chord_periodicity(
     notes_semitones: tuple[float, ...], cfg: PeriodicityConfig
 ) -> tuple[int, tuple[Fraction, ...]] | None:
@@ -265,10 +276,7 @@ def exhaustive_chord_periodicity(
     best = None
     best_fracs = None
     for combo in itertools.product(*lists):
-        ds = [0.0] + [d for _, _, d in combo]
-        if any(abs(d) > cfg.jnd_cents for d in ds):
-            continue
-        if cfg.pairwise_constraint and max(ds) - min(ds) > cfg.jnd_cents:
+        if not within_jnd([0.0] + [d for _, _, d in combo], cfg.jnd_cents, cfg.pairwise_constraint):
             continue
         value = math.lcm(*(q for q, _, _ in combo)) if combo else 1
         if best is None or value < best:
@@ -631,8 +639,6 @@ def tunings_with_lcm(
     target: int,
     window: float,
     seed_lcm: int = 1,
-    lo: float = math.inf,
-    hi: float = -math.inf,
 ) -> Iterator[tuple[tuple[int, int, float], ...]]:
     """Every choice of one ``(q, p, detuning)`` candidate per list whose lcm
     of denominators with ``seed_lcm`` is ``target``.
@@ -655,7 +661,7 @@ def tunings_with_lcm(
             chosen.pop()
 
     if all(sub):
-        yield from walk(0, seed_lcm, lo, hi, [])
+        yield from walk(0, seed_lcm, math.inf, -math.inf, [])
 
 
 def sweep_periodicity_field(
@@ -692,7 +698,7 @@ def sweep_periodicity_field(
         stamped = [
             i
             for i in remaining
-            if next(tunings_with_lcm(cand_per_cell[i], q, window, lo=0.0, hi=0.0), None)
+            if next(tunings_with_lcm([_ROOT] + cand_per_cell[i], q, window), None)
             is not None
         ]
         for i in stamped:
@@ -715,11 +721,11 @@ def _second_side(prog: Progression, pcfg: PeriodicityConfig):
     tunings that realize p2; None when the second chord has no tuning."""
     s = prog.second.root
     lists2 = [ratio_candidates((x - s) * 100.0, pcfg, clamp=False) for x in prog.second.notes[1:]]
-    found = min_lcm(lists2, pcfg.jnd_cents, lo=0.0, hi=0.0)
+    found = min_lcm([_ROOT] + lists2, pcfg.jnd_cents)
     if found is None:
         return None
     p2 = found[0]
-    tunings2 = tunings_with_lcm(lists2, p2, pcfg.jnd_cents, lo=0.0, hi=0.0)
+    tunings2 = tunings_with_lcm([_ROOT] + lists2, p2, pcfg.jnd_cents)
     lists1 = [ratio_candidates((x - s) * 100.0, pcfg, clamp=False) for x in prog.first.notes]
     return lists1, p2, tunings2
 
@@ -732,8 +738,8 @@ def _feasible_at_ratio(prog: Progression, cfg: TransitiveConfig, ratio: int) -> 
         return False
     lists1, p2, tunings2 = second
     for chosen in tunings2:
-        ds = [0.0] + [d for _, _, d in chosen]
-        tunings = tunings_with_lcm(lists1, ratio * p2, pcfg.jnd_cents, p2, min(ds), max(ds))
+        pinned = [(c,) for c in chosen]  # the second chord's tuning, one candidate per note
+        tunings = tunings_with_lcm(pinned + lists1, ratio * p2, pcfg.jnd_cents, p2)
         if next(tunings, None) is not None:
             return True
     return False

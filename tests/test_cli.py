@@ -264,13 +264,22 @@ def test_field_transitive_emits_pair(tmp_path, capsys):
     assert (tmp_path / "win2.csv").read_bytes() == out.read_bytes()
 
 
-def test_field_transitive_rejects_matrix_before_computing(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "field_args,message",
+    [
+        (("transitive", "2", "--from", "[3,9]", "--scope", "200c", "--res", "10"), "--matrix"),
+        (("periodicity", "2", "--res", "10"), "matrix export is defined for 2-d fields only"),
+        (("roughness", "4", "--res", "100"), "matrix export is defined for 2-d fields only"),
+    ],
+    ids=["transitive", "periodicity-dyad", "roughness-tetrad"],
+)
+def test_field_transitive_rejects_matrix_before_computing(tmp_path, capsys, field_args, message):
     code, stdout, err = run_cli(
-        capsys, "field", "transitive", "2", "--from", "[3,9]", "--scope", "200c",
-        "--res", "10", "--out", str(tmp_path / "w.csv"), "--matrix", str(tmp_path / "m.txt"),
+        capsys, "field", *field_args,
+        "--out", str(tmp_path / "w.csv"), "--matrix", str(tmp_path / "m.txt"),
     )
     assert code == 2 and stdout == ""
-    assert err.startswith("error:") and "--matrix" in err
+    assert err.startswith("error:") and message in err
     assert list(tmp_path.iterdir()) == []
 
 

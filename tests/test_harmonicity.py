@@ -9,6 +9,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from chordspace.errors import UnresolvableChordError, UnresolvableIntervalError
 from chordspace.harmonicity import (
+    _ROOT,
     PeriodicityConfig,
     _farey_start,
     RationalTuning,
@@ -29,6 +30,7 @@ from oracles import (
     per_cell_periodicity_field,
     scan_min_denominator,
     sweep_periodicity_field,
+    within_jnd,
 )
 
 # the thirteen one-octave dyads: (semitones, ratio, periodicity)
@@ -426,7 +428,29 @@ def test_min_lcm_of_rooted_octave_chord_ignores_clamping(notes, jnd):
     clamped, unclamped = (
         [ratio_candidates(x * 100.0, cfg, clamp) for x in sorted(notes)] for clamp in (True, False)
     )
-    assert min_lcm(clamped, jnd, lo=0.0, hi=0.0) == min_lcm(unclamped, jnd, lo=0.0, hi=0.0)
+    assert min_lcm([_ROOT] + clamped, jnd) == min_lcm([_ROOT] + unclamped, jnd)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    notes=st.lists(st.floats(0.0, 12.0, exclude_min=True), max_size=3, unique=True),
+    jnd=st.sampled_from([10.0, 18.0, 25.0]),
+    pairwise=st.booleans(),
+)
+@example(notes=[7.0, 7.0 + 1e-12], jnd=18.0, pairwise=True)  # two notes tuned to 3/2
+@example(notes=[0.05, 12.0], jnd=10.0, pairwise=False)
+def test_chord_periodicity_witness_obeys_the_window_rule(notes, jnd, pairwise):
+    chord = Chord((0.0,) + tuple(sorted(notes)))
+    try:
+        _, tuning = chord_periodicity(chord, PeriodicityConfig(jnd, pairwise_constraint=pairwise))
+    except UnresolvableChordError:
+        event("infeasible")
+        return
+    ratios, ds = tuning.ratios, tuning.detunings_cents
+    assert ratios[0] == 1 and ds[0].hex() == (0.0).hex()
+    for r, d, x in zip(ratios[1:], ds[1:], chord.notes[1:]):
+        assert d.hex() == (1200.0 * math.log2(r.numerator / r.denominator) - x * 100.0).hex()
+    assert within_jnd(ds, jnd, pairwise)  # with pairwise: a spread, 0 included, within the JND
 
 
 def test_config_validation():

@@ -5,10 +5,8 @@ import pytest
 
 from chordspace.pitch import (
     Chord,
-    JndBox,
     format_chord,
     freq_from_pitch,
-    jnd_contains,
     normalize,
     parse_chord,
     pitch_from_freq,
@@ -101,38 +99,6 @@ def test_shift_examples_and_inverse():
         p = rng.uniform(-5, 5)
         back = shift(shift(c, p), -p)
         assert all(abs(a - b) < 1e-12 for a, b in zip(back.notes, c.notes))
-
-
-def test_jnd_contains_examples():
-    box = JndBox(18.0)
-    assert jnd_contains(normalize([0, 7]), normalize([0, 7]), box)
-    # detunings (10, -5) cents: both bounds hold
-    assert jnd_contains(normalize([0, 7]), normalize([0.10, 6.95]), box)
-    # detunings (10, -10) cents: each within 18 but the pair differs by 20
-    assert not jnd_contains(normalize([0, 7]), normalize([0.10, 6.90]), box)
-    assert not jnd_contains(normalize([0]), normalize([0.19]), box)
-
-
-def test_jnd_contains_symmetric_and_reflexive():
-    box = JndBox(18.0)
-    rng = random.Random(3)
-    for _ in range(200):
-        c = normalize([rng.uniform(0, 12) for _ in range(3)])
-        d = normalize([p + rng.uniform(-0.3, 0.3) for p in c.notes])
-        if len(d) != len(c):
-            continue
-        assert jnd_contains(c, d, box) == jnd_contains(d, c, box)
-        assert jnd_contains(c, c, box)
-
-
-def test_jnd_contains_count_mismatch():
-    with pytest.raises(ValueError):
-        jnd_contains(normalize([0]), normalize([0, 7]), JndBox())
-
-
-def test_jnd_box_requires_positive_width():
-    with pytest.raises(ValueError):
-        JndBox(0.0)
 
 
 def test_parse_and_format_round_trip():
