@@ -364,7 +364,7 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
         raise ValueError(f"{value_cents} cents is not on the grid of axis {axis}")
 
     at = (slice(None),) * axis + (int(round(t)),)
-    values, kept = field.dense()[at], field.mask[at]  # dense() first: it owns the grid error
+    positions, kept = field._positions[at], field.mask[at]  # a kept cell's own value
     box = np.argwhere(kept)  # nonzero would raise on the 0-d slice of a dyad field
     lo, hi = box.min(axis=0).tolist(), (box.max(axis=0) + 1).tolist()
     window = tuple(map(slice, lo, hi))
@@ -375,7 +375,7 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
         counts=tuple(b - a for a, b in zip(lo, hi)),
         simplex=field.simplex,
         axis_names=tuple(field.axis_names[k] for k in rest),
-        values=values[window][kept[window]],
+        values=field.values[positions[window][kept[window]]],
         value_name=field.value_name,
         meta=dict(field.meta, sliced_axis=field.axis_names[axis], sliced_at=value_cents),
     )
@@ -384,23 +384,27 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
 # -- serialization ----------------------------------------------------------
 
 
+#: Rows per ``export_csv`` write; any size gives the same bytes.
+_CSV_CHUNK_ROWS = 65536
+
+
 def export_csv(field: ScalarField, path) -> None:
     """Write cells as CSV: coordinate columns, then the value at 6 decimals.
 
     Each axis's coordinates are formatted once; every cell picks its labels
-    by grid index, so no per-cell tuple is built.
+    by grid index, so no per-cell tuple is built.  Rows are written in chunks
+    of :data:`_CSV_CHUNK_ROWS`, so no more than one chunk's strings are held.
     """
+    labels = [np.array([_fmt_coord(c) for c in field.axis_coords(k).tolist()], dtype=object)
+              for k in range(field.dims)]
     idx = np.argwhere(field.mask)
-    columns = [
-        np.array([_fmt_coord(c) for c in field.axis_coords(k).tolist()], dtype=object)[
-            idx[:, k]
-        ].tolist()
-        for k in range(field.dims)
-    ]
-    rows = map(",".join, zip(*columns, map(_fmt_value, field.values.tolist())))
-    header = ",".join(field.axis_names + (field.value_name,))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(itertools.chain([header], rows)) + "\n")
+        fh.write(",".join(field.axis_names + (field.value_name,)) + "\n")
+        for start in range(0, len(idx), _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            columns = [lab[idx[rows, k]].tolist() for k, lab in enumerate(labels)]
+            values = map(_fmt_value, field.values[rows].tolist())
+            fh.write("\n".join(map(",".join, zip(*columns, values))) + "\n")
 
 
 def _data_lines(path, header_line: int) -> list[tuple[int, str]]:

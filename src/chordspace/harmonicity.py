@@ -6,12 +6,16 @@ the periodicity of a chord is the least common multiple of the denominators
 of a joint rational tuning of all notes relative to the root.  The search for
 a joint tuning keeps every per-note detuning within the JND and, by default,
 every pairwise detuning difference within the JND as well.
+
+A candidate list ``(cents, pairs)`` is a window onto one shared table of ``(q, p,
+1200 log2(p/q))`` triples, built once per octave part of at most one JND: ``pairs`` holds
+its ratios' triples in (q, p) order, each detuned by ``log - cents`` when a search reads it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -136,24 +140,53 @@ def _farey_start(a: int, b: int, n: int) -> tuple[int, int, int, int]:
     return rp, rq, k * rp - lp, k * rq - lq
 
 
+def _part_of(a: int, b: int, m: int) -> int:
+    """Index e*m + j of the octave part [2**e (m+j)/m, 2**e (m+j+1)/m) holding a/b > 0."""
+    e = a.bit_length() - b.bit_length()
+    e -= a << max(-e, 0) < b << max(e, 0)  # a/b < 2**e
+    return e * m + (a * m << max(-e, 0)) // (b << max(e, 0)) - m
+
+
+@lru_cache(maxsize=65536)
+def _octave_part(k: int, m: int, qmax: int) -> tuple[tuple[int, int, float], ...]:
+    """``(q, p, 1200 log2(p/q))`` of each reduced p/q, q <= qmax, in octave part k, ascending,
+    by a walk along the Farey sequence of order qmax: p/q < r/s are followed by (n*r - p)/(n*s
+    - q), n = (qmax + q) // s (Graham, Knuth & Patashnik, *Concrete Mathematics*, 4.5)."""
+    e, j = divmod(k, m)
+    a, b, c = (m + j) << max(e, 0), m << max(-e, 0), (m + j + 1) << max(e, 0)  # [a/b, c/b)
+    p, q, r, s = _farey_start(a, b, qmax)
+    out, log2 = [], math.log2
+    while p * b < c * q:
+        out.append((q, p, 1200.0 * log2(p / q)))
+        n = (qmax + q) // s
+        p, r = r, n * r - p
+        q, s = s, n * s - q
+    return tuple(out)
+
+
 @lru_cache(maxsize=65536)
 def _candidates_cached(
     cents: float, jnd_cents: float, qmax: int, clamp: bool
-) -> tuple[tuple[int, int, float], ...]:
-    """Walk the Farey sequence of order qmax through the window: p/q < r/s
-    are followed by (k*r - p)/(k*s - q), k = (qmax + q) // s (Graham, Knuth &
-    Patashnik, *Concrete Mathematics*, 2nd ed., section 4.5)."""
+) -> tuple[float, tuple[tuple[int, int, float], ...]]:
+    """``(cents, pairs)``: the shared :func:`_octave_part` triples of the window's
+    ratios, from the parts it touches, trimmed at both ends and stably sorted by q."""
     (a, b), (c, d) = _ratio_window(cents, jnd_cents, clamp, qmax)
-    # a lower end that underflowed to 0 starts at 1/qmax, the least ratio with p >= 1
-    p, q, r, s = _farey_start(a, b, qmax) if a else _farey_start(1, qmax, qmax)
-    pairs, log2 = [], math.log2
-    while p * d <= c * q:
-        pairs.append((q, p))
-        k = (qmax + q) // s
-        p, r = r, k * r - p
-        q, s = s, k * s - q
-    pairs.sort(key=itemgetter(0))  # stable: each q's numerators already ascend
-    return tuple([(q, p, 1200.0 * log2(p / q) - cents) for q, p in pairs])
+    if a * qmax < b:  # no ratio lies below 1/qmax; a lower end that underflowed to 0 starts there
+        a, b = 1, qmax
+    if a * d > c * b:
+        return cents, ()
+    # m parts per octave, each at most one JND (1732 > 1200/ln 2) and 2**20/qmax**2 wide
+    u, v = jnd_cents.as_integer_ratio()
+    m = max(-(-1732 * v // u), qmax * qmax >> 20)
+    parts = range(_part_of(a, b, m), _part_of(c, d, m) + 1)
+    ratios = [t for k in parts for t in _octave_part(k, m, qmax)]
+    i = bisect_left(ratios, a / b, key=lambda t: t[1] / t[0])  # floats first, then exact
+    while i < len(ratios) and ratios[i][1] * b < a * ratios[i][0]:
+        i += 1
+    j = bisect_right(ratios, c / d, i, key=lambda t: t[1] / t[0])
+    while j > i and ratios[j - 1][1] * d > c * ratios[j - 1][0]:
+        j -= 1
+    return cents, tuple(sorted(ratios[i:j], key=itemgetter(0)))  # stable: each q's p ascend
 
 
 def ratio_candidates(
@@ -164,12 +197,12 @@ def ratio_candidates(
 
     With ``clamp`` the window is intersected with the octave [1, 2], matching
     chords normalized to one octave; without it any positive ratio is
-    admitted, which covers notes outside the reference octave.  A walk along
-    the Farey sequence of order ``qmax`` (Graham, Knuth & Patashnik, *Concrete
-    Mathematics*, section 4.5) lists exactly these; over about 1.2 million of
-    them, ``(hi - lo) * qmax**2 > 4e6``, raise ``ValueError`` instead.
+    admitted, which covers notes outside the reference octave.  The triples
+    come from the shared table of :func:`_candidates_cached`; over about 1.2
+    million ratios, ``(hi - lo) * qmax**2 > 4e6``, raise ``ValueError`` instead.
     """
-    return _candidates_cached(float(cents), cfg.jnd_cents, cfg.qmax, clamp)
+    cents, pairs = _candidates_cached(float(cents), cfg.jnd_cents, cfg.qmax, clamp)
+    return tuple([(q, p, log - cents) for q, p, log in pairs])
 
 
 def _window(cfg: PeriodicityConfig) -> float:
@@ -177,22 +210,23 @@ def _window(cfg: PeriodicityConfig) -> float:
     return cfg.jnd_cents if cfg.pairwise_constraint else math.inf
 
 
-#: The root's candidate list: exactly 1/1, detuned by 0 cents.
-_ROOT = ((1, 1, 0.0),)
+#: The root's candidate list: exactly 1/1 at 0 cents, detuned by 0 cents.
+_ROOT = (0.0, ((1, 1, 0.0),))
 
 
 def min_lcm(
-    lists: list[tuple[tuple[int, int, float], ...]], window: float, seed_lcm: int = 1
+    lists: list[tuple[float, tuple[tuple[int, int, float], ...]]], window: float, seed_lcm: int = 1
 ) -> tuple[int, tuple[tuple[int, int, float], ...]] | None:
     """Branch-and-bound for the minimal-lcm choice of one candidate per list.
 
-    ``lists`` hold ``(q, p, detuning)`` candidates in ascending-denominator
-    order, as :func:`ratio_candidates` returns them.  The running lcm of the
+    Each list is ``(cents, pairs)`` as :func:`_candidates_cached` returns it:
+    ``(q, p, log)`` triples in ascending-denominator order, a candidate's
+    detuning ``log - cents`` taken only when the search reaches it.  The running lcm of the
     denominators q starts at ``seed_lcm`` and the detuning window starts
     empty; every chosen detuning must keep the window at most ``window``
     cents wide.  A pinned root is the one-candidate list :data:`_ROOT`,
-    placed first so that the window opens at its 0.  Returns (lcm, chosen
-    triples) for the first minimal choice in list order, or None.
+    placed first so that the window opens at its 0.  Returns (lcm, chosen ``(q, p,
+    detuning)`` triples) for the first minimal choice in list order, or None.
     """
     best = math.inf
     found = None
@@ -200,13 +234,15 @@ def min_lcm(
 
     def search(i: int, cur: int, lo: float, hi: float, chosen: list):
         nonlocal best, found
-        for c in lists[i]:
-            q, _, d = c
+        cents, pairs = lists[i]
+        for c in pairs:
+            q = c[0]
             if q >= best:
                 break  # denominators ascend and the lcm is at least each one
             nxt = lcm(cur, q)
             if nxt >= best:
                 continue
+            d = c[2] - cents
             nlo = d if d < lo else lo
             nhi = d if d > hi else hi
             if nhi - nlo > window:
@@ -221,12 +257,13 @@ def min_lcm(
     if not lists:
         return seed_lcm, ()
     search(0, seed_lcm, math.inf, -math.inf, [])
-    return None if found is None else (best, found)
+    return None if found is None else (
+        best, tuple((q, p, log - cents) for (q, p, log), (cents, _) in zip(found, lists)))
 
 
-def _unclamped(notes, cfg: PeriodicityConfig) -> list:
-    """Unclamped candidate lists of notes given in semitones over the 1/1."""
-    return [ratio_candidates(p * CENTS_PER_SEMITONE, cfg, clamp=False) for p in notes]
+def _candidate_lists(notes, cfg: PeriodicityConfig, clamp: bool = False) -> list:
+    """Candidate lists of notes given in semitones over the 1/1, unclamped by default."""
+    return [_candidates_cached(x * CENTS_PER_SEMITONE, cfg.jnd_cents, cfg.qmax, clamp) for x in notes]
 
 
 def _check_octave(notes: tuple[float, ...]) -> None:
@@ -256,8 +293,7 @@ def chord_periodicity(
     if c.notes[0] != 0:
         raise ValueError(f"chord must be rooted at 0, got root {c.notes[0]!r}")
     _check_octave(c.notes)
-    lists = [ratio_candidates(p * CENTS_PER_SEMITONE, cfg) for p in c.notes[1:]]
-    found = min_lcm([_ROOT] + lists, _window(cfg))
+    found = min_lcm([_ROOT] + _candidate_lists(c.notes[1:], cfg, clamp=True), _window(cfg))
     if found is None:
         raise UnresolvableChordError(
             f"no joint rational tuning of {c} within {cfg.jnd_cents:g} cents "
@@ -281,7 +317,7 @@ def rerooted_periodicity(
     per_root: dict[float, int | None] = {}
     best = None
     for r in c.notes:
-        lists = _unclamped([p - r for p in c.notes if p != r], cfg)
+        lists = _candidate_lists([p - r for p in c.notes if p != r], cfg)
         found = min_lcm([_ROOT] + lists, _window(cfg))
         per_root[r] = found[0] if found else None
         if found and (best is None or found[0] < best):
@@ -321,10 +357,9 @@ def periodicity_field(
     if n not in (2, 3, 4):
         raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
     idx = (simplex_cells(n - 1, resolution).T / resolution).astype(np.intp)  # a row per note
-    lists = [_ROOT] + [  # axis value 0 is the root, tuned to 1/1
-        ratio_candidates(k * resolution / CENTS_PER_SEMITONE * CENTS_PER_SEMITONE, cfg)
-        for k in range(1, 1200 // resolution + 1)
-    ]
+    lists = [_ROOT] + _candidate_lists(  # axis value 0 is the root, tuned to 1/1
+        [k * resolution / CENTS_PER_SEMITONE for k in range(1, 1200 // resolution + 1)], cfg, True)
+    cents = np.array([c for c, _ in lists])
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])
     cands, read, lcm, bound = np.empty((0, 3)), [0] * len(lists), 0, 0  # rows (q, axis, detuning)
     while len(pos) and lcm < cfg.qmax:
@@ -332,10 +367,11 @@ def periodicity_field(
         if lcm > bound:  # read on to q <= 2 lcm, only for axis values still in use
             bound, upto = min(2 * lcm, cfg.qmax), read.copy()
             for k in np.flatnonzero(np.bincount(idx.ravel(), minlength=len(lists))).tolist():
-                upto[k] = bisect_right(lists[k], bound, key=itemgetter(0))
-            new = np.array([c for lst, i, j in zip(lists, read, upto) for c in lst[i:j]])
-            new = np.concatenate([cands, new.reshape(-1, 3)])
-            new[len(cands) :, 1] = np.repeat(np.arange(len(lists)), np.subtract(upto, read))
+                upto[k] = bisect_right(lists[k][1], bound, key=itemgetter(0))
+            new = np.array([c for (_, lst), i, j in zip(lists, read, upto) for c in lst[i:j]])
+            new = np.concatenate([cands, new.reshape(-1, 3)])  # rows (q, p, log) of the new ones
+            axis = np.repeat(np.arange(len(lists)), np.subtract(upto, read))
+            new[len(cands) :, 1], new[len(cands) :, 2] = axis, new[len(cands) :, 2] - cents[axis]
             cands, read = new[np.argsort(new[:, 1], kind="stable")], upto
         sel = cands[lcm % cands[:, 0] == 0]  # grouped by axis value
         axis = sel[:, 1].astype(np.intp)

@@ -29,7 +29,7 @@ from itertools import product
 from .errors import UnresolvableProgressionError
 from .field import ScalarField, make_box_field
 from .harmonicity import (
-    _ROOT, PeriodicityConfig, _check_octave, _unclamped, chord_periodicity, min_lcm
+    _ROOT, PeriodicityConfig, _candidate_lists, _check_octave, chord_periodicity, min_lcm
 )
 from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch, normalize, shift
 
@@ -109,7 +109,7 @@ def _transition(
     """
     c1, c2 = _rooted(first, second[0]), _rooted(second, second[0])
     pinned, other = (c2[1:], c1) if pin_second else (c1, c2[1:])
-    lists = _unclamped(pinned, pcfg)
+    lists = _candidate_lists(pinned, pcfg)
     found = min_lcm([_ROOT] + lists if pin_second else lists, pcfg.jnd_cents)
     if found is None:
         which, notes = ("second", second) if pin_second else ("first", first)
@@ -117,8 +117,8 @@ def _transition(
             f"{which} chord {Chord(notes)} admits no rational tuning within bounds"
         )
     p = found[0]
-    sub = [[c for c in lst if p % c[0] == 0] for lst in lists]
-    found = min_lcm([_ROOT] + sub + _unclamped(other, pcfg), pcfg.jnd_cents, p)
+    sub = [(cents, [c for c in pairs if p % c[0] == 0]) for cents, pairs in lists]
+    found = min_lcm([_ROOT] + sub + _candidate_lists(other, pcfg), pcfg.jnd_cents, p)
     if found is None:
         raise UnresolvableProgressionError(
             f"no joint tuning of {Chord(first)} -> {Chord(second)} within bounds"

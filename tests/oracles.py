@@ -37,7 +37,6 @@ from chordspace.field import (
     simplex_cells,
 )
 from chordspace.harmonicity import (
-    _ROOT,
     PeriodicityConfig,
     _field_meta,
     _window,
@@ -634,6 +633,10 @@ def per_cell_periodicity_field(
     return make_simplex_field(n - 1, resolution, values, "log2_periodicity", meta)
 
 
+#: The root's candidate triples: exactly 1/1, detuned by 0 cents.
+ROOT = ((1, 1, 0.0),)
+
+
 def tunings_with_lcm(
     lists: list[tuple[tuple[int, int, float], ...]],
     target: int,
@@ -698,7 +701,7 @@ def sweep_periodicity_field(
         stamped = [
             i
             for i in remaining
-            if next(tunings_with_lcm([_ROOT] + cand_per_cell[i], q, window), None)
+            if next(tunings_with_lcm([ROOT] + cand_per_cell[i], q, window), None)
             is not None
         ]
         for i in stamped:
@@ -721,11 +724,12 @@ def _second_side(prog: Progression, pcfg: PeriodicityConfig):
     tunings that realize p2; None when the second chord has no tuning."""
     s = prog.second.root
     lists2 = [ratio_candidates((x - s) * 100.0, pcfg, clamp=False) for x in prog.second.notes[1:]]
-    found = min_lcm([_ROOT] + lists2, pcfg.jnd_cents)
+    # triples as min_lcm's (cents, pairs) lists at 0 cents: each detuning is its own log
+    found = min_lcm([(0.0, lst) for lst in [ROOT] + lists2], pcfg.jnd_cents)
     if found is None:
         return None
     p2 = found[0]
-    tunings2 = tunings_with_lcm([_ROOT] + lists2, p2, pcfg.jnd_cents)
+    tunings2 = tunings_with_lcm([ROOT] + lists2, p2, pcfg.jnd_cents)
     lists1 = [ratio_candidates((x - s) * 100.0, pcfg, clamp=False) for x in prog.first.notes]
     return lists1, p2, tunings2
 

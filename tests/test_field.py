@@ -4,11 +4,13 @@ import os
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from chordspace import field as field_module
 from chordspace.field import (
     ScalarField,
     export_csv,
@@ -171,6 +173,19 @@ def test_slice_of_simplex_whose_later_axis_starts_above_the_pin():
     assert [cut.value_at(c) for c in cut.cells] == [
         fld.value_at((300.0, x3)) for x3 in range(500, 1201, 100)
     ]
+
+
+def test_slice_of_simplex_field_without_symmetric_extension():
+    # x2 up to 1200 c but x3 only up to 200 c: sorted coordinates leave the
+    # grid, so dense() fails, yet every cell of the slice x3 = 0 or 200 exists
+    fld = ScalarField(100, (0.0, 0.0), (13, 3), True, ("a", "b"), np.arange(6, dtype=float))
+    with pytest.raises(ValueError, match="no symmetric extension"):
+        fld.dense()
+    for at in (0.0, 100.0, 200.0):
+        cut = slice_field(fld, 1, at)
+        assert [cut.value_at(c) for c in cut.cells] == [fld.value_at(c + (at,)) for c in cut.cells]
+    assert slice_field(fld, 1, 0.0).values.tolist() == [0.0]
+    assert slice_field(fld, 1, 200.0).values.tolist() == [2.0, 4.0, 5.0]
 
 
 def test_slices_commute_on_tetrad_grid():
@@ -392,6 +407,16 @@ def csv_fields(values=ANY_FLOATS):
 @given(fld=csv_fields())
 def test_export_csv_equals_per_cell_oracle(fld):
     with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        export_csv(fld, got)
+        oracles.per_cell_export_csv(fld, want)
+        assert Path(got).read_bytes() == Path(want).read_bytes()
+
+
+@PROPERTY
+@given(fld=csv_fields(), chunk=st.integers(1, 7))
+def test_export_csv_bytes_do_not_depend_on_chunk_size(fld, chunk):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(field_module, "_CSV_CHUNK_ROWS", chunk):
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
         export_csv(fld, got)
         oracles.per_cell_export_csv(fld, want)

@@ -11,6 +11,7 @@ from chordspace.errors import UnresolvableChordError, UnresolvableIntervalError
 from chordspace.harmonicity import (
     _ROOT,
     PeriodicityConfig,
+    _candidates_cached,
     _farey_start,
     RationalTuning,
     chord_periodicity,
@@ -374,32 +375,48 @@ def test_farey_start_equals_scan(case):
     assert _farey_start(a, b, n) == farey_start_scan(a, b, n)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    cents=st.one_of(
+@st.composite
+def _windows(draw):
+    """(cents, jnd, qmax) of a ratio window."""
+    jnd, qmax = draw(st.one_of(
+        st.tuples(st.floats(0.5, 100.0), st.integers(2, 120)),  # narrow windows
+        st.tuples(st.floats(100.0, 2400.0), st.integers(2, 40)),  # unclamped ones spanning several units
+        # a few ratios of many thousands
+        st.tuples(st.floats(0.001, 0.5), st.integers(2, 5000) | st.integers(2000, 5000)),
+    ))
+    cents = draw(st.one_of(
         st.floats(-1200.0, 2400.0),
         st.floats(-1e300, -1e6),  # the lower end underflows to 0 below about -1.29e6
         st.sampled_from([math.inf, -math.inf]),
-    ),
-    # narrow windows up to qmax 120, and unclamped ones spanning several units
-    jnd_qmax=st.one_of(
-        st.tuples(st.floats(0.5, 100.0), st.integers(2, 120)),
-        st.tuples(st.floats(100.0, 2400.0), st.integers(2, 40)),
-    ),
-    clamp=st.booleans(),
-)
-@example(cents=0.0, jnd_qmax=(18.0, 100), clamp=True)
-@example(cents=1200.0, jnd_qmax=(18.0, 100), clamp=True)
-@example(cents=-1200.0, jnd_qmax=(18.0, 100), clamp=False)
-@example(cents=2400.0, jnd_qmax=(18.0, 100), clamp=False)
-@example(cents=701.955, jnd_qmax=(18.0, 100), clamp=True)
-@example(cents=-7e5, jnd_qmax=(7e5, 12), clamp=False)  # (0, 1]: lo underflows, p starts at 1
-@example(cents=math.inf, jnd_qmax=(18.0, 100), clamp=True)
-@example(cents=math.inf, jnd_qmax=(18.0, 100), clamp=False)
-def test_ratio_candidates_equal_fraction_scan(cents, jnd_qmax, clamp):
-    # the Farey walk on integer window bounds gives the Fraction scan's
-    # ratios, in its order, with bit-equal detunings
-    jnd, qmax = jnd_qmax
+        # across the octave edge 2**e; clamped, the windows at e = 0 and 1 end at 1/1 and 2/1
+        st.tuples(st.integers(-3, 3), st.floats(-1.0, 1.0)).map(lambda t: 1200.0 * t[0] + t[1] * jnd),
+        # around 1/qmax, the least ratio, where a lower end below it starts
+        st.floats(-1.0, 1.0).map(lambda t: -1200.0 * math.log2(qmax) + t * jnd),
+    ))
+    return cents, jnd, qmax
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(window=_windows(), clamp=st.booleans())
+@example(window=(0.0, 18.0, 100), clamp=True)
+@example(window=(1200.0, 18.0, 100), clamp=True)
+@example(window=(-1200.0, 18.0, 100), clamp=False)
+@example(window=(2400.0, 18.0, 100), clamp=False)
+@example(window=(701.955, 18.0, 100), clamp=True)
+@example(window=(-7e5, 7e5, 12), clamp=False)  # (0, 1]: lo underflows, p starts at 1
+@example(window=(math.inf, 18.0, 100), clamp=True)
+@example(window=(math.inf, 18.0, 100), clamp=False)
+@example(window=(0.2, 0.5, 5000), clamp=True)  # clamped at 1/1
+@example(window=(1199.8, 0.5, 5000), clamp=True)  # clamped at 2/1
+@example(window=(-3600.1, 0.3, 5000), clamp=False)  # across 1/8
+@example(window=(3600.0, 0.001, 5000), clamp=False)  # 8/1 alone
+@example(window=(-4300.0, 100.0, 12), clamp=False)  # starts at 1/12, in octave part 2**-4 (7 + 11/18)
+@example(window=(497.0449991346124, 1.0, 100), clamp=True)  # ends on float(4/3) < 4/3: 4/3 is out
+@example(window=(885.3587129994474, 1.0, 100), clamp=True)  # starts on float(5/3) > 5/3: 5/3 is out
+def test_ratio_candidates_equal_fraction_scan(window, clamp):
+    # the octave parts trimmed on integer window bounds give the Fraction
+    # scan's ratios, in its order, with bit-equal detunings
+    cents, jnd, qmax = window
     cfg = PeriodicityConfig(jnd_cents=jnd, qmax=qmax)
     try:
         want = fraction_candidates(cents, jnd, qmax, clamp)
@@ -410,6 +427,23 @@ def test_ratio_candidates_equal_fraction_scan(cents, jnd_qmax, clamp):
     got = ratio_candidates(cents, cfg, clamp)
     assert [(p, q) for q, p, _ in got] == [(f.numerator, f.denominator) for f, _ in want]
     assert [d.hex() for _, _, d in got] == [d.hex() for _, d in want]
+
+
+def test_window_narrowed_to_a_float_point_at_a_huge_qmax():
+    # 1e-14 c is below the float resolution of 2**(cents / 1200): the window
+    # is one float, so the ratio bound admits any qmax; the octave parts stay small
+    cfg = PeriodicityConfig(jnd_cents=1e-14, qmax=10**13)
+    assert ratio_candidates(1200.0, cfg) == ((1, 2, 0.0),)
+    assert ratio_candidates(400.0, cfg) == ()  # no p/q with q <= 10**13 is that float
+
+
+def test_windows_share_the_table_triples():
+    # two windows 1 c apart hold the same triple objects for every shared ratio
+    a, b = (dict(((q, p), t) for t in _candidates_cached(x, 18.0, 100, True)[1] for q, p, _ in [t])
+            for x in (700.0, 701.0))
+    shared = a.keys() & b.keys()
+    assert len(shared) > 50
+    assert all(a[k] is b[k] for k in shared)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -424,9 +458,8 @@ def test_min_lcm_of_rooted_octave_chord_ignores_clamping(notes, jnd):
     # notes in (0, 12] with the root pinned at 0: unclamped lists add only
     # ratios beyond 1/1 or 2/1, which never beat those q = 1 ratios, so both
     # the minimal lcm and the first minimal witness stay the same
-    cfg = PeriodicityConfig(jnd_cents=jnd)
     clamped, unclamped = (
-        [ratio_candidates(x * 100.0, cfg, clamp) for x in sorted(notes)] for clamp in (True, False)
+        [_candidates_cached(x * 100.0, jnd, 100, clamp) for x in sorted(notes)] for clamp in (True, False)
     )
     assert min_lcm([_ROOT] + clamped, jnd) == min_lcm([_ROOT] + unclamped, jnd)
 
