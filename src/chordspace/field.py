@@ -26,8 +26,7 @@ import numpy as np
 __all__ = [
     "ScalarField",
     "make_simplex_field",
-    "make_box_field",
-    "simplex_cells",
+    "interval_grid",
     "local_minima",
     "slice_field",
     "export_csv",
@@ -46,16 +45,50 @@ def _fmt_coord(c: float) -> str:
 _fmt_value = "{:.6f}".format
 
 
-def _cell_mask(axes: Sequence[np.ndarray], simplex: bool) -> np.ndarray:
-    """Included cells of the box spanned by coordinate ``axes``; C-order is
-    lexicographic.  A simplex keeps the cells whose coordinates never decrease.
-    """
-    mask = np.ones(tuple(len(a) for a in axes), dtype=bool)
+#: Most box cells of any grid: the tetrad at 4 cents (301**3) fits, at 3 cents does not.
+_MAX_BOX_CELLS = 2**25
+
+
+def _check_box(counts: Sequence[int]) -> None:
+    """Refuse a grid whose box exceeds :data:`_MAX_BOX_CELLS` cells."""
+    if math.prod(counts) > _MAX_BOX_CELLS:
+        raise ValueError(
+            f"a grid of {' x '.join(map(str, counts))} cells is larger than the "
+            f"{_MAX_BOX_CELLS:,} cells allowed"
+        )
+
+
+def _cell_mask(
+    origins: Sequence[float], resolution: float, counts: Sequence[int], simplex: bool
+) -> np.ndarray:
+    """Included cells of the box with these axes; C-order is lexicographic.  A
+    simplex keeps the cells whose coordinates never decrease."""
+    _check_box(counts)
+    mask = np.ones(tuple(counts), dtype=bool)
     if simplex:
+        axes = [o + resolution * np.arange(c, dtype=float) for o, c in zip(origins, counts)]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         for a, b in zip(grids, grids[1:]):
             mask &= a <= b
     return mask
+
+
+def interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one-octave grid of n-note chords rooted at 0: ``(notes, rows)``.
+
+    ``notes[k] = k * resolution / 100`` semitones is axis value k (index 0 is
+    the root's 0); ``rows`` is a ``(cells, n)`` array of note indices, one row
+    per cell, root first, in the lexicographic order of
+    :func:`make_simplex_field`.  It is the transpose of a C-ordered array, so
+    ``rows.T[k]`` is note k of every cell, contiguous.
+    """
+    if not 2 <= n <= 4:
+        raise ValueError(f"interval grids hold 2 to 4 notes, got {n}")
+    if resolution <= 0 or 1200 % resolution != 0:
+        raise ValueError(f"resolution {resolution} must be positive and divide 1200")
+    m = 1200 // resolution + 1
+    cells = np.nonzero(_cell_mask((0.0,) * (n - 1), resolution, (m,) * (n - 1), True))
+    return np.arange(m) * resolution / 100, np.stack((np.zeros_like(cells[0]), *cells)).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +122,7 @@ class ScalarField:
         vals = np.asarray(self.values, dtype=float)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        mask = _cell_mask([self.axis_coords(k) for k in range(self.dims)], self.simplex)
+        mask = _cell_mask(self.origins, self.resolution, self.counts, self.simplex)
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
         # Canonical flag: simplex that excludes nothing is stored as a box.
@@ -223,15 +256,6 @@ class ScalarField:
         )
 
 
-def simplex_cells(dims: int, resolution: int) -> np.ndarray:
-    """Grid cells of the one-octave interval simplex: a ``(cells, dims)``
-    array of cents, one row per cell in lexicographic order."""
-    if 1200 % resolution != 0:
-        raise ValueError(f"resolution {resolution} does not divide 1200")
-    axis = np.arange(0, 1201, resolution, dtype=float)
-    return axis[np.argwhere(_cell_mask([axis] * dims, True))]
-
-
 def make_simplex_field(
     dims: int,
     resolution: int,
@@ -246,27 +270,6 @@ def make_simplex_field(
         counts=(n,) * dims,
         simplex=dims >= 2,
         axis_names=tuple(f"x{k + 2}" for k in range(dims)),
-        values=np.asarray(values, dtype=float),
-        value_name=value_name,
-        meta=meta,
-    )
-
-
-def make_box_field(
-    resolution: int,
-    origins: Sequence[float],
-    counts: Sequence[int],
-    values: Sequence[float],
-    axis_names: Sequence[str],
-    value_name: str,
-    meta: dict,
-) -> ScalarField:
-    return ScalarField(
-        resolution=resolution,
-        origins=tuple(float(o) for o in origins),
-        counts=tuple(int(c) for c in counts),
-        simplex=False,
-        axis_names=tuple(axis_names),
         values=np.asarray(values, dtype=float),
         value_name=value_name,
         meta=meta,
@@ -293,22 +296,20 @@ def local_minima(
         return []
     dense = field.dense()
     counts = field.counts
-    # Lowest and highest neighbor of every cell, by shifted slices of padded
-    # copies; infinite padding makes a missing neighbor neither lower nor higher.
+    # Lowest neighbor of every cell, by shifted slices of a padded copy;
+    # infinite padding makes a missing neighbor never the lowest.
     low = np.pad(dense, radius, constant_values=np.inf)
-    high = np.pad(dense, radius, constant_values=-np.inf)
     nb_min = np.full(counts, np.inf)
-    nb_max = np.full(counts, -np.inf)
     for shift in itertools.product(range(2 * radius + 1), repeat=field.dims):
         if all(s == radius for s in shift):
             continue
         window = tuple(slice(s, s + n) for s, n in zip(shift, counts))
         np.minimum(nb_min, low[window], out=nb_min)
-        np.maximum(nb_max, high[window], out=nb_max)
     no_smaller = dense <= nb_min
 
-    # A cell strictly below its neighbors is a one-cell basin.
-    strict = field.mask & (dense < nb_min) & (nb_max > dense)
+    # A cell strictly below its neighbors is a one-cell basin; it has a
+    # (higher) neighbor exactly when the box holds more than one cell.
+    strict = field.mask & (dense < nb_min) & (dense.size > 1)
     reported = [
         (tuple(c), float(v))
         for c, v in zip(field._coords(np.argwhere(strict)).tolist(), dense[strict])
@@ -365,6 +366,9 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
 
     at = (slice(None),) * axis + (int(round(t)),)
     positions, kept = field._positions[at], field.mask[at]  # a kept cell's own value
+    if not kept.any():
+        name = field.axis_names[axis]
+        raise ValueError(f"no cell of the field has {name} = {value_cents:g} cents")
     box = np.argwhere(kept)  # nonzero would raise on the 0-d slice of a dyad field
     lo, hi = box.min(axis=0).tolist(), (box.max(axis=0) + 1).tolist()
     window = tuple(map(slice, lo, hi))

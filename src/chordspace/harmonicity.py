@@ -25,8 +25,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import UnresolvableChordError, UnresolvableIntervalError
-from .field import ScalarField, make_simplex_field, simplex_cells
-from .pitch import CENTS_PER_SEMITONE, Chord, cell_chord
+from .field import ScalarField, interval_grid, make_simplex_field
+from .pitch import CENTS_PER_SEMITONE, Chord, normalize
 
 __all__ = [
     "PeriodicityConfig",
@@ -354,11 +354,9 @@ def periodicity_field(
     (L* > qmax) run :func:`chord_periodicity` one by one in lexicographic order,
     on the same candidate lists; the first infeasible one raises its error.
     """
-    if n not in (2, 3, 4):
-        raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
-    idx = (simplex_cells(n - 1, resolution).T / resolution).astype(np.intp)  # a row per note
-    lists = [_ROOT] + _candidate_lists(  # axis value 0 is the root, tuned to 1/1
-        [k * resolution / CENTS_PER_SEMITONE for k in range(1, 1200 // resolution + 1)], cfg, True)
+    notes, idx = interval_grid(n, resolution)
+    idx = idx.T[1:]  # a contiguous row per non-root note; assigned cells leave it
+    lists = [_ROOT] + _candidate_lists(notes[1:].tolist(), cfg, True)  # axis value 0 is the root
     cents = np.array([c for c, _ in lists])
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])
     cands, read, lcm, bound = np.empty((0, 3)), [0] * len(lists), 0, 0  # rows (q, axis, detuning)
@@ -386,8 +384,7 @@ def periodicity_field(
         values[pos[~keep]] = math.log2(lcm)
         idx, pos = idx[:, keep], pos[keep]
     for p, row in zip(pos.tolist(), idx.T.tolist()):
-        chord = cell_chord(tuple(float(k * resolution) for k in row))
-        values[p] = math.log2(chord_periodicity(chord, cfg)[0])
+        values[p] = math.log2(chord_periodicity(normalize(notes[[0, *row]]), cfg)[0])
     return make_simplex_field(
         n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
     )

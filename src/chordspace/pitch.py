@@ -87,11 +87,6 @@ def normalize(notes: Iterable[float]) -> Chord:
     return Chord(tuple(sorted(set(pitches))))
 
 
-def cell_chord(coords: tuple[float, ...]) -> Chord:
-    """Chord of an interval-grid cell: root 0 plus the cell's notes in cents."""
-    return normalize((0.0,) + tuple(c / CENTS_PER_SEMITONE for c in coords))
-
-
 def shift(c: Chord, p: float) -> Chord:
     """Translate every note of ``c`` down by ``p`` semitones."""
     return Chord(tuple(x - p for x in c.notes))

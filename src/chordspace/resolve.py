@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import UnresolvableProgressionError
-from .field import ScalarField, make_box_field
+from .field import ScalarField, _check_box
 from .harmonicity import (
     _ROOT, PeriodicityConfig, _candidate_lists, _check_octave, chord_periodicity, min_lcm
 )
@@ -234,6 +234,7 @@ def transitive_field(
     k = int(cfg.scope_cents // resolution)
     origins = tuple(p * CENTS_PER_SEMITONE - k * resolution for p in c1.notes)
     counts = (2 * k + 1,) * len(c1)
+    _check_box(counts)
     axes = [[(o + resolution * i) / CENTS_PER_SEMITONE for i in range(2 * k + 1)] for o in origins]
     # every target is a chord iff all axes are finite and each lies below the next
     if not all(math.isfinite(x) for a in axes for x in a) or any(
@@ -259,8 +260,9 @@ def transitive_field(
     }
     names = tuple(f"x{i + 1}" for i in range(len(c1)))
     return tuple(
-        make_box_field(
-            resolution, origins, counts, values, names, value_name, {**meta, "generator": generator}
+        ScalarField(
+            resolution, origins, counts, False, names, values, value_name,
+            {**meta, "generator": generator},
         )
         for values, value_name, generator in (
             (trans_vals, "log2_transitive_periodicity", "transitive"),

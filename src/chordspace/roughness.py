@@ -6,14 +6,15 @@ the lower partial.  The curve constants are the published Plomp-Levelt fit
 used by the standard dissonance-curve literature; they are plain data here so
 alternative fits can be swapped in.
 
-One batch kernel evaluates every chord, a ``(chords, k)`` array of distinct
-ascending notes at a time: :func:`chord_roughness` is a batch of one, and
-:func:`roughness_field` batches the grid's cells by their count of distinct
-notes (``cell_chord`` drops the repeats of cells such as ``x2 = 0``) in
-chunks of about 40,000 partial pairs, which bounds memory.  The values equal
-summing one chord at a time bit for bit: frequencies come from
-``freq_from_pitch`` once per distinct note, partials are laid out note-major
-and stably sorted per row, and each row's terms are summed contiguously.
+One batch kernel evaluates every chord, a ``(chords, k)`` array of indices
+into a table of notes, distinct and ascending along each row, at a time:
+:func:`chord_roughness` is a batch of one over its own notes, and
+:func:`roughness_field` batches the interval grid's cells by their count of
+distinct notes in chunks of about 40,000 partial pairs, which bounds memory.
+The values equal summing one chord at a time bit for bit: frequencies come
+from ``freq_from_pitch`` once per table note, partials are laid out
+note-major and stably sorted per row, and each row's terms are summed
+contiguously.
 Partial frequencies or roughness values that overflow a float raise
 ``ValueError``.
 """
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .field import ScalarField, make_simplex_field, simplex_cells
-from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch
+from .field import ScalarField, interval_grid, make_simplex_field
+from .pitch import Chord, DEFAULT_F0_HZ, freq_from_pitch
 
 __all__ = [
     "Spectrum",
@@ -133,7 +135,7 @@ def chord_roughness(
     near-constant baseline per note.  This is the batch kernel applied to a
     one-chord batch, so a chord and its grid cell get the same value.
     """
-    return float(_roughness_rows(np.array([c.notes]), spectrum, f0, params)[0])
+    return float(_roughness_rows(np.arange(len(c))[None], c.notes, spectrum, f0, params)[0])
 
 
 #: Partial pairs per batch: 256 cells of a triad with six partials (153 pairs).
@@ -141,25 +143,24 @@ _CHUNK_PAIRS = 256 * 153
 
 
 def _roughness_rows(
-    pitches: np.ndarray,
+    where: np.ndarray,
+    notes: Sequence[float],
     spectrum: Spectrum,
     f0: float,
     params: RoughnessParams,
 ) -> np.ndarray:
-    """Roughness of each row of ``pitches``, a ``(chords, k)`` array of
-    distinct ascending notes; the module's one summation path."""
+    """Roughness of each row of ``where``: indices into ``notes`` (Python
+    floats) of distinct ascending pitches; the module's one summation path."""
     ratios, amps = np.array(spectrum.partials).T
-    rows, k = pitches.shape
-    notes, where = np.unique(pitches, return_inverse=True)
-    where = where.reshape(rows, k)
+    rows, k = where.shape
     a = np.tile(amps, k)
     i, j = np.triu_indices(k * len(ratios), k=1)
     step = max(1, _CHUNK_PAIRS // max(1, len(i)))
     out = np.empty(rows)
     # overflow is reported as a ValueError below, not as a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        # Python's ``**`` once per distinct note, not np.power, which rounds differently
-        table = np.array([freq_from_pitch(p, f0) for p in notes.tolist()])[:, None] * ratios
+        # Python's ``**`` once per note, not np.power, which rounds differently
+        table = np.array([freq_from_pitch(p, f0) for p in notes])[:, None] * ratios
         if not np.isfinite(table).all():
             raise ValueError(
                 "partial frequencies overflow a float: lower f0_hz or the spectrum ratios"
@@ -194,19 +195,14 @@ def roughness_field(
     params: RoughnessParams = RoughnessParams(),
 ) -> ScalarField:
     """Chord roughness over the one-octave grid (same convention as periodicity)."""
-    if n not in (2, 3, 4):
-        raise ValueError(f"roughness fields support 2 to 4 notes, got {n}")
-    # the notes of pitch.cell_chord: root 0 plus the cell in semitones (already
-    # ascending on the simplex), repeats dropped
-    cells = simplex_cells(n - 1, resolution)
-    pitches = np.hstack([np.zeros((len(cells), 1)), cells / CENTS_PER_SEMITONE])
-    distinct = np.diff(pitches, axis=1, prepend=-1.0) != 0  # notes are >= 0
+    notes, rows = interval_grid(n, resolution)
+    distinct = np.diff(rows, axis=1, prepend=-1) != 0  # indices ascend along each row
     sizes = distinct.sum(axis=1)
-    values = np.empty(len(cells))
+    values = np.empty(len(rows))
     for k in np.unique(sizes).tolist():  # one batch per count of distinct notes
-        rows = sizes == k
-        values[rows] = _roughness_rows(
-            pitches[rows][distinct[rows]].reshape(-1, k), spectrum, f0, params
+        sel = sizes == k
+        values[sel] = _roughness_rows(
+            rows[sel][distinct[sel]].reshape(-1, k), notes.tolist(), spectrum, f0, params
         )
     meta = {
         "generator": "roughness",

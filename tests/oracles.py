@@ -29,13 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from chordspace.errors import UnresolvableChordError, UnresolvableProgressionError
-from chordspace.field import (
-    ScalarField,
-    _fmt_coord,
-    make_box_field,
-    make_simplex_field,
-    simplex_cells,
-)
+from chordspace.field import ScalarField, _fmt_coord, make_simplex_field
 from chordspace.harmonicity import (
     PeriodicityConfig,
     _field_meta,
@@ -45,7 +39,7 @@ from chordspace.harmonicity import (
     ratio_candidates,
 )
 from chordspace.metric import GeodesicGroup, GeodesicWitness, NormChoice
-from chordspace.pitch import Chord, DEFAULT_F0_HZ, cell_chord, freq_from_pitch, shift
+from chordspace.pitch import Chord, DEFAULT_F0_HZ, freq_from_pitch, normalize, shift
 from chordspace.resolve import Progression, TransitiveConfig, transitive_periodicity
 from chordspace.roughness import RoughnessParams, Spectrum, harmonic_spectrum
 
@@ -552,6 +546,20 @@ def row_import_csv(path) -> ScalarField:
     return fld
 
 
+def interval_cells(n: int, resolution: int) -> list[tuple[float, ...]]:
+    """Cells of the one-octave grid of n-note chords, in cents above the root,
+    each non-decreasing, in lexicographic order."""
+    if 1200 % resolution != 0:
+        raise ValueError(f"resolution {resolution} does not divide 1200")
+    axis = [float(c) for c in range(0, 1201, resolution)]
+    return list(itertools.combinations_with_replacement(axis, n - 1))
+
+
+def cell_chord(coords: tuple[float, ...]) -> Chord:
+    """Chord of an interval-grid cell: root 0 plus the cell's notes in cents."""
+    return normalize((0.0,) + tuple(c / 100.0 for c in coords))
+
+
 def per_chord_roughness(
     c: Chord,
     spectrum: Spectrum = harmonic_spectrum(),
@@ -592,7 +600,7 @@ def per_cell_roughness_field(
     """Chord roughness over the one-octave grid, one :func:`per_chord_roughness` per cell."""
     if n not in (2, 3, 4):
         raise ValueError(f"roughness fields support 2 to 4 notes, got {n}")
-    cells = simplex_cells(n - 1, resolution).tolist()
+    cells = interval_cells(n, resolution)
     values = [per_chord_roughness(cell_chord(coords), spectrum, f0, params) for coords in cells]
     meta = {
         "generator": "roughness",
@@ -619,7 +627,7 @@ def per_cell_periodicity_field(
     """log2 periodicity over the one-octave grid, one :func:`chord_periodicity` per cell."""
     if n not in (2, 3, 4):
         raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
-    cells = simplex_cells(n - 1, resolution).tolist()
+    cells = interval_cells(n, resolution)
     values = [math.log2(chord_periodicity(cell_chord(c), cfg)[0]) for c in cells]
     meta = {
         "generator": "periodicity",
@@ -684,7 +692,7 @@ def sweep_periodicity_field(
     """
     if n not in (2, 3, 4):
         raise ValueError(f"field generation supports 2 to 4 notes, got {n}")
-    cells = list(map(tuple, simplex_cells(n - 1, resolution).tolist()))
+    cells = interval_cells(n, resolution)
     cand_per_cell = [
         [ratio_candidates(x, cfg, clamp=True) for x in coords] for coords in cells
     ]
@@ -787,7 +795,7 @@ def _window_panel(
         "generator": generator,
     }
     names = tuple(f"x{i + 1}" for i in range(len(c1)))
-    return make_box_field(resolution, origins, counts, values, names, value_name, meta)
+    return ScalarField(resolution, origins, counts, False, names, values, value_name, meta)
 
 
 def per_cell_transitive_field(

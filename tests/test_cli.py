@@ -427,6 +427,11 @@ def _exit_code(argv) -> int:
 )
 # a kernel of 1e10 cells, which the random draws pair only with rejected flags
 @example(command=("field", "roughness", "{size}"), size=2, res="600", sigma="1e12c", scope=None)
+# grids beyond the box-cell bound, refused before any per-cell array is built
+@example(command=("field", "periodicity", "{size}"), size=4, res="1", sigma=None, scope=None)
+@example(command=("field", "roughness", "{size}"), size=4, res="1", sigma=None, scope=None)
+@example(command=("resolve-field", "[0]", "{size}"), size=1, res="1", sigma=None,
+         scope="100000000000c")
 def test_field_commands_never_exit_internal(command, size, res, sigma, scope):
     """User input never makes the field commands exit 4 (internal error)."""
     argv = [part.format(size=size) for part in command] + ["--res", res]

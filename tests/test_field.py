@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chordspace import field as field_module
 from chordspace.field import (
@@ -16,35 +16,45 @@ from chordspace.field import (
     export_csv,
     export_matrix,
     import_csv,
+    interval_grid,
     local_minima,
-    make_box_field,
     make_simplex_field,
-    simplex_cells,
     slice_field,
 )
+from chordspace.pitch import Chord
+from chordspace.resolve import TransitiveConfig, transitive_field
 
 import oracles
 
 
+def _box_field(resolution, origins, counts, values, axis_names, value_name="v"):
+    return ScalarField(
+        resolution, tuple(map(float, origins)), tuple(counts), False, tuple(axis_names),
+        values, value_name,
+    )
+
+
 def _triad_field(resolution=200):
-    cells = simplex_cells(2, resolution).tolist()
+    cells = oracles.interval_cells(3, resolution)
     # values chosen to be fixpoints of 6-decimal formatting
     values = [float(f"{x2 * 0.001 + x3 * 1e-6:.6f}") for x2, x3 in cells]
     return make_simplex_field(2, resolution, values, "value", {})
 
 
 def test_simplex_cell_count_and_order():
-    cells = simplex_cells(2, 400)
-    assert list(map(tuple, cells.tolist())) == [
-        (0.0, 0.0), (0.0, 400.0), (0.0, 800.0), (0.0, 1200.0),
-        (400.0, 400.0), (400.0, 800.0), (400.0, 1200.0),
-        (800.0, 800.0), (800.0, 1200.0), (1200.0, 1200.0),
+    notes, rows = interval_grid(3, 400)
+    assert notes.tolist() == [0.0, 4.0, 8.0, 12.0]
+    assert rows.tolist() == [
+        [0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 3],
+        [0, 1, 1], [0, 1, 2], [0, 1, 3],
+        [0, 2, 2], [0, 2, 3], [0, 3, 3],
     ]
 
 
 def test_resolution_must_divide_octave():
-    with pytest.raises(ValueError):
-        simplex_cells(1, 7)
+    for n, resolution in ((3, 7), (3, 0), (3, -600), (1, 600), (5, 600)):
+        with pytest.raises(ValueError):
+            interval_grid(n, resolution)
 
 
 def test_value_count_must_match_cells():
@@ -75,9 +85,7 @@ def test_csv_round_trip_simplex():
 
 
 def test_csv_round_trip_box_window():
-    fld = make_box_field(
-        50, (100.0, 700.0), (9, 9), np.arange(81.0), ("x1", "x2"), "log2_y", {}
-    )
+    fld = _box_field(50, (100.0, 700.0), (9, 9), np.arange(81.0), ("x1", "x2"), "log2_y")
     import tempfile, os
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "win.csv")
@@ -188,8 +196,43 @@ def test_slice_of_simplex_field_without_symmetric_extension():
     assert slice_field(fld, 1, 200.0).values.tolist() == [2.0, 4.0, 5.0]
 
 
+def test_slice_with_no_cell_names_axis_and_value():
+    # x3 stops at 200 c, so no simplex cell has a = 1000 c
+    fld = ScalarField(100, (0.0, 0.0), (13, 3), True, ("a", "b"), np.arange(6.0))
+    with pytest.raises(ValueError, match="no cell of the field has a = 1000 cents"):
+        slice_field(fld, 0, 1000.0)
+
+
+def test_grid_size_bound_both_sides(tmp_path):
+    bound = field_module._MAX_BOX_CELLS
+    field_module._check_box((301, 301, 301))  # the 4-cent tetrad grid
+    field_module._check_box((bound,))
+    for counts in ((bound + 1,), (401, 401, 401)):  # the 3-cent tetrad grid
+        with pytest.raises(ValueError, match="larger than"):
+            field_module._check_box(counts)
+    # every grid builder checks the bound before it allocates a cell
+    with pytest.raises(ValueError, match="larger than"):
+        interval_grid(4, 3)
+    with pytest.raises(ValueError, match="larger than"):
+        ScalarField(1, (0.0,), (bound + 1,), False, ("a",), [0.0])
+    with pytest.raises(ValueError, match="larger than"):
+        transitive_field(Chord((0.0,)), 1, TransitiveConfig(scope_cents=1e11), 1)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("x2,x3,v\n0,0,1\n1,1000000000,2\n")
+    with pytest.raises(ValueError, match="larger than"):
+        import_csv(huge)
+    # both sides on small grids: 13**2 box cells fit, 13**3 do not
+    with mock.patch.object(field_module, "_MAX_BOX_CELLS", 13**2):
+        assert len(interval_grid(3, 100)[1]) == 91
+        with pytest.raises(ValueError, match="larger than"):
+            interval_grid(4, 100)
+        assert _box_field(100, (0, 0), (13, 13), np.zeros(169), ("a", "b")).n_cells == 169
+        with pytest.raises(ValueError, match="larger than"):
+            _box_field(100, (0, 0), (13, 14), np.zeros(182), ("a", "b"))
+
+
 def test_slices_commute_on_tetrad_grid():
-    cells = simplex_cells(3, 300).tolist()
+    cells = oracles.interval_cells(4, 300)
     values = [x2 * 1.0 + x3 * 0.01 + x4 * 0.0001 for x2, x3, x4 in cells]
     fld = make_simplex_field(3, 300, values, "value", {})
     a = slice_field(slice_field(fld, 0, 300.0), 1, 900.0)  # pin x2 then x4
@@ -263,11 +306,13 @@ def test_box_normalization_of_vacuous_simplex():
     assert not fld.simplex
 
 
-def test_mask_orders_cells_like_simplex_cells():
+def test_mask_orders_cells_like_interval_grid():
     fld = _triad_field(300)
     assert fld.mask.shape == fld.counts
     assert fld.mask.sum() == fld.n_cells == len(fld.cells)
-    assert list(fld.cells) == list(map(tuple, simplex_cells(2, 300).tolist()))
+    notes, rows = interval_grid(3, 300)
+    assert list(fld.cells) == list(map(tuple, (100 * notes[rows[:, 1:]]).tolist()))
+    assert list(fld.cells) == oracles.interval_cells(3, 300)
     assert all(fld.index_of(c) == i for i, c in enumerate(fld.cells))
     with pytest.raises(ValueError, match="not a grid cell"):
         fld.index_of((600.0, 300.0))  # outside the simplex
@@ -277,7 +322,7 @@ def test_mask_orders_cells_like_simplex_cells():
 
 def test_dense_is_cached_and_read_only():
     simplex = _triad_field(400)
-    box = make_box_field(50, (0.0, 100.0), (3, 2), np.arange(6.0), ("a", "b"), "v", {})
+    box = _box_field(50, (0.0, 100.0), (3, 2), np.arange(6.0), ("a", "b"))
     point = slice_field(make_simplex_field(1, 600, [1.0, 2.0, 3.0], "v", {}), 0, 600.0)
     for fld in (simplex, box, point):
         dense = fld.dense()
@@ -301,7 +346,7 @@ CSV_VALUES = st.integers(-10**6, 10**6).map(lambda k: k / 1000)
 def simplex_fields(draw, values=LEVELS, min_dims=1):
     dims = draw(st.integers(min_dims, 3))
     res = draw(st.sampled_from((200, 300, 400, 600)))
-    n = len(simplex_cells(dims, res))
+    n = len(oracles.interval_cells(dims + 1, res))
     vals = draw(st.lists(values, min_size=n, max_size=n))
     return make_simplex_field(dims, res, vals, "v", {})
 
@@ -313,23 +358,55 @@ def box_fields(draw, values=LEVELS):
     origins = draw(st.lists(st.integers(-12, 24), min_size=dims, max_size=dims))
     vals = draw(st.lists(values, min_size=int(np.prod(counts)), max_size=int(np.prod(counts))))
     names = [f"n{k + 1}" for k in range(dims)]
-    return make_box_field(50, [100.0 * o for o in origins], counts, vals, names, "v", {})
+    return _box_field(50, [100.0 * o for o in origins], counts, vals, names)
 
 
 def grid_fields(values=LEVELS):
     return st.one_of(simplex_fields(values), box_fields(values))
 
 
+@st.composite
+def general_simplex_fields(draw, values=LEVELS):
+    """Simplex fields whose axes differ in origin or count, origins on or off
+    the resolution's multiples; many have no symmetric extension."""
+    dims = draw(st.integers(2, 3))
+    res = draw(st.sampled_from((50, 100, 300)))
+    origin = st.one_of(
+        st.integers(-3, 6).map(lambda k: float(k * res)), st.integers(-300, 600).map(float)
+    )
+    origins = sorted(draw(st.lists(origin, min_size=dims, max_size=dims)))  # no empty grids
+    counts = draw(st.lists(st.integers(1, 5), min_size=dims, max_size=dims))
+    axes = [[o + res * i for i in range(c)] for o, c in zip(origins, counts)]
+    n = sum(all(a <= b for a, b in zip(c, c[1:])) for c in itertools.product(*axes))
+    vals = draw(st.lists(values, min_size=n, max_size=n))
+    names = tuple(f"x{k + 2}" for k in range(dims))
+    return ScalarField(res, tuple(origins), tuple(counts), True, names, vals, "v")
+
+
+INF = math.inf
+
+
 @PROPERTY
 @given(fld=grid_fields(), radius=st.sampled_from((1, 2)))
+@example(fld=make_simplex_field(1, 200, [INF, -INF, -INF, INF, 0.0, -INF, INF], "v", {}),
+         radius=1)
+@example(fld=_box_field(50, (0, 100), (3, 3), [INF, 0.0, -INF, INF, -INF, INF, 1.0, INF, -INF],
+                        ("a", "b")), radius=1)
+@example(fld=_box_field(50, (0,), (1,), [-INF], ("a",)), radius=2)
 def test_local_minima_equals_per_cell_oracle(fld, radius):
     assert local_minima(fld, radius) == oracles.local_minima(fld, radius)
 
 
 @PROPERTY
-@given(fld=grid_fields())
+@given(fld=st.one_of(grid_fields(), general_simplex_fields()))
 def test_dense_equals_per_cell_symmetric_extension(fld):
-    assert np.array_equal(fld.dense(), oracles.symmetric_extension(fld))
+    try:
+        want = oracles.symmetric_extension(fld)
+    except ValueError:  # a sorted cell leaves the grid: dense() must refuse too
+        with pytest.raises(ValueError, match="no symmetric extension"):
+            fld.dense()
+        return
+    assert np.array_equal(fld.dense(), want)
 
 
 @PROPERTY
@@ -388,7 +465,7 @@ def csv_box_fields(draw, values=ANY_FLOATS):
     res = draw(st.integers(1, 100))
     vals = draw(st.lists(values, min_size=int(np.prod(counts)), max_size=int(np.prod(counts))))
     names = [f"n{k + 1}" for k in range(dims)]
-    return make_box_field(res, origins, counts, vals, names, draw(st.sampled_from(("v", "höhe"))), {})
+    return _box_field(res, origins, counts, vals, names, draw(st.sampled_from(("v", "höhe"))))
 
 
 def point_fields(values=ANY_FLOATS):
