@@ -12,7 +12,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .harmonicity import PeriodicityConfig
-from .psychometric import THIRD_QUARTILE_Z
+from .pitch import DEFAULT_F0_HZ
+from .psychometric import sigma_from_jnd
 from .resolve import TransitiveConfig
 from .roughness import RoughnessParams, Spectrum, harmonic_spectrum
 
@@ -43,14 +44,14 @@ def _integer(key: str, value) -> int:
 
 @dataclass
 class Config:
-    f0_hz: float = 261.626
-    jnd_cents: float = 18.0
+    f0_hz: float = DEFAULT_F0_HZ
+    jnd_cents: float = PeriodicityConfig.jnd_cents
     sigma_mode: str = "third"  # "third": jnd/3; "iqr": jnd/0.674490
-    qmax: int = 100
+    qmax: int = PeriodicityConfig.qmax
     resolutions: dict[int, int] = field(default_factory=lambda: dict(_DEFAULT_RESOLUTIONS))
     spectrum: Spectrum = field(default_factory=harmonic_spectrum)
     roughness: RoughnessParams = field(default_factory=RoughnessParams)
-    scope_cents: float = 200.0
+    scope_cents: float = TransitiveConfig.scope_cents
 
     def __post_init__(self):
         if self.sigma_mode not in ("third", "iqr"):
@@ -62,7 +63,7 @@ class Config:
     def sigma_cents(self) -> float:
         if self.sigma_mode == "third":
             return self.jnd_cents / 3.0
-        return self.jnd_cents / THIRD_QUARTILE_Z
+        return sigma_from_jnd(self.jnd_cents)
 
     def resolution_for(self, n: int) -> int:
         return int(self.resolutions.get(n, _DEFAULT_RESOLUTIONS.get(n, 50)))

@@ -489,8 +489,11 @@ def import_csv(path) -> ScalarField:
     origins = tuple(float(u[0]) for u in uniques)
     counts = tuple(int(round(float(u[-1] - u[0]) / resolution)) + 1 for u in uniques)
 
-    box_count = int(np.prod(counts))
-    simplex = dims >= 2 and len(values) < box_count
+    try:  # a grid too large is refused as such, not as a row-count mismatch
+        _check_box(counts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    simplex = dims >= 2 and len(values) < math.prod(counts)
     try:
         fld = ScalarField(
             resolution=resolution,

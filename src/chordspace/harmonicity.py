@@ -348,29 +348,24 @@ def periodicity_field(
     candidate list per axis value (grid cents round-tripped through semitones).
     A cell's minimal lcm L* is the least L at which some joint tuning uses only
     candidates whose denominator q divides L, so one lcm ladder serves the grid:
-    for L = 1 ... ``cfg.qmax`` it keeps each axis value's detunings with q | L
-    and gives L to every unassigned cell with a choice whose float max - min,
-    the root's 0 included, fits :func:`min_lcm`'s window.  Cells left after qmax
-    (L* > qmax) run :func:`chord_periodicity` one by one in lexicographic order,
-    on the same candidate lists; the first infeasible one raises its error.
+    for L = 1 ... ``cfg.qmax`` it gives L to every unassigned cell with a choice of
+    q | L whose float max - min, the root's 0 included, fits :func:`min_lcm`'s window,
+    and each time L passes its bound it rebuilds its rows: q <= 2L, for the axis values
+    still in use.  Cells left after qmax (L* > qmax) run :func:`chord_periodicity` one by
+    one in lexicographic order, on the same lists; the first infeasible one raises.
     """
     notes, idx = interval_grid(n, resolution)
     idx = idx.T[1:]  # a contiguous row per non-root note; assigned cells leave it
     lists = [_ROOT] + _candidate_lists(notes[1:].tolist(), cfg, True)  # axis value 0 is the root
-    cents = np.array([c for c, _ in lists])
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])
-    cands, read, lcm, bound = np.empty((0, 3)), [0] * len(lists), 0, 0  # rows (q, axis, detuning)
+    lcm = bound = 0
     while len(pos) and lcm < cfg.qmax:
         lcm += 1
-        if lcm > bound:  # read on to q <= 2 lcm, only for axis values still in use
-            bound, upto = min(2 * lcm, cfg.qmax), read.copy()
-            for k in np.flatnonzero(np.bincount(idx.ravel(), minlength=len(lists))).tolist():
-                upto[k] = bisect_right(lists[k][1], bound, key=itemgetter(0))
-            new = np.array([c for (_, lst), i, j in zip(lists, read, upto) for c in lst[i:j]])
-            new = np.concatenate([cands, new.reshape(-1, 3)])  # rows (q, p, log) of the new ones
-            axis = np.repeat(np.arange(len(lists)), np.subtract(upto, read))
-            new[len(cands) :, 1], new[len(cands) :, 2] = axis, new[len(cands) :, 2] - cents[axis]
-            cands, read = new[np.argsort(new[:, 1], kind="stable")], upto
+        if lcm > bound:  # rebuild the rows (q, axis, detuning), q <= 2 lcm, of axis values in use
+            bound, used = min(2 * lcm, cfg.qmax), np.flatnonzero(np.bincount(idx.ravel())).tolist()
+            cands = np.array([(q, k, log - lists[k][0]) for k in used for q, _, log in
+                              lists[k][1][: bisect_right(lists[k][1], bound, key=itemgetter(0))]])
+            cands = cands.reshape(-1, 3)
         sel = cands[lcm % cands[:, 0] == 0]  # grouped by axis value
         axis = sel[:, 1].astype(np.intp)
         count = np.bincount(axis, minlength=len(lists))
@@ -380,9 +375,8 @@ def periodicity_field(
         ok = np.zeros(len(live), dtype=bool)
         for picks in product(*[[t[r] for t in table] for r in idx[:, live]]):
             ok |= reduce(np.maximum, picks, 0.0) - reduce(np.minimum, picks, 0.0) <= window
-        keep = np.bincount(live[ok], minlength=len(pos)) == 0
-        values[pos[~keep]] = math.log2(lcm)
-        idx, pos = idx[:, keep], pos[keep]
+        values[pos[live[ok]]] = math.log2(lcm)
+        idx, pos = np.delete(idx, live[ok], axis=1), np.delete(pos, live[ok])
     for p, row in zip(pos.tolist(), idx.T.tolist()):
         values[p] = math.log2(chord_periodicity(normalize(notes[[0, *row]]), cfg)[0])
     return make_simplex_field(

@@ -55,8 +55,8 @@ class Progression:
 
 @dataclass(frozen=True)
 class TransitiveConfig:
-    jnd_cents: float = 18.0
-    qmax: int = 100
+    jnd_cents: float = PeriodicityConfig.jnd_cents
+    qmax: int = PeriodicityConfig.qmax
     scope_cents: float = 200.0
 
     def __post_init__(self):

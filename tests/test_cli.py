@@ -13,6 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chordspace.cli import main, parse_cents
+from chordspace.field import export_matrix
+from chordspace.harmonicity import periodicity_field
+from chordspace.psychometric import THIRD_QUARTILE_Z, gaussian_smooth
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +151,19 @@ def test_field_periodicity_writes_deterministic_csv(tmp_path, capsys):
 
     header = first.decode().splitlines()[0]
     assert header == "x2,log2_periodicity"
+
+
+def test_field_periodicity_matrix_is_the_smoothed_field(tmp_path, capsys):
+    out, matrix = tmp_path / "triad.csv", tmp_path / "triad.txt"
+    code, stdout, _ = run_cli(capsys, "field", "periodicity", "3", "--res", "100",
+                              "--out", str(out), "--matrix", str(matrix))
+    assert code == 0
+    sidecar = json.loads(stdout)
+    assert sidecar["matrix_file"] == str(matrix)
+    assert json.loads((tmp_path / "triad.csv.json").read_text()) == sidecar
+    want = tmp_path / "want.txt"
+    export_matrix(gaussian_smooth(periodicity_field(3, 100), sidecar["sigma"]["cents"]), want)
+    assert matrix.read_bytes() == want.read_bytes()
 
 
 def test_field_resolution_must_divide_octave(tmp_path, capsys):
@@ -381,6 +397,25 @@ def test_config_rejects_wrong_json_types(tmp_path, capsys, config):
                                 "--res", "100", "--out", str(out))
     assert (code, stdout) == (2, "") and not out.exists()
     assert err.startswith("error:")
+
+
+def test_config_file_that_is_not_json_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text("{qmax: 50}")
+    code, stdout, err = run_cli(capsys, "--config", str(cfg), "periodicity", "[0,7]")
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {cfg}: not valid JSON")
+
+
+def test_config_sigma_mode_iqr_smooths_at_the_quartile_width(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"sigma_mode": "iqr", "jnd_cents": 12.0}))
+    code, stdout, _ = run_cli(capsys, "--config", str(cfg), "field", "periodicity", "2",
+                              "--res", "10", "--out", str(tmp_path / "dyad.csv"))
+    assert code == 0
+    sidecar = json.loads(stdout)
+    assert sidecar["config"]["sigma_mode"] == "iqr"
+    assert sidecar["sigma"]["cents"] == sidecar["config"]["sigma_cents"] == 12.0 / THIRD_QUARTILE_Z
 
 
 def test_config_accepts_whole_numbers_as_integers(tmp_path, capsys):

@@ -62,6 +62,20 @@ def test_value_count_must_match_cells():
         make_simplex_field(1, 600, [1.0, 2.0], "value", {})
 
 
+@pytest.mark.parametrize(
+    "resolution, origins, counts, message",
+    [
+        (0, (0.0,), (3,), "resolution must be a positive number of cents"),
+        (-100, (0.0,), (3,), "resolution must be a positive number of cents"),
+        (100, (0.0, 0.0), (3,), "origins, counts and axis_names must align"),
+        (100, (0.0,), (0,), "every axis needs at least one grid point"),
+    ],
+)
+def test_scalar_field_rejects_malformed_grids(resolution, origins, counts, message):
+    with pytest.raises(ValueError, match=message):
+        ScalarField(resolution, origins, counts, False, ("a",), np.zeros(3))
+
+
 def test_dense_symmetric_extension():
     fld = _triad_field(400)
     dense = fld.dense()
@@ -81,7 +95,7 @@ def test_csv_round_trip_simplex():
         assert back == fld
         # byte-exact determinism of a second export
         export_csv(back, path + "2")
-        assert open(path).read() == open(path + "2").read()
+        assert Path(path).read_text() == Path(path + "2").read_text()
 
 
 def test_csv_round_trip_box_window():
@@ -167,6 +181,9 @@ def test_slice_requires_on_grid_value():
     for value in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="not on the grid"):
             slice_field(_triad_field(200), 0, value)
+    for axis in (-1, 2):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for 2-d field"):
+            slice_field(_triad_field(200), axis, 0.0)
 
 
 def test_slice_of_simplex_whose_later_axis_starts_above_the_pin():
@@ -219,8 +236,9 @@ def test_grid_size_bound_both_sides(tmp_path):
         transitive_field(Chord((0.0,)), 1, TransitiveConfig(scope_cents=1e11), 1)
     huge = tmp_path / "huge.csv"
     huge.write_text("x2,x3,v\n0,0,1\n1,1000000000,2\n")
-    with pytest.raises(ValueError, match="larger than"):
+    with pytest.raises(ValueError, match="larger than") as exc:
         import_csv(huge)
+    assert str(exc.value).startswith(f"{huge}: a grid of") and "row count" not in str(exc.value)
     # both sides on small grids: 13**2 box cells fit, 13**3 do not
     with mock.patch.object(field_module, "_MAX_BOX_CELLS", 13**2):
         assert len(interval_grid(3, 100)[1]) == 91
@@ -271,6 +289,11 @@ def test_local_minima_radius_validation():
         local_minima(_triad_field(300), radius=0)
 
 
+def test_local_minima_of_a_point_field_is_empty():
+    point = slice_field(make_simplex_field(1, 600, [1.0, 2.0, 3.0], "v", {}), 0, 600.0)
+    assert point.dims == 0 and local_minima(point) == []
+
+
 def test_matrix_export(tmp_path):
     fld = _triad_field(400)
     path = tmp_path / "m.txt"
@@ -290,6 +313,8 @@ def test_interpolation_linear_and_bounds():
     assert fld.interpolate((650.0,)) == pytest.approx(6.5)
     with pytest.raises(ValueError):
         fld.interpolate((1250.0,))
+    with pytest.raises(ValueError, match="expected 1 coordinates, got 2"):
+        fld.interpolate((650.0, 650.0))
 
 
 def test_box_normalization_of_vacuous_simplex():

@@ -213,6 +213,9 @@ def test_rerooted_periodicity_investigation_mode():
     best, per_root = rerooted_periodicity(normalize([0, 3, 9]))
     assert per_root == {0.0: 16, 3.0: 19, 9.0: 27}
     assert best == 16
+    # half a semitone has no ratio with denominator <= 2 within 18 cents, from either root
+    with pytest.raises(UnresolvableChordError, match=r"no rational tuning of \[0,0\.5\] under any"):
+        rerooted_periodicity(normalize([0, 0.5]), PeriodicityConfig(qmax=2))
 
 
 def test_step_function_plateaus_around_just_positions():

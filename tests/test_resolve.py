@@ -429,6 +429,24 @@ def test_directional_derivative_domain_and_dimension_checks():
         directional_derivative(fld, (600.0,), (1.0, 0.0, -1.0))
 
 
+def test_directional_derivative_on_a_window_field():
+    # a window field's axes are the notes themselves: one rate per axis, no root rate
+    trans, _ = transitive_field(TRITONE, 2, TransitiveConfig(scope_cents=200.0), resolution=10)
+    fld = gaussian_smooth(trans, 20.0)
+    assert fld.meta["domain"] == "notes"
+    at, velocity, h = (300.0, 900.0), (1.0, -0.5), 4.0
+    with pytest.raises(ValueError, match="expected 2 per-note rates, got 3"):
+        directional_derivative(fld, at, (1.0, 0.0, -0.5))
+    for step in (0.0, -4.0):
+        with pytest.raises(ValueError, match="step_cents must be positive"):
+            directional_derivative(fld, at, velocity, step_cents=step)
+    s = h / 100.0
+    plus = [c + s * (100.0 * v) for c, v in zip(at, velocity)]
+    minus = [c - s * (100.0 * v) for c, v in zip(at, velocity)]
+    central = (fld.interpolate(plus) - fld.interpolate(minus)) / (2.0 * s)
+    assert directional_derivative(fld, at, velocity, step_cents=h) == central != 0.0
+
+
 def test_directional_derivative_speed_normalization():
     fld = _smooth_dyad_field(2)
     raw = directional_derivative(fld, (600.0,), (1.0, -1.0))
