@@ -227,20 +227,30 @@ def min_lcm(
     cents wide.  A pinned root is the one-candidate list :data:`_ROOT`,
     placed first so that the window opens at its 0.  Returns (lcm, chosen ``(q, p,
     detuning)`` triples) for the first minimal choice in list order, or None.
+
+    The search deepens iteratively on the lcm (Korf, *Artificial Intelligence* 27,
+    1985): each attempt starts with the bound ``best = cap + 1``, ``cap = 4 * seed_lcm``
+    doubling until an attempt finds a choice.  An attempt that finds none and cut no
+    path by the bound was exhaustive, so the input is infeasible, as it is at once when
+    a list is empty.  The result is that of one pass from an unbounded start: under any
+    ``best`` above the minimal lcm L*, no path that can reach an lcm <= L* is cut, since
+    every denominator on it and every running lcm divides its final lcm.  So the first
+    minimal choice in list order is found, later ties are refused as before, and the lcm
+    and witness are the same.
     """
-    best = math.inf
-    found = None
     last, lcm = len(lists) - 1, math.lcm
 
     def search(i: int, cur: int, lo: float, hi: float, chosen: list):
-        nonlocal best, found
+        nonlocal best, found, cut
         cents, pairs = lists[i]
         for c in pairs:
             q = c[0]
             if q >= best:
+                cut = True
                 break  # denominators ascend and the lcm is at least each one
             nxt = lcm(cur, q)
             if nxt >= best:
+                cut = True
                 continue
             d = c[2] - cents
             nlo = d if d < lo else lo
@@ -256,7 +266,15 @@ def min_lcm(
 
     if not lists:
         return seed_lcm, ()
-    search(0, seed_lcm, math.inf, -math.inf, [])
+    if not all(pairs for _, pairs in lists):
+        return None  # a list without candidates admits no choice, at any bound
+    cap = 4 * seed_lcm
+    while True:
+        best, found, cut = cap + 1, None, False
+        search(0, seed_lcm, math.inf, -math.inf, [])
+        if found is not None or not cut:
+            break
+        cap *= 2
     return None if found is None else (
         best, tuple((q, p, log - cents) for (q, p, log), (cents, _) in zip(found, lists)))
 

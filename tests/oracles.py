@@ -11,8 +11,9 @@ witness per field cell instead of per-axis candidate lists, one
 ``Progression`` per window cell instead of plain note tuples, a scan for
 each geodesic group's end instead of the end the dynamic program recorded,
 ascending-periodicity sweeps that stamp each cell at the first feasible
-value instead of a minimization per cell, and every minimal tuning of a
-pinned chord enumerated instead of one joint search.
+value instead of a minimization per cell, every minimal tuning of a
+pinned chord enumerated instead of one joint search, and one branch-and-bound
+pass from an unbounded start instead of iterative deepening on the lcm bound.
 The production code must agree with these on small instances.
 """
 
@@ -643,6 +644,43 @@ def per_cell_periodicity_field(
 
 #: The root's candidate triples: exactly 1/1, detuned by 0 cents.
 ROOT = ((1, 1, 0.0),)
+
+
+def single_pass_min_lcm(
+    lists: list[tuple[float, tuple[tuple[int, int, float], ...]]], window: float, seed_lcm: int = 1
+) -> tuple[int, tuple[tuple[int, int, float], ...]] | None:
+    """:func:`min_lcm` as one branch-and-bound pass from an unbounded start."""
+    best = math.inf
+    found = None
+    last, lcm = len(lists) - 1, math.lcm
+
+    def search(i: int, cur: int, lo: float, hi: float, chosen: list):
+        nonlocal best, found
+        cents, pairs = lists[i]
+        for c in pairs:
+            q = c[0]
+            if q >= best:
+                break  # denominators ascend and the lcm is at least each one
+            nxt = lcm(cur, q)
+            if nxt >= best:
+                continue
+            d = c[2] - cents
+            nlo = d if d < lo else lo
+            nhi = d if d > hi else hi
+            if nhi - nlo > window:
+                continue
+            chosen.append(c)
+            if i == last:
+                best, found = nxt, tuple(chosen)
+            else:
+                search(i + 1, nxt, nlo, nhi, chosen)
+            chosen.pop()
+
+    if not lists:
+        return seed_lcm, ()
+    search(0, seed_lcm, math.inf, -math.inf, [])
+    return None if found is None else (
+        best, tuple((q, p, log - cents) for (q, p, log), (cents, _) in zip(found, lists)))
 
 
 def tunings_with_lcm(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+import chordspace.harmonicity as harmonicity
 from chordspace.errors import UnresolvableChordError, UnresolvableIntervalError
 from chordspace.harmonicity import (
     _ROOT,
@@ -30,6 +31,7 @@ from oracles import (
     fraction_candidates,
     per_cell_periodicity_field,
     scan_min_denominator,
+    single_pass_min_lcm,
     sweep_periodicity_field,
     within_jnd,
 )
@@ -317,6 +319,27 @@ def test_fine_periodicity_fields_keep_their_bytes(n, resolution, sha256):
     assert hashlib.sha256(values.tobytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "n,resolution,qmax,fallbacks",
+    [(3, 5, 100, 0), (4, 20, 100, 0), (4, 20, 60, 3), (3, 20, 48, 6)],
+)
+def test_ladder_assigns_every_cell_up_to_qmax(monkeypatch, n, resolution, qmax, fallbacks):
+    # the ladder must assign every cell with L* <= qmax itself: only cells above
+    # qmax reach the per-cell fallback, whose searches run past qmax
+    cfg = PeriodicityConfig(qmax=qmax)
+    calls = []
+
+    def counted(chord, cfg):
+        calls.append(chord)
+        return chord_periodicity(chord, cfg)
+
+    monkeypatch.setattr(harmonicity, "chord_periodicity", counted)
+    got = periodicity_field(n, resolution, cfg)
+    want = per_cell_periodicity_field(n, resolution, cfg).values
+    assert len(calls) == fallbacks == np.count_nonzero(np.rint(2.0**want) > qmax)
+    assert np.array_equal(got.values, want)
+
+
 def test_sweep_equals_pointwise_dyads_and_triads():
     for n, res in ((2, 25), (3, 100)):
         a = periodicity_field(n, res)
@@ -465,6 +488,51 @@ def test_min_lcm_of_rooted_octave_chord_ignores_clamping(notes, jnd):
         [_candidates_cached(x * 100.0, jnd, 100, clamp) for x in sorted(notes)] for clamp in (True, False)
     )
     assert min_lcm([_ROOT] + clamped, jnd) == min_lcm([_ROOT] + unclamped, jnd)
+
+
+@st.composite
+def _candidate_list(draw):
+    """``(cents, pairs)``: (q, p, log) triples with q <= 60 near a cent value, in (q, p) order."""
+    cents = draw(st.floats(0.0, 1200.0))
+    near = 2.0 ** (cents / 1200.0)
+    qs = draw(st.lists(st.tuples(st.integers(1, 60), st.integers(-2, 2)), max_size=12))
+    pairs = {(q, max(1, round(q * near) + dp)) for q, dp in qs}
+    return cents, tuple(sorted((q, p, 1200.0 * math.log2(p / q)) for q, p in pairs))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    lists=st.lists(_candidate_list(), max_size=5),
+    root=st.booleans(),
+    seed_lcm=st.one_of(st.just(1), st.integers(2, 120)),
+    window=st.one_of(st.sampled_from([0.0, 5.0, 18.0, 50.0, math.inf]), st.floats(0.0, 400.0)),
+)
+@example(lists=[(0.0, ()), (0.0, ((1, 1, 0.0),))], root=True, seed_lcm=1, window=math.inf)  # an empty list
+@example(lists=[], root=False, seed_lcm=7, window=0.0)
+def test_min_lcm_equals_single_pass_oracle(lists, root, seed_lcm, window):
+    lists = [_ROOT] + lists if root else lists
+    got = min_lcm(lists, window, seed_lcm)
+    event("infeasible" if got is None else f"lcm/seed_lcm {'>' if got[0] > 4 * seed_lcm else '<='} 4")
+    assert got == single_pass_min_lcm(lists, window, seed_lcm)
+
+
+def _cap_edge_lists(target: int) -> list:
+    # every choice but the two q = target ones has an lcm above target; the first of
+    # them is the witness and the tie after it is refused
+    t = target
+    return [
+        (0.0, ((t - 1, t - 1, 0.0), (t, t, 0.0))),
+        (1.0, ((t - 2, t - 2, 1.0), (t, t + 1, 1.0), (t, t + 3, 1.0))),
+    ]
+
+
+@pytest.mark.parametrize("seed_lcm,target", [(1, 16), (1, 17), (3, 24), (3, 48), (5, 20)])
+def test_min_lcm_on_the_edges_of_its_cap(seed_lcm, target):
+    # L* = 4 * seed_lcm * 2**k is found by the attempt capped at L*; L* + 1 by the next
+    lists = _cap_edge_lists(target)
+    got = min_lcm(lists, math.inf, seed_lcm)
+    assert got == (target, ((target, target, 0.0), (target, target + 1, 0.0)))
+    assert got == single_pass_min_lcm(lists, math.inf, seed_lcm)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
