@@ -76,24 +76,27 @@ class RationalTuning:
             raise ValueError("periodicity must equal the lcm of the denominators")
 
 
+def _window_error(cents: float, jnd_cents: float, what: str) -> ValueError:
+    return ValueError(f"the ratio window of {cents:g} cents with a JND of {jnd_cents:g} cents {what}")
+
+
 def _ratio_window(
     cents: float, jnd_cents: float, clamp: bool, qmax: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:
-    where = f"the ratio window of {cents:g} cents with a JND of {jnd_cents:g} cents"
     # Exact integer ratios, taken before clamping so that an infinite end fails here.
     try:
         a, b = (2.0 ** ((cents - jnd_cents) / 1200.0)).as_integer_ratio()
         c, d = (2.0 ** ((cents + jnd_cents) / 1200.0)).as_integer_ratio()
     except OverflowError:
-        raise ValueError(f"{where} overflows a float") from None
+        raise _window_error(cents, jnd_cents, "overflows a float") from None
     if clamp:  # cut the window to the octave [1, 2]
         a, b = (a, b) if a >= b else (1, 1)
         c, d = (c, d) if c <= 2 * d else (2, 1)
     # The walk costs time and memory for each of about (hi - lo) * qmax**2 * 3 / pi**2 ratios.
     if c * b - a * d > 64 * b * d:
-        raise ValueError(f"{where} spans {a / b:g} to {c / d:g}, wider than 64")
+        raise _window_error(cents, jnd_cents, f"spans {a / b:g} to {c / d:g}, wider than 64")
     if (c * b - a * d) * qmax**2 > 4_000_000 * b * d:
-        raise ValueError(f"{where} holds too many ratios with denominators up to {qmax}")
+        raise _window_error(cents, jnd_cents, f"holds too many ratios with denominators up to {qmax}")
     return (a, b), (c, d)
 
 
@@ -201,8 +204,15 @@ def ratio_candidates(
     come from the shared table of :func:`_candidates_cached`; over about 1.2
     million ratios, ``(hi - lo) * qmax**2 > 4e6``, raise ``ValueError`` instead.
     """
-    cents, pairs = _candidates_cached(float(cents), cfg.jnd_cents, cfg.qmax, clamp)
+    cents, pairs = _candidates_cached(*_window_key(float(cents), cfg, clamp))
     return tuple([(q, p, log - cents) for q, p, log in pairs])
+
+
+def _window_key(cents: float, cfg: PeriodicityConfig, clamp: bool) -> tuple:
+    """The :func:`_candidates_cached` arguments of a window; a clamp that cuts nothing
+    is dropped (see :func:`_candidate_lists`)."""
+    jnd = cfg.jnd_cents
+    return cents, jnd, cfg.qmax, clamp and not (0 <= cents - jnd and (cents + jnd) / 1200.0 <= 1)
 
 
 def _window(cfg: PeriodicityConfig) -> float:
@@ -237,18 +247,26 @@ def min_lcm(
     every denominator on it and every running lcm divides its final lcm.  So the first
     minimal choice in list order is found, later ties are refused as before, and the lcm
     and witness are the same.
+
+    A list's scan stops at the first q above ``limit``, the largest multiple of the running
+    lcm ``cur`` below ``best``, rather than at ``best``: an admitted lcm is a multiple of
+    ``cur`` and of q below ``best``, so it is at most ``limit`` and so is its q.  Each q
+    between ``limit`` and ``best`` would have been refused with a cut, so ``cut``, the
+    attempts and the result are those of a scan up to ``best``.  ``limit`` shrinks with
+    ``best`` whenever a deeper leaf lowers it.
     """
     last, lcm = len(lists) - 1, math.lcm
 
     def search(i: int, cur: int, lo: float, hi: float, chosen: list):
         nonlocal best, found, cut
         cents, pairs = lists[i]
+        limit = (best - 1) // cur * cur
         for c in pairs:
             q = c[0]
-            if q >= best:
+            if q > limit:
                 cut = True
-                break  # denominators ascend and the lcm is at least each one
-            nxt = lcm(cur, q)
+                break  # denominators ascend and the lcm is a multiple of cur of at least q
+            nxt = cur if cur % q == 0 else lcm(cur, q)
             if nxt >= best:
                 cut = True
                 continue
@@ -262,6 +280,7 @@ def min_lcm(
                 best, found = nxt, tuple(chosen)
             else:
                 search(i + 1, nxt, nlo, nhi, chosen)
+            limit = (best - 1) // cur * cur
             chosen.pop()
 
     if not lists:
@@ -279,9 +298,28 @@ def min_lcm(
         best, tuple((q, p, log - cents) for (q, p, log), (cents, _) in zip(found, lists)))
 
 
-def _candidate_lists(notes, cfg: PeriodicityConfig, clamp: bool = False) -> list:
-    """Candidate lists of notes given in semitones over the 1/1, unclamped by default."""
-    return [_candidates_cached(x * CENTS_PER_SEMITONE, cfg.jnd_cents, cfg.qmax, clamp) for x in notes]
+def _window_keys(notes, cfg: PeriodicityConfig, clamp: bool = False) -> tuple:
+    """:func:`_window_key` of each note given in semitones over the 1/1, unclamped by default."""
+    return tuple(_window_key(x * CENTS_PER_SEMITONE, cfg, clamp) for x in notes)
+
+
+def _candidate_lists(keys) -> list:
+    """Candidate lists of :func:`_window_keys`.
+
+    A clamped window whose JND band lies inside the octave, ``0 <= cents - jnd`` and
+    ``(cents + jnd) / 1200.0 <= 1`` (the float expressions :func:`_ratio_window` takes
+    its ends from), shares the unclamped entry: the clamp leaves both of its ends as
+    they are, so both keys give the same ``(cents, pairs)``.  A band that crosses 1/1
+    or 2/1 keeps its own entry.
+    """
+    return [_candidates_cached(*k) for k in keys]
+
+
+@lru_cache(maxsize=16384)
+def _rooted_min_lcm(keys: tuple, window: float):
+    """:func:`min_lcm` of :data:`_ROOT` and the lists of ``keys``, once per process
+    for each window-key tuple: every search with a root pinned to 1/1 runs here."""
+    return min_lcm([_ROOT] + _candidate_lists(keys), window)
 
 
 def _check_octave(notes: tuple[float, ...]) -> None:
@@ -311,7 +349,7 @@ def chord_periodicity(
     if c.notes[0] != 0:
         raise ValueError(f"chord must be rooted at 0, got root {c.notes[0]!r}")
     _check_octave(c.notes)
-    found = min_lcm([_ROOT] + _candidate_lists(c.notes[1:], cfg, clamp=True), _window(cfg))
+    found = _rooted_min_lcm(_window_keys(c.notes[1:], cfg, clamp=True), _window(cfg))
     if found is None:
         raise UnresolvableChordError(
             f"no joint rational tuning of {c} within {cfg.jnd_cents:g} cents "
@@ -335,8 +373,7 @@ def rerooted_periodicity(
     per_root: dict[float, int | None] = {}
     best = None
     for r in c.notes:
-        lists = _candidate_lists([p - r for p in c.notes if p != r], cfg)
-        found = min_lcm([_ROOT] + lists, _window(cfg))
+        found = _rooted_min_lcm(_window_keys([p - r for p in c.notes if p != r], cfg), _window(cfg))
         per_root[r] = found[0] if found else None
         if found and (best is None or found[0] < best):
             best = found[0]
@@ -374,7 +411,8 @@ def periodicity_field(
     """
     notes, idx = interval_grid(n, resolution)
     idx = idx.T[1:]  # a contiguous row per non-root note; assigned cells leave it
-    lists = [_ROOT] + _candidate_lists(notes[1:].tolist(), cfg, True)  # axis value 0 is the root
+    # axis value 0 is the root
+    lists = [_ROOT] + _candidate_lists(_window_keys(notes[1:].tolist(), cfg, True))
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])
     lcm = bound = 0
     while len(pos) and lcm < cfg.qmax:

@@ -29,7 +29,8 @@ from itertools import product
 from .errors import UnresolvableProgressionError
 from .field import ScalarField, _check_box
 from .harmonicity import (
-    _ROOT, PeriodicityConfig, _candidate_lists, _check_octave, chord_periodicity, min_lcm
+    _ROOT, PeriodicityConfig, _candidate_lists, _check_octave, _rooted_min_lcm, _window_keys,
+    chord_periodicity, min_lcm,
 )
 from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch, normalize, shift
 
@@ -93,7 +94,9 @@ def _transition(
     from the two chords' notes shifted down by the second chord's root.
 
     A pinned second chord leads its lists with :data:`_ROOT`, so its window
-    opens at its root's 0; a pinned first chord's window starts empty.  The
+    opens at its root's 0, and its search is the shared
+    :func:`~chordspace.harmonicity._rooted_min_lcm` entry of its window keys; a
+    pinned first chord's window starts empty.  The
     joint search leads with :data:`_ROOT` as well, keeps only the pinned
     candidates whose denominator divides p and starts its lcm at p.  Each
     pinned sub-tuning fits a window its minimal search also allowed, so its
@@ -109,8 +112,9 @@ def _transition(
     """
     c1, c2 = _rooted(first, second[0]), _rooted(second, second[0])
     pinned, other = (c2[1:], c1) if pin_second else (c1, c2[1:])
-    lists = _candidate_lists(pinned, pcfg)
-    found = min_lcm([_ROOT] + lists if pin_second else lists, pcfg.jnd_cents)
+    keys = _window_keys(pinned, pcfg)
+    lists = _candidate_lists(keys)
+    found = _rooted_min_lcm(keys, pcfg.jnd_cents) if pin_second else min_lcm(lists, pcfg.jnd_cents)
     if found is None:
         which, notes = ("second", second) if pin_second else ("first", first)
         raise UnresolvableProgressionError(
@@ -118,7 +122,7 @@ def _transition(
         )
     p = found[0]
     sub = [(cents, [c for c in pairs if p % c[0] == 0]) for cents, pairs in lists]
-    found = min_lcm([_ROOT] + sub + _candidate_lists(other, pcfg), pcfg.jnd_cents, p)
+    found = min_lcm([_ROOT] + sub + _candidate_lists(_window_keys(other, pcfg)), pcfg.jnd_cents, p)
     if found is None:
         raise UnresolvableProgressionError(
             f"no joint tuning of {Chord(first)} -> {Chord(second)} within bounds"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import chordspace.harmonicity as harmonicity
 from chordspace.errors import UnresolvableChordError, UnresolvableIntervalError
@@ -14,6 +14,9 @@ from chordspace.harmonicity import (
     PeriodicityConfig,
     _candidates_cached,
     _farey_start,
+    _rooted_min_lcm,
+    _window_key,
+    _window_keys,
     RationalTuning,
     chord_periodicity,
     dyad_periodicity,
@@ -509,11 +512,81 @@ def _candidate_list(draw):
 )
 @example(lists=[(0.0, ()), (0.0, ((1, 1, 0.0),))], root=True, seed_lcm=1, window=math.inf)  # an empty list
 @example(lists=[], root=False, seed_lcm=7, window=0.0)
+@example(  # at cap 8, cur = 6 > best / 2: q = 7 lies between cur and best and divides neither
+    lists=[(0.0, ((6, 7, 0.0),)), (0.0, ((4, 5, 0.0), (7, 8, 0.0), (12, 13, 0.0)))],
+    root=False, seed_lcm=1, window=math.inf,
+)
+@example(  # the leaf 2, 4 lowers best to 4 mid-scan: limit 4 -> 3 refuses the tie through q = 4
+    lists=[(0.0, ((2, 3, 0.0), (4, 5, 0.0))), (0.0, ((4, 5, 0.0),))],
+    root=False, seed_lcm=1, window=math.inf,
+)
+@example(  # infeasible: at cap 4 only the limit break cuts (q = 4 > 3), so the cap doubles
+    lists=[(0.0, ((3, 4, 0.0),)), (0.0, ((4, 5, 100.0),))],
+    root=False, seed_lcm=1, window=18.0,
+)
 def test_min_lcm_equals_single_pass_oracle(lists, root, seed_lcm, window):
     lists = [_ROOT] + lists if root else lists
     got = min_lcm(lists, window, seed_lcm)
     event("infeasible" if got is None else f"lcm/seed_lcm {'>' if got[0] > 4 * seed_lcm else '<='} 4")
     assert got == single_pass_min_lcm(lists, window, seed_lcm)
+
+
+def _window_in_octave(cents: float, jnd: float) -> bool:
+    return 0 <= cents - jnd and (cents + jnd) / 1200.0 <= 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cents=st.floats(0.0, 1200.0), jnd=st.floats(0.01, 600.0), qmax=st.sampled_from([2, 12, 100]))
+@example(cents=18.0, jnd=18.0, qmax=100)  # the band starts exactly on 1/1
+@example(cents=1182.0, jnd=18.0, qmax=100)  # 11.82 semitones: the band ends exactly on 2/1
+def test_window_inside_the_octave_shares_the_unclamped_entry(cents, jnd, qmax):
+    # where the JND band lies inside the octave the clamp cuts nothing, so the
+    # clamped window is looked up under the unclamped key and both returns are equal
+    assume(_window_in_octave(cents, jnd))
+    cfg = PeriodicityConfig(jnd_cents=jnd, qmax=qmax)
+    clamped, unclamped = (_candidates_cached.__wrapped__(cents, jnd, qmax, c) for c in (True, False))
+    assert clamped == unclamped
+    assert _window_key(cents, cfg, True) == _window_key(cents, cfg, False) == (cents, jnd, qmax, False)
+
+
+@pytest.mark.parametrize("notes,jnd,beyond", [(0.05, 10.0, 0), (11.83, 18.0, 0), (11.95, 18.0, 34)])
+def test_window_across_the_octave_keeps_its_own_entry(notes, jnd, beyond):
+    # a band that crosses 1/1 (5 c at a 10 c JND) or 2/1 (1183 c and 1195 c at 18 c)
+    # stays clamped under its own key; its unclamped window adds the ratios beyond
+    cfg = PeriodicityConfig(jnd_cents=jnd)
+    cents = notes * 100.0
+    assert not _window_in_octave(cents, jnd)
+    assert _window_key(cents, cfg, True) == (cents, jnd, 100, True)
+    clamped, unclamped = (set(_candidates_cached(cents, jnd, 100, c)[1]) for c in (True, False))
+    assert clamped <= unclamped
+    assert len(unclamped - clamped) == beyond
+    assert all(not q <= p <= 2 * q for q, p, _ in unclamped - clamped)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    notes=st.lists(st.floats(-12.0, 24.0), min_size=0, max_size=3, unique=True),
+    jnd=st.sampled_from([10.0, 18.0, 25.0]),
+    clamp=st.booleans(),
+    pairwise=st.booleans(),
+)
+@example(notes=[4.0, 7.0], jnd=18.0, clamp=True, pairwise=True)
+@example(notes=[11.82], jnd=18.0, clamp=True, pairwise=True)
+def test_rooted_search_memo_equals_uncached_min_lcm(notes, jnd, clamp, pairwise):
+    # the memo returns what min_lcm returns on uncached lists of the same windows,
+    # witness triples included, on its first call and on a hit
+    cfg = PeriodicityConfig(jnd_cents=jnd, pairwise_constraint=pairwise)
+    window = jnd if pairwise else math.inf
+    lists = [_candidates_cached.__wrapped__(x * 100.0, jnd, 100, clamp) for x in notes]
+    want = min_lcm([_ROOT] + lists, window)
+    keys = _window_keys(notes, cfg, clamp)
+    assert _rooted_min_lcm(keys, window) == want
+    assert _rooted_min_lcm(keys, window) == want
+
+
+def test_rooted_search_memo_is_bounded():
+    maxsize = _rooted_min_lcm.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 65536
 
 
 def _cap_edge_lists(target: int) -> list:

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import chordspace.harmonicity as harmonicity
 from chordspace.errors import UnresolvableProgressionError
 from chordspace.field import make_simplex_field
-from chordspace.harmonicity import PeriodicityConfig, chord_periodicity, periodicity_field
+from chordspace.harmonicity import (
+    PeriodicityConfig, chord_periodicity, periodicity_field, ratio_candidates
+)
 from chordspace.pitch import Chord, normalize, parse_chord, shift
 from chordspace.psychometric import gaussian_smooth
 from chordspace.resolve import (
@@ -31,6 +34,32 @@ from oracles import (
 
 TRITONE = parse_chord("[3,9]")
 EIGHT_TARGETS = ["[2,8]", "[2,9]", "[2,10]", "[3,8]", "[3,10]", "[4,8]", "[4,9]", "[4,10]"]
+
+
+def _hits_and_misses(cached) -> tuple[int, int]:
+    info = cached.cache_info()
+    return info.hits, info.misses
+
+
+def test_second_chord_windows_are_looked_up_once():
+    # chord_periodicity's clamped windows inside the octave are the unclamped
+    # entries the transition reads, so the second chord's notes add no miss
+    c = Chord((0.0, 3.8713, 7.0291))
+    ratio_candidates(0.0, PeriodicityConfig(), clamp=False)  # the first chord's root
+    chord_periodicity(c)
+    hits, misses = _hits_and_misses(harmonicity._candidates_cached)
+    assert transitive_periodicity(Progression(c, c)) == 1
+    after = _hits_and_misses(harmonicity._candidates_cached)
+    assert after[1] == misses and after[0] > hits
+
+
+def test_second_chord_search_runs_once():
+    # the transition's pinned search of the second chord is chord_periodicity's memo entry
+    first, second = Chord((0.0, 3.7)), Chord((0.0, 4.1713, 6.9291))
+    chord_periodicity(second)
+    hits, misses = _hits_and_misses(harmonicity._rooted_min_lcm)
+    transitive_periodicity(Progression(first, second))
+    assert _hits_and_misses(harmonicity._rooted_min_lcm) == (hits + 1, misses)
 
 
 def test_combined_chord_examples():
