@@ -140,13 +140,11 @@ def cmd_field(args) -> int:
     cfg = _load_config(args)
     resolution = args.res if args.res is not None else cfg.resolution_for(args.size)
     if resolution <= 0 or 1200 % resolution != 0:
-        print(f"error: resolution {resolution} must be positive and divide 1200", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"resolution {resolution} must be positive and divide 1200")
     sigma = args.sigma if args.sigma is not None else cfg.sigma_cents()
     out = Path(args.out)
     if args.matrix and args.kind != "transitive" and args.size != 3:
-        print("error: matrix export is defined for 2-d fields only", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("matrix export is defined for 2-d fields only")
 
     paths = [out]
     if args.kind == "periodicity":
@@ -157,11 +155,9 @@ def cmd_field(args) -> int:
         ]
     elif args.kind == "transitive":
         if args.from_chord is None:
-            print("error: --from CHORD is required for transitive fields", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--from CHORD is required for transitive fields")
         if args.matrix:
-            print("error: --matrix applies to periodicity and roughness fields only", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--matrix applies to periodicity and roughness fields only")
         tcfg = cfg.transitive_config(args.scope)
         panels = resolve.transitive_field(args.from_chord, args.size, tcfg, resolution)
         paths.append(out.with_name(out.stem + "_p2" + out.suffix))

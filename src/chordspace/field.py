@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -201,18 +201,11 @@ class ScalarField:
         value_name: str | None = None,
         meta_updates: dict | None = None,
     ) -> "ScalarField":
-        meta = dict(self.meta)
-        if meta_updates:
-            meta.update(meta_updates)
-        return ScalarField(
-            resolution=self.resolution,
-            origins=self.origins,
-            counts=self.counts,
-            simplex=self.simplex,
-            axis_names=self.axis_names,
-            values=np.asarray(values, dtype=float),
+        return replace(
+            self,
+            values=values,
             value_name=value_name or self.value_name,
-            meta=meta,
+            meta={**self.meta, **(meta_updates or {})},
         )
 
     def interpolate(self, coords: Sequence[float]) -> float:
@@ -292,10 +285,9 @@ def local_minima(
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    if field.dims == 0:
-        return []
-    dense = field.dense()
     counts = field.counts
+    radius = min(radius, max(1, max(counts, default=0) - 1))  # max(counts) - 1 reaches every cell
+    dense = field.dense()
     # Lowest neighbor of every cell, by shifted slices of a padded copy;
     # infinite padding makes a missing neighbor never the lowest.
     low = np.pad(dense, radius, constant_values=np.inf)
@@ -307,14 +299,6 @@ def local_minima(
         np.minimum(nb_min, low[window], out=nb_min)
     no_smaller = dense <= nb_min
 
-    # A cell strictly below its neighbors is a one-cell basin; it has a
-    # (higher) neighbor exactly when the box holds more than one cell.
-    strict = field.mask & (dense < nb_min) & (dense.size > 1)
-    reported = [
-        (tuple(c), float(v))
-        for c, v in zip(field._coords(np.argwhere(strict)).tolist(), dense[strict])
-    ]
-
     def neighbors(idx):
         ranges = [
             range(max(0, i - radius), min(counts[k], i + radius + 1))
@@ -324,11 +308,11 @@ def local_minima(
             if nb != idx:
                 yield nb
 
-    # A cell tying its lowest neighbor may lie on a plateau: flood across
-    # equal-valued neighbors; a plateau leaking to a cell with a smaller
-    # neighbor is not a minimum.
-    seen = set()
-    for idx in map(tuple, np.argwhere(field.mask & (dense == nb_min)).tolist()):
+    # Flood from every cell with no smaller neighbor across equal-valued
+    # neighbors (a strict minimum is a one-cell plateau); a plateau leaking to
+    # a cell with a smaller neighbor is not a minimum.
+    reported, seen = [], set()
+    for idx in map(tuple, np.argwhere(field.mask & no_smaller).tolist()):
         if idx in seen:
             continue
         me = dense[idx]
@@ -373,14 +357,12 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
     lo, hi = box.min(axis=0).tolist(), (box.max(axis=0) + 1).tolist()
     window = tuple(map(slice, lo, hi))
     rest = [k for k in range(field.dims) if k != axis]
-    return ScalarField(
-        resolution=field.resolution,
+    return replace(
+        field,
         origins=tuple(field.origins[k] + field.resolution * a for k, a in zip(rest, lo)),
         counts=tuple(b - a for a, b in zip(lo, hi)),
-        simplex=field.simplex,
         axis_names=tuple(field.axis_names[k] for k in rest),
         values=field.values[positions[window][kept[window]]],
-        value_name=field.value_name,
         meta=dict(field.meta, sliced_axis=field.axis_names[axis], sliced_at=value_cents),
     )
 

@@ -183,12 +183,8 @@ def _candidates_cached(
     m = max(-(-1732 * v // u), qmax * qmax >> 20)
     parts = range(_part_of(a, b, m), _part_of(c, d, m) + 1)
     ratios = [t for k in parts for t in _octave_part(k, m, qmax)]
-    i = bisect_left(ratios, a / b, key=lambda t: t[1] / t[0])  # floats first, then exact
-    while i < len(ratios) and ratios[i][1] * b < a * ratios[i][0]:
-        i += 1
-    j = bisect_right(ratios, c / d, i, key=lambda t: t[1] / t[0])
-    while j > i and ratios[j - 1][1] * d > c * ratios[j - 1][0]:
-        j -= 1
+    i = bisect_left(ratios, True, key=lambda t: t[1] * b >= a * t[0])  # first p/q >= a/b
+    j = bisect_left(ratios, True, i, key=lambda t: t[1] * d > c * t[0])  # first p/q > c/d
     return cents, tuple(sorted(ratios[i:j], key=itemgetter(0)))  # stable: each q's p ascend
 
 

@@ -106,16 +106,11 @@ def gaussian_smooth(field: ScalarField, sigma_cents: float) -> ScalarField:
         )
     radius = int(reach)
     dense = field.dense()
-    if radius > 0:
+    if radius > 0:  # a one-tap kernel would still add 0.0, turning -0.0 into 0.0
         kernel = _kernel(sigma_cents, field.resolution, radius)
+        dense = np.pad(dense, radius, mode="edge")  # each "valid" pass trims its own axis
         for axis in range(field.dims):
-            padded = np.pad(
-                dense, [(radius, radius) if k == axis else (0, 0) for k in range(field.dims)],
-                mode="edge",
-            )
-            dense = np.apply_along_axis(
-                lambda line: np.convolve(line, kernel, mode="valid"), axis, padded
-            )
+            dense = np.apply_along_axis(np.convolve, axis, dense, kernel, mode="valid")
     return field.with_values(
         dense[field.mask],
         meta_updates={"sigma_cents": float(sigma_cents)},

@@ -104,11 +104,12 @@ def _transition(
 
     The other chord's lists are built only after the pinned search succeeds,
     so an infeasible pinned chord wins over an overflowing window.  A pinned
-    second chord within the octave gets the p and first witness of
+    second chord with no note above 12 gets the p and first witness of
     :func:`chord_periodicity` from unclamped lists: they add only ratios
     below 1/1 or above 2/1, detuned further from the root's 0 than 1/1 or 2/1
     (both q = 1).  Swapping in 1/1 or 2/1 keeps the window, cannot raise the
-    lcm and comes earlier in (q, p) order.
+    lcm and comes earlier in (q, p) order.  A top note in (12, 12 + 1e-9]
+    lies above 2/1: the tests find the same p there, not always the witness.
     """
     c1, c2 = _rooted(first, second[0]), _rooted(second, second[0])
     pinned, other = (c2[1:], c1) if pin_second else (c1, c2[1:])

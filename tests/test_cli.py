@@ -167,10 +167,11 @@ def test_field_periodicity_matrix_is_the_smoothed_field(tmp_path, capsys):
 
 
 def test_field_resolution_must_divide_octave(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "field", "periodicity", "2", "--res", "7",
-                           "--out", str(tmp_path / "x.csv"))
+    code, stdout, err = run_cli(capsys, "field", "periodicity", "2", "--res", "7",
+                                "--out", str(tmp_path / "x.csv"))
     assert code == 2
-    assert "divide" in err
+    assert err == "error: resolution 7 must be positive and divide 1200\n"
+    assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("res", ["0", "-50"])
@@ -186,8 +187,8 @@ def test_field_nonpositive_resolution_exits_2(tmp_path, capsys, argv, res):
     out = tmp_path / "a.csv"
     code, stdout, err = run_cli(capsys, *argv, "--res", res, "--out", str(out))
     assert code == 2
-    assert "must be positive" in err
-    assert stdout == "" and not out.exists()
+    assert err == f"error: resolution {res} must be positive and divide 1200\n"
+    assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text", ["nanc", "infc", "-infc", "nan", "inf", "1e308"])
@@ -283,7 +284,8 @@ def test_field_transitive_emits_pair(tmp_path, capsys):
 @pytest.mark.parametrize(
     "field_args,message",
     [
-        (("transitive", "2", "--from", "[3,9]", "--scope", "200c", "--res", "10"), "--matrix"),
+        (("transitive", "2", "--from", "[3,9]", "--scope", "200c", "--res", "10"),
+         "--matrix applies to periodicity and roughness fields only"),
         (("periodicity", "2", "--res", "10"), "matrix export is defined for 2-d fields only"),
         (("roughness", "4", "--res", "100"), "matrix export is defined for 2-d fields only"),
     ],
@@ -295,7 +297,7 @@ def test_field_transitive_rejects_matrix_before_computing(tmp_path, capsys, fiel
         "--out", str(tmp_path / "w.csv"), "--matrix", str(tmp_path / "m.txt"),
     )
     assert code == 2 and stdout == ""
-    assert err.startswith("error:") and message in err
+    assert err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -319,10 +321,11 @@ def test_readme_window_command_keeps_its_bytes(tmp_path, capsys, monkeypatch):
 
 
 def test_field_transitive_requires_from(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "field", "transitive", "2",
-                           "--res", "50", "--out", str(tmp_path / "x.csv"))
+    code, stdout, err = run_cli(capsys, "field", "transitive", "2",
+                                "--res", "50", "--out", str(tmp_path / "x.csv"))
     assert code == 2
-    assert "--from" in err
+    assert err == "error: --from CHORD is required for transitive fields\n"
+    assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 def test_resolve_reports_all_quantities(capsys):

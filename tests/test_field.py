@@ -412,12 +412,20 @@ INF = math.inf
 
 
 @PROPERTY
-@given(fld=grid_fields(), radius=st.sampled_from((1, 2)))
+@given(fld=grid_fields(), radius=st.sampled_from((1, 2, 10**6)))  # 10**6 covers every box
 @example(fld=make_simplex_field(1, 200, [INF, -INF, -INF, INF, 0.0, -INF, INF], "v", {}),
          radius=1)
 @example(fld=_box_field(50, (0, 100), (3, 3), [INF, 0.0, -INF, INF, -INF, INF, 1.0, INF, -INF],
                         ("a", "b")), radius=1)
+# a cell with no neighbor is no minimum: a 1-cell box, a 0-d field
 @example(fld=_box_field(50, (0,), (1,), [-INF], ("a",)), radius=2)
+@example(fld=_box_field(50, (0, 0), (1, 1), [0.0], ("a", "b")), radius=1)
+@example(fld=ScalarField(1, (), (), False, (), [0.0], "v"), radius=1)
+# a strict minimum on the diagonal, next to the excluded cell (600, 0)
+@example(fld=make_simplex_field(2, 600, [2.0, 1.0, 2.0, 0.0, 1.0, 2.0], "v", {}), radius=1)
+# a strict minimum in a box corner, seeing the whole box at radius 2
+@example(fld=_box_field(50, (0, 0), (3, 3), [0.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0],
+                        ("a", "b")), radius=2)
 def test_local_minima_equals_per_cell_oracle(fld, radius):
     assert local_minima(fld, radius) == oracles.local_minima(fld, radius)
 

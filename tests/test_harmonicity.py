@@ -493,6 +493,26 @@ def test_min_lcm_of_rooted_octave_chord_ignores_clamping(notes, jnd):
     assert min_lcm([_ROOT] + clamped, jnd) == min_lcm([_ROOT] + unclamped, jnd)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    notes=st.lists(st.floats(0.0, 12.0, exclude_min=True), max_size=2, unique=True),
+    top=st.floats(12.0, 12.0 + 1e-9, exclude_min=True),
+    jnd=st.sampled_from([10.0, 18.0, 25.0, 400.0]),
+    qmax=st.sampled_from([2, 12, 100]),
+)
+# the witnesses differ: 1/1, 3/2, 2/1 clamped against 1/1, 2/1, 5/2 unclamped
+@example(notes=[8.000000000001], top=12.000000001, jnd=400.0, qmax=2)
+def test_min_lcm_of_rooted_chord_just_above_the_octave_keeps_its_lcm(notes, top, jnd, qmax):
+    # a top note in (12, 12 + 1e-9] counts as within the octave, but its clamped
+    # window ends at 2/1 below the note: unclamped lists may change the witness,
+    # not the minimal lcm
+    clamped, unclamped = (
+        min_lcm([_ROOT] + [_candidates_cached(x * 100.0, jnd, qmax, clamp) for x in sorted(notes) + [top]], jnd)
+        for clamp in (True, False)
+    )
+    assert (clamped and clamped[0]) == (unclamped and unclamped[0])
+
+
 @st.composite
 def _candidate_list(draw):
     """``(cents, pairs)``: (q, p, log) triples with q <= 60 near a cent value, in (q, p) order."""
