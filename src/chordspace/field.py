@@ -120,6 +120,10 @@ class ScalarField:
         if any(c < 1 for c in self.counts):
             raise ValueError("every axis needs at least one grid point")
         vals = np.asarray(self.values, dtype=float)
+        # the field owns its values: freezing the caller's array would stop the caller's
+        # writes, and a frozen view would still follow writes to its base
+        if vals.flags.writeable or not vals.flags.owndata:
+            vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         mask = _cell_mask(self.origins, self.resolution, self.counts, self.simplex)

@@ -24,7 +24,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import UnresolvableChordError, UnresolvableIntervalError
+from .errors import UnresolvableChordError, UnresolvableIntervalError, UnresolvableProgressionError
 from .field import ScalarField, interval_grid, make_simplex_field
 from .pitch import CENTS_PER_SEMITONE, Chord, normalize
 
@@ -206,7 +206,14 @@ def ratio_candidates(
 
 def _window_key(cents: float, cfg: PeriodicityConfig, clamp: bool) -> tuple:
     """The :func:`_candidates_cached` arguments of a window; a clamp that cuts nothing
-    is dropped (see :func:`_candidate_lists`)."""
+    is dropped.
+
+    A clamped window whose JND band lies inside the octave, ``0 <= cents - jnd`` and
+    ``(cents + jnd) / 1200.0 <= 1`` (the float expressions :func:`_ratio_window` takes
+    its ends from), shares the unclamped entry: the clamp leaves both of its ends as
+    they are, so both keys give the same ``(cents, pairs)``.  A band that crosses 1/1
+    or 2/1 keeps its own entry.
+    """
     jnd = cfg.jnd_cents
     return cents, jnd, cfg.qmax, clamp and not (0 <= cents - jnd and (cents + jnd) / 1200.0 <= 1)
 
@@ -299,23 +306,65 @@ def _window_keys(notes, cfg: PeriodicityConfig, clamp: bool = False) -> tuple:
     return tuple(_window_key(x * CENTS_PER_SEMITONE, cfg, clamp) for x in notes)
 
 
-def _candidate_lists(keys) -> list:
-    """Candidate lists of :func:`_window_keys`.
-
-    A clamped window whose JND band lies inside the octave, ``0 <= cents - jnd`` and
-    ``(cents + jnd) / 1200.0 <= 1`` (the float expressions :func:`_ratio_window` takes
-    its ends from), shares the unclamped entry: the clamp leaves both of its ends as
-    they are, so both keys give the same ``(cents, pairs)``.  A band that crosses 1/1
-    or 2/1 keeps its own entry.
-    """
-    return [_candidates_cached(*k) for k in keys]
-
-
 @lru_cache(maxsize=16384)
 def _rooted_min_lcm(keys: tuple, window: float):
     """:func:`min_lcm` of :data:`_ROOT` and the lists of ``keys``, once per process
     for each window-key tuple: every search with a root pinned to 1/1 runs here."""
-    return min_lcm([_ROOT] + _candidate_lists(keys), window)
+    return min_lcm([_ROOT] + [_candidates_cached(*k) for k in keys], window)
+
+
+def _rooted(notes, s: float) -> tuple[float, ...]:
+    """``notes`` shifted down by ``s`` as :func:`shift` does it; a shift that
+    overflows or merges two notes raises the error :func:`shift` raises."""
+    out = tuple(x - s for x in notes)
+    if not (math.isfinite(out[0]) and math.isfinite(out[-1]) and len(set(out)) == len(out)):
+        Chord(out)
+    return out
+
+
+def _transition(
+    first: tuple[float, ...], second: tuple[float, ...], pcfg: PeriodicityConfig, pin_second: bool
+) -> tuple[int, int]:
+    """(L / p, p): p is the pinned chord's own minimal lcm, L the minimal lcm
+    of a joint tuning of both chords in which the pinned chord realizes p,
+    from the two chords' notes shifted down by the second chord's root.
+
+    A pinned second chord leads its lists with :data:`_ROOT`, so its window
+    opens at its root's 0, and its search is the shared :func:`_rooted_min_lcm`
+    entry of its window keys; a pinned first chord's window starts empty.  The
+    joint search leads with :data:`_ROOT` as well, keeps only the pinned
+    candidates whose denominator divides p and starts its lcm at p.  Each
+    pinned sub-tuning fits a window its minimal search also allowed, so its
+    lcm is at least p; as every denominator divides p, it is exactly p.
+
+    The other chord's lists are built only after the pinned search succeeds,
+    so an infeasible pinned chord wins over an overflowing window.  A pinned
+    second chord with no note above 12 gets the p and first witness of
+    :func:`chord_periodicity` from unclamped lists: they add only ratios
+    below 1/1 or above 2/1, detuned further from the root's 0 than 1/1 or 2/1
+    (both q = 1).  Swapping in 1/1 or 2/1 keeps the window, cannot raise the
+    lcm and comes earlier in (q, p) order.  A top note in (12, 12 + 1e-9]
+    lies above 2/1: the tests find the same p there, not always the witness.
+    """
+    c1, c2 = _rooted(first, second[0]), _rooted(second, second[0])
+    pinned, other = (c2[1:], c1) if pin_second else (c1, c2[1:])
+    keys = _window_keys(pinned, pcfg)
+    lists = [_candidates_cached(*k) for k in keys]
+    found = _rooted_min_lcm(keys, pcfg.jnd_cents) if pin_second else min_lcm(lists, pcfg.jnd_cents)
+    if found is None:
+        which, notes = ("second", second) if pin_second else ("first", first)
+        raise UnresolvableProgressionError(
+            f"{which} chord {Chord(notes)} admits no rational tuning within bounds"
+        )
+    p = found[0]
+    sub = [(cents, [c for c in pairs if p % c[0] == 0]) for cents, pairs in lists]
+    rest = [_candidates_cached(*k) for k in _window_keys(other, pcfg)]
+    found = min_lcm([_ROOT] + sub + rest, pcfg.jnd_cents, p)
+    if found is None:
+        raise UnresolvableProgressionError(
+            f"no joint tuning of {Chord(first)} -> {Chord(second)} within bounds"
+        )
+    return found[0] // p, p
 
 
 def _check_octave(notes: tuple[float, ...]) -> None:
@@ -408,7 +457,7 @@ def periodicity_field(
     notes, idx = interval_grid(n, resolution)
     idx = idx.T[1:]  # a contiguous row per non-root note; assigned cells leave it
     # axis value 0 is the root
-    lists = [_ROOT] + _candidate_lists(_window_keys(notes[1:].tolist(), cfg, True))
+    lists = [_ROOT] + [_candidates_cached(*k) for k in _window_keys(notes[1:].tolist(), cfg, True)]
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])
     lcm = bound = 0
     while len(pos) and lcm < cfg.qmax:

@@ -26,12 +26,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import UnresolvableProgressionError
 from .field import ScalarField, _check_box
-from .harmonicity import (
-    _ROOT, PeriodicityConfig, _candidate_lists, _check_octave, _rooted_min_lcm, _window_keys,
-    chord_periodicity, min_lcm,
-)
+from .harmonicity import PeriodicityConfig, _check_octave, _transition, chord_periodicity
 from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch, normalize, shift
 
 __all__ = [
@@ -72,63 +68,6 @@ class TransitiveConfig:
 def combined_chord(prog: Progression) -> Chord:
     """Set-theoretic union of the two chords, normalized."""
     return normalize(prog.first.notes + prog.second.notes)
-
-
-# -- joint tuning search ------------------------------------------------------
-
-
-def _rooted(notes, s: float) -> tuple[float, ...]:
-    """``notes`` shifted down by ``s`` as :func:`shift` does it; a shift that
-    overflows or merges two notes raises the error :func:`shift` raises."""
-    out = tuple(x - s for x in notes)
-    if not (math.isfinite(out[0]) and math.isfinite(out[-1]) and len(set(out)) == len(out)):
-        Chord(out)
-    return out
-
-
-def _transition(
-    first: tuple[float, ...], second: tuple[float, ...], pcfg: PeriodicityConfig, pin_second: bool
-) -> tuple[int, int]:
-    """(L / p, p): p is the pinned chord's own minimal lcm, L the minimal lcm
-    of a joint tuning of both chords in which the pinned chord realizes p,
-    from the two chords' notes shifted down by the second chord's root.
-
-    A pinned second chord leads its lists with :data:`_ROOT`, so its window
-    opens at its root's 0, and its search is the shared
-    :func:`~chordspace.harmonicity._rooted_min_lcm` entry of its window keys; a
-    pinned first chord's window starts empty.  The
-    joint search leads with :data:`_ROOT` as well, keeps only the pinned
-    candidates whose denominator divides p and starts its lcm at p.  Each
-    pinned sub-tuning fits a window its minimal search also allowed, so its
-    lcm is at least p; as every denominator divides p, it is exactly p.
-
-    The other chord's lists are built only after the pinned search succeeds,
-    so an infeasible pinned chord wins over an overflowing window.  A pinned
-    second chord with no note above 12 gets the p and first witness of
-    :func:`chord_periodicity` from unclamped lists: they add only ratios
-    below 1/1 or above 2/1, detuned further from the root's 0 than 1/1 or 2/1
-    (both q = 1).  Swapping in 1/1 or 2/1 keeps the window, cannot raise the
-    lcm and comes earlier in (q, p) order.  A top note in (12, 12 + 1e-9]
-    lies above 2/1: the tests find the same p there, not always the witness.
-    """
-    c1, c2 = _rooted(first, second[0]), _rooted(second, second[0])
-    pinned, other = (c2[1:], c1) if pin_second else (c1, c2[1:])
-    keys = _window_keys(pinned, pcfg)
-    lists = _candidate_lists(keys)
-    found = _rooted_min_lcm(keys, pcfg.jnd_cents) if pin_second else min_lcm(lists, pcfg.jnd_cents)
-    if found is None:
-        which, notes = ("second", second) if pin_second else ("first", first)
-        raise UnresolvableProgressionError(
-            f"{which} chord {Chord(notes)} admits no rational tuning within bounds"
-        )
-    p = found[0]
-    sub = [(cents, [c for c in pairs if p % c[0] == 0]) for cents, pairs in lists]
-    found = min_lcm([_ROOT] + sub + _candidate_lists(_window_keys(other, pcfg)), pcfg.jnd_cents, p)
-    if found is None:
-        raise UnresolvableProgressionError(
-            f"no joint tuning of {Chord(first)} -> {Chord(second)} within bounds"
-        )
-    return found[0] // p, p
 
 
 def transitive_periodicity(prog: Progression, cfg: TransitiveConfig = TransitiveConfig()) -> int:
@@ -219,8 +158,9 @@ def transitive_field(
     periodicity of ``c2``) on the same grid: one axis per note of the target
     chord, each spanning ``scope`` cents around the corresponding note of
     ``c1``.  Windows must not overlap, so every grid tuple is already sorted.
-    One search per cell fills both panels (see :func:`_transition`); a target
-    beyond the octave raises after that cell's transition errors.
+    One search per cell fills both panels (see
+    :func:`~chordspace.harmonicity._transition`); a target beyond the octave
+    raises after that cell's transition errors.
     """
     if n != len(c1):
         raise ValueError(

@@ -41,6 +41,7 @@ from chordspace.harmonicity import (
 )
 from chordspace.metric import GeodesicGroup, GeodesicWitness, NormChoice
 from chordspace.pitch import Chord, DEFAULT_F0_HZ, freq_from_pitch, normalize, shift
+from chordspace.psychometric import _kernel
 from chordspace.resolve import Progression, TransitiveConfig, transitive_periodicity
 from chordspace.roughness import RoughnessParams, Spectrum, harmonic_spectrum
 
@@ -460,6 +461,24 @@ def symmetric_extension(field: ScalarField) -> np.ndarray:
         coords = [field.origins[k] + field.resolution * i for k, i in enumerate(idx)]
         out[idx] = field.value_at(sorted(coords) if field.simplex else coords)
     return out
+
+
+def per_line_gaussian_smooth(field: ScalarField, sigma_cents: float) -> np.ndarray:
+    """Values of ``gaussian_smooth(field, sigma_cents)``, one 1-D line at a time: on the
+    :func:`symmetric_extension`, axis by axis, each line gets ``radius`` copies of its
+    first and last value at either end and is convolved alone with ``np.convolve``."""
+    radius = int(6.0 * sigma_cents // field.resolution)
+    kernel = _kernel(sigma_cents, field.resolution, radius)
+    box = symmetric_extension(field)
+    for axis in range(field.dims):
+        out = np.empty_like(box)
+        for idx in np.ndindex(*box.shape[:axis], *box.shape[axis + 1:]):
+            line = idx[:axis] + (slice(None),) + idx[axis:]
+            row = box[line].tolist()
+            padded = np.array([row[0]] * radius + row + [row[-1]] * radius)
+            out[line] = np.convolve(padded, kernel, mode="valid")
+        box = out
+    return box[field.mask]
 
 
 def per_cell_export_csv(field: ScalarField, path) -> None:

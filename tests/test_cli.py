@@ -24,6 +24,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("chordspace.cli.cmd_distance", fail)
+    assert run_cli(capsys, "distance", "[0,4,7]", "[0,3,7]") == (4, "", "internal error: boom\n")
+
+
 def test_parse_cents_suffix_and_semitones():
     assert parse_cents("6c") == 6.0
     assert parse_cents("0.06") == pytest.approx(6.0)

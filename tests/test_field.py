@@ -62,6 +62,27 @@ def test_value_count_must_match_cells():
         make_simplex_field(1, 600, [1.0, 2.0], "value", {})
 
 
+def test_field_owns_its_values():
+    a = np.zeros(3)
+    fld = ScalarField(10, (0.0,), (3,), False, ("a",), a, "v")
+    a[0] = 1.0  # the caller's array stays writeable
+    assert fld.values.tolist() == [0.0, 0.0, 0.0]
+    assert not fld.values.flags.writeable
+    assert fld.dense().tolist() == [0.0, 0.0, 0.0]
+    view = a[:]
+    view.flags.writeable = False
+    fld = ScalarField(10, (0.0,), (3,), False, ("a",), view, "v")
+    a[1] = 2.0  # writes to the base of a frozen view do not reach the field
+    assert fld.values.tolist() == [1.0, 0.0, 0.0]
+    assert fld.dense().tolist() == [1.0, 0.0, 0.0]
+
+
+def test_field_equality_with_a_non_field_is_not_implemented():
+    fld = make_simplex_field(1, 600, [1.0, 2.0, 3.0], "value", {})
+    assert fld.__eq__(3) is NotImplemented
+    assert fld != 3
+
+
 @pytest.mark.parametrize(
     "resolution, origins, counts, message",
     [

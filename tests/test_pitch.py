@@ -48,6 +48,20 @@ def test_nonpositive_frequency_rejected(bad):
         pitch_from_freq(bad)
 
 
+@pytest.mark.parametrize("f0", [0.0, -5.0, math.nan, math.inf])
+def test_bad_reference_frequency_rejected(f0):
+    with pytest.raises(ValueError, match="reference frequency"):
+        pitch_from_freq(440.0, f0)
+    with pytest.raises(ValueError, match="reference frequency"):
+        freq_from_pitch(0.0, f0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_pitch_rejected(bad):
+    with pytest.raises(ValueError, match="pitch must be finite"):
+        freq_from_pitch(bad)
+
+
 def test_normalize_sorts_and_dedups():
     assert normalize([4, 0, 7, 11]).notes == (0.0, 4.0, 7.0, 11.0)
     assert normalize([0, 0, 4, 7, 11]).notes == (0.0, 4.0, 7.0, 11.0)
@@ -81,6 +95,11 @@ def test_chord_validation():
         Chord((math.nan,))
     with pytest.raises(ValueError):
         Chord(())
+
+
+def test_chord_indexing_reads_its_notes():
+    c = Chord((0.0, 4.0, 7.0))
+    assert (c[0], c[-1], c[1:]) == (0.0, 7.0, (4.0, 7.0))
 
 
 def test_shift_examples_and_inverse():

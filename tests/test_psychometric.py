@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from chordspace.field import make_simplex_field, local_minima
+from chordspace.field import ScalarField, make_simplex_field, local_minima
 from chordspace.harmonicity import periodicity_field
 from chordspace.psychometric import (
     THIRD_QUARTILE_Z,
@@ -16,6 +16,8 @@ from chordspace.psychometric import (
     jnd_from_quartiles,
     sigma_from_jnd,
 )
+
+import oracles
 
 
 def test_jnd_from_quartiles():
@@ -32,6 +34,12 @@ def test_sigma_from_jnd():
     assert sigma_from_jnd(THIRD_QUARTILE_Z) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         sigma_from_jnd(0.0)
+
+
+def test_curve_jnd_round_trips_within_an_ulp():
+    for jnd in (k / 4 for k in range(1, 401)):  # quarter cents in (0, 100]
+        assert PsychometricCurve(0.0, sigma_from_jnd(jnd)).jnd_cents == pytest.approx(jnd, rel=1e-15)
+    assert PsychometricCurve(0.0, sigma_from_jnd(18.0)).jnd_cents == 18.0
 
 
 def test_curve_value_median_and_quartiles():
@@ -63,6 +71,9 @@ def test_gaussian_product_sigma_values():
     for _ in range(100):
         s1, s2 = rng.uniform(0.1, 50), rng.uniform(0.1, 50)
         assert gaussian_product_sigma(s1, s2) < min(s1, s2)
+    for s1, s2 in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            gaussian_product_sigma(s1, s2)
 
 
 def test_smooth_constant_field_unchanged():
@@ -122,6 +133,21 @@ def test_smooth_triad_field_respects_mirror_symmetry():
 def test_curve_requires_positive_sigma():
     with pytest.raises(ValueError):
         PsychometricCurve(0.0, 0.0)
+
+
+@pytest.mark.parametrize("simplex, counts, resolution", [
+    (True, (13,), 100), (True, (13, 13), 100), (True, (7, 7, 7), 200), (False, (4, 9, 6), 10),
+])
+def test_smooth_equals_per_line_oracle(simplex, counts, resolution):
+    dims = len(counts)
+    cells = math.comb(counts[0] - 1 + dims, dims) if simplex else math.prod(counts)
+    values = np.random.default_rng(dims).normal(size=cells)
+    fld = ScalarField(resolution, (0.0,) * dims, counts, simplex, ("x",) * dims, values, "v")
+    for radius in range(1, max(counts) + 1):  # up to the longest axis
+        sigma = (radius + 0.5) * resolution / 6.0
+        assert np.array_equal(
+            gaussian_smooth(fld, sigma).values, oracles.per_line_gaussian_smooth(fld, sigma)
+        )
 
 
 def test_smooth_rejects_negative_sigma():

@@ -55,6 +55,11 @@ def test_pair_rejects_nonpositive_frequency():
         pair_roughness(0.0, 440.0)
 
 
+def test_harmonic_spectrum_needs_a_partial():
+    with pytest.raises(ValueError, match="at least one partial"):
+        harmonic_spectrum(0)
+
+
 def test_single_sine_note_has_zero_roughness():
     assert chord_roughness(normalize([0]), PURE_SINE) == 0.0
 
