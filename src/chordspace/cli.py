@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import harmonicity, metric, psychometric, resolve, roughness
@@ -60,28 +61,25 @@ def _emit(payload: dict) -> None:
 
 
 def _load_config(args) -> Config:
+    """The config file (or the defaults) with the given --jnd, --qmax and --scope laid over it."""
     path = args.config or os.environ.get(ENV_VAR)
     cfg = Config.from_file(path) if path else Config()
-    if getattr(args, "jnd", None) is not None:
-        cfg.jnd_cents = args.jnd
-    if getattr(args, "qmax", None) is not None:
-        cfg.qmax = args.qmax
-    return cfg
+    flags = {"jnd_cents": "jnd", "qmax": "qmax", "scope_cents": "scope"}
+    given = {key: getattr(args, flag, None) for key, flag in flags.items()}
+    return replace(cfg, **{key: value for key, value in given.items() if value is not None})
 
 
-def _write_field(fld: ScalarField, path: Path, cfg: Config, extra: dict) -> dict:
+def _write_field(fld: ScalarField, path: Path, cfg: Config, sigma: float) -> dict:
     export_csv(fld, path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    sidecar = {
+    return {
         "file": path.name,
-        "sha256": digest,
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
         "value_name": fld.value_name,
         "axes": list(fld.axis_names),
         "meta": {k: v for k, v in sorted(fld.meta.items())},
         "config": cfg.snapshot(),
+        "sigma": _both_units(sigma),
     }
-    sidecar.update(extra)
-    return sidecar
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -153,22 +151,17 @@ def cmd_field(args) -> int:
         panels = [
             roughness.roughness_field(args.size, resolution, cfg.spectrum, cfg.f0_hz, cfg.roughness)
         ]
-    elif args.kind == "transitive":
+    else:  # transitive
         if args.from_chord is None:
             raise ValueError("--from CHORD is required for transitive fields")
         if args.matrix:
             raise ValueError("--matrix applies to periodicity and roughness fields only")
-        tcfg = cfg.transitive_config(args.scope)
+        tcfg = cfg.transitive_config()
         panels = resolve.transitive_field(args.from_chord, args.size, tcfg, resolution)
         paths.append(out.with_name(out.stem + "_p2" + out.suffix))
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.kind)
 
     panels = [psychometric.gaussian_smooth(fld, sigma) for fld in panels]
-    sidecars = [
-        _write_field(fld, path, cfg, {"sigma": _both_units(sigma)})
-        for fld, path in zip(panels, paths)
-    ]
+    sidecars = [_write_field(fld, path, cfg, sigma) for fld, path in zip(panels, paths)]
     if args.matrix:
         export_matrix(panels[0], args.matrix)
         sidecars[0]["matrix_file"] = str(args.matrix)
@@ -181,7 +174,7 @@ def cmd_field(args) -> int:
 
 def cmd_resolve(args) -> int:
     cfg = _load_config(args)
-    tcfg = cfg.transitive_config(args.scope)
+    tcfg = cfg.transitive_config()
     prog = resolve.Progression(args.chord1, args.chord2)
     second_rooted = shift(args.chord2, args.chord2.root)
     p2, _ = harmonicity.chord_periodicity(second_rooted, cfg.periodicity_config())
@@ -208,6 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Voice-leading distances and psychoacoustic fields on chord space.",
     )
     parser.add_argument("--config", help=f"JSON config path (or ${ENV_VAR})")
+    # options shared by several subcommands, each declared once
+    tuning = argparse.ArgumentParser(add_help=False)
+    tuning.add_argument("--jnd", type=parse_cents)
+    tuning.add_argument("--qmax", type=int)
+    scope = argparse.ArgumentParser(add_help=False)
+    scope.add_argument("--scope", type=parse_cents, help="half-width of each note window")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--res", type=int, help="grid resolution in cents")
+    grid.add_argument("--sigma", type=parse_cents,
+                      help="smoothing width, e.g. 6c (0 for the raw step field)")
+    grid.add_argument("--out", required=True, help="output CSV path")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("distance", help="voice-leading distances between two chords")
@@ -216,10 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", default="manhattan", choices=["manhattan", "euclidean"])
     p.set_defaults(fn=cmd_distance)
 
-    p = sub.add_parser("periodicity", help="chord periodicity and tuning witness")
+    p = sub.add_parser("periodicity", parents=[tuning], help="chord periodicity and tuning witness")
     p.add_argument("chord", type=_chord_arg)
-    p.add_argument("--jnd", type=parse_cents, default=None)
-    p.add_argument("--qmax", type=int, default=None)
     p.add_argument("--shift-to-root", action="store_true",
                    help="translate the chord so its lowest note is 0 first")
     p.add_argument("--per-note-only", action="store_true",
@@ -228,43 +230,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the minimum over every re-rooting")
     p.set_defaults(fn=cmd_periodicity)
 
-    p = sub.add_parser("field", help="write a grid field as CSV (plus JSON sidecar)")
+    p = sub.add_parser("field", parents=[grid, tuning, scope],
+                       help="write a grid field as CSV (plus JSON sidecar)")
     p.add_argument("kind", choices=["periodicity", "roughness", "transitive"])
     p.add_argument("size", type=int, help="number of chord notes")
-    p.add_argument("--res", type=int, default=None, help="grid resolution in cents")
-    p.add_argument("--sigma", type=parse_cents, default=None,
-                   help="smoothing width, e.g. 6c (0 for the raw step field)")
-    p.add_argument("--jnd", type=parse_cents, default=None)
-    p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--from", dest="from_chord", type=_chord_arg, default=None,
+    p.add_argument("--from", dest="from_chord", type=_chord_arg,
                    help="starting chord for transitive fields")
-    p.add_argument("--scope", type=parse_cents, default=None,
-                   help="half-width of each note window for transitive fields")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--matrix", default=None,
-                   help="also write a dense whitespace matrix (2-d fields)")
+    p.add_argument("--matrix", help="also write a dense whitespace matrix (2-d fields)")
     p.set_defaults(fn=cmd_field)
 
-    p = sub.add_parser("resolve", help="transition quantities for an ordered pair")
+    p = sub.add_parser("resolve", parents=[tuning, scope],
+                       help="transition quantities for an ordered pair")
     p.add_argument("chord1", type=_chord_arg)
     p.add_argument("chord2", type=_chord_arg)
-    p.add_argument("--jnd", type=parse_cents, default=None)
-    p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--scope", type=parse_cents, default=None)
     p.set_defaults(fn=cmd_resolve)
 
-    p = sub.add_parser(
-        "resolve-field",
-        help="transitive-periodicity window field plus companion periodicity field",
-    )
+    p = sub.add_parser("resolve-field", parents=[grid, tuning, scope],
+                       help="transitive-periodicity window field plus companion periodicity field")
     p.add_argument("from_chord", type=_chord_arg, metavar="chord")
     p.add_argument("size", type=int)
-    p.add_argument("--res", type=int, default=None)
-    p.add_argument("--sigma", type=parse_cents, default=None)
-    p.add_argument("--jnd", type=parse_cents, default=None)
-    p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--scope", type=parse_cents, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_field, kind="transitive", matrix=None)
 
     return parser

@@ -42,7 +42,15 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
-@dataclass
+def _size(key: str) -> int:
+    """A ``resolutions`` key (a chord size, which JSON writes as a string)."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"config resolutions keys must be integers, got {key!r}") from None
+
+
+@dataclass(frozen=True)
 class Config:
     f0_hz: float = DEFAULT_F0_HZ
     jnd_cents: float = PeriodicityConfig.jnd_cents
@@ -58,7 +66,8 @@ class Config:
             raise ValueError(f"sigma_mode must be 'third' or 'iqr', got {self.sigma_mode!r}")
         if not (self.f0_hz > 0 and math.isfinite(self.f0_hz)):
             raise ValueError(f"f0_hz must be positive, got {self.f0_hz!r}")
-        self.periodicity_config()  # validate jnd/qmax eagerly
+        self.periodicity_config()  # jnd and qmax first: a bad one is named even beside a bad scope
+        self.transitive_config()  # then the scope
 
     def sigma_cents(self) -> float:
         if self.sigma_mode == "third":
@@ -69,16 +78,10 @@ class Config:
         return int(self.resolutions.get(n, _DEFAULT_RESOLUTIONS.get(n, 50)))
 
     def periodicity_config(self, pairwise: bool = True) -> PeriodicityConfig:
-        return PeriodicityConfig(
-            jnd_cents=self.jnd_cents, qmax=self.qmax, pairwise_constraint=pairwise
-        )
+        return PeriodicityConfig(self.jnd_cents, self.qmax, pairwise)
 
-    def transitive_config(self, scope_cents: float | None = None) -> TransitiveConfig:
-        return TransitiveConfig(
-            jnd_cents=self.jnd_cents,
-            qmax=self.qmax,
-            scope_cents=self.scope_cents if scope_cents is None else scope_cents,
-        )
+    def transitive_config(self) -> TransitiveConfig:
+        return TransitiveConfig(self.jnd_cents, self.qmax, self.scope_cents)
 
     def snapshot(self) -> dict:
         """JSON-ready dict embedded in every artifact."""
@@ -106,7 +109,7 @@ class Config:
             kwargs["sigma_mode"] = data["sigma_mode"]
         if "resolutions" in data:
             kwargs["resolutions"] = {
-                int(k): _integer(f"resolutions.{k}", v)
+                _size(k): _integer(f"resolutions.{k}", v)
                 for k, v in _typed("resolutions", data["resolutions"], dict, "an object").items()
             }
         if "spectrum" in data:

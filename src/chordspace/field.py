@@ -220,7 +220,7 @@ class ScalarField:
         pos = []
         for k, c in enumerate(coords):
             t = (float(c) - self.origins[k]) / self.resolution
-            if t < -1e-9 or t > self.counts[k] - 1 + 1e-9:
+            if not -1e-9 <= t <= self.counts[k] - 1 + 1e-9:
                 raise ValueError(
                     f"coordinate {c} is outside axis {self.axis_names[k]}"
                 )

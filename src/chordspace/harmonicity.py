@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -57,8 +57,13 @@ class PeriodicityConfig:
     def __post_init__(self):
         if not (self.jnd_cents > 0 and math.isfinite(self.jnd_cents)):
             raise ValueError(f"jnd_cents must be positive, got {self.jnd_cents!r}")
-        if self.qmax < 2:
+        try:
+            qmax = index(self.qmax)  # numpy integers pass, a float does not
+        except TypeError:
+            raise ValueError(f"qmax must be an integer, got {self.qmax!r}") from None
+        if qmax < 2:
             raise ValueError(f"qmax must be >= 2, got {self.qmax!r}")
+        object.__setattr__(self, "qmax", qmax)  # a numpy integer would overflow the window bound
 
 
 @dataclass(frozen=True)

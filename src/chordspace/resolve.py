@@ -176,6 +176,8 @@ def transitive_field(
                 f"scope {cfg.scope_cents:g} cents makes note windows overlap "
                 f"(minimal note gap is {min_gap_cents:g} cents)"
             )
+    if not resolution > 0:
+        raise ValueError("resolution must be a positive number of cents")
     k = int(cfg.scope_cents // resolution)
     origins = tuple(p * CENTS_PER_SEMITONE - k * resolution for p in c1.notes)
     counts = (2 * k + 1,) * len(c1)
@@ -254,7 +256,7 @@ def directional_derivative(
         u = [CENTS_PER_SEMITONE * v for v in velocity]
     if all(x == 0.0 for x in u):
         return 0.0
-    if step_cents <= 0:
+    if not step_cents > 0:
         raise ValueError("step_cents must be positive")
     s = step_cents / CENTS_PER_SEMITONE
     plus = [c + s * x for c, x in zip(at, u)]

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chordspace.cli import main, parse_cents
+from chordspace.cli import build_parser, main, parse_cents
+from chordspace.config import Config
 from chordspace.field import export_matrix
 from chordspace.harmonicity import periodicity_field
 from chordspace.psychometric import THIRD_QUARTILE_Z, gaussian_smooth
@@ -437,6 +439,78 @@ def test_config_accepts_whole_numbers_as_integers(tmp_path, capsys):
     snapshot = json.loads(out)["config"]
     assert snapshot["qmax"] == 64 and isinstance(snapshot["qmax"], int)
     assert snapshot["resolutions"]["2"] == 100 and snapshot["jnd_cents"] == 18.0
+
+
+def test_config_names_a_resolutions_key_that_is_no_integer(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"resolutions": {"x": 1}}))
+    code, stdout, err = run_cli(capsys, "--config", str(cfg), "periodicity", "[0,7]")
+    assert (code, stdout) == (2, "")
+    assert err == "error: config resolutions keys must be integers, got 'x'\n"
+
+
+ROUGHNESS_DYADS = ("field", "roughness", "2", "--res", "100", "--sigma", "0")
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ({}, (*ROUGHNESS_DYADS, "--jnd=-5c", "--qmax", "1"), "jnd_cents must be positive, got -5.0"),
+        ({}, (*ROUGHNESS_DYADS, "--qmax", "1"), "qmax must be >= 2, got 1"),
+        ({"scope_cents": math.nan}, ("periodicity", "[0,4,7]"),
+         "scope must be nonnegative and finite, got nan"),
+        ({"scope_cents": -5}, ("distance", "[0,4,7]", "[0,3,7]"),
+         "scope must be nonnegative and finite, got -5.0"),
+        ({"scope_cents": -5}, ("field", "periodicity", "2", "--res", "100"),
+         "scope must be nonnegative and finite, got -5.0"),
+    ],
+)
+def test_invalid_settings_exit_2_on_every_command(tmp_path, capsys, config, argv, message):
+    """A flag passes the same checks as a config value, and every command checks them all."""
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))
+    outputs = ("--out", str(tmp_path / "f.csv")) if argv[0] == "field" else ()
+    code, stdout, err = run_cli(capsys, "--config", str(cfg), *argv, *outputs)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["conf.json"]
+
+
+def test_scope_flag_is_the_scope_the_snapshot_records(tmp_path, capsys):
+    code, stdout, _ = run_cli(capsys, "field", "transitive", "2", "--from", "[3,9]",
+                              "--scope", "100c", "--res", "10", "--out", str(tmp_path / "w.csv"))
+    assert code == 0
+    for panel in json.loads(stdout)["panels"]:
+        assert panel["config"]["scope_cents"] == panel["meta"]["scope_cents"] == 100.0
+    code, stdout, _ = run_cli(capsys, "resolve", "[3,9]", "[4,8]", "--scope", "100c")
+    assert code == 0 and json.loads(stdout)["config"]["scope_cents"] == 100.0
+
+
+def test_config_is_frozen():
+    cfg = Config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.jnd_cents = 5.0
+
+
+def test_each_subcommand_keeps_its_options():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for action in p._actions for s in action.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert {s for action in parser._actions for s in action.option_strings} == {
+        "-h", "--help", "--config"
+    }
+    assert options == {
+        "distance": {"-h", "--help", "--norm"},
+        "periodicity": {"-h", "--help", "--jnd", "--qmax", "--shift-to-root", "--per-note-only",
+                        "--all-rerootings"},
+        "field": {"-h", "--help", "--res", "--sigma", "--jnd", "--qmax", "--from", "--scope",
+                  "--out", "--matrix"},
+        "resolve": {"-h", "--help", "--jnd", "--qmax", "--scope"},
+        "resolve-field": {"-h", "--help", "--res", "--sigma", "--jnd", "--qmax", "--scope",
+                          "--out"},
+    }
 
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):

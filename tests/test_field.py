@@ -338,6 +338,12 @@ def test_interpolation_linear_and_bounds():
         fld.interpolate((650.0, 650.0))
 
 
+def test_interpolation_rejects_nan_as_outside_the_axis():
+    fld = make_simplex_field(2, 100, np.arange(91.0), "v", {})
+    with pytest.raises(ValueError, match="^coordinate nan is outside axis x2$"):
+        fld.interpolate((math.nan, 300.0))
+
+
 def test_box_normalization_of_vacuous_simplex():
     # a "simplex" whose axes never cross stores as a plain box
     fld = ScalarField(

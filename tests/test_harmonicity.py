@@ -655,3 +655,18 @@ def test_config_validation():
         PeriodicityConfig(jnd_cents=0.0)
     with pytest.raises(ValueError):
         PeriodicityConfig(qmax=1)
+
+
+@pytest.mark.parametrize("qmax", [50.5, 50.0, "50", None])
+def test_config_rejects_a_qmax_that_is_no_integer(qmax):
+    with pytest.raises(ValueError, match=f"qmax must be an integer, got {qmax!r}"):
+        PeriodicityConfig(qmax=qmax)
+
+
+def test_config_takes_numpy_integer_qmax_and_a_bool_is_too_small():
+    major = Chord((0.0, 4.0, 7.0))
+    assert chord_periodicity(major, PeriodicityConfig(qmax=np.int64(50))) == chord_periodicity(
+        major, PeriodicityConfig(qmax=50)
+    )
+    with pytest.raises(ValueError, match="qmax must be >= 2, got True"):
+        PeriodicityConfig(qmax=True)

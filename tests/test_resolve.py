@@ -398,6 +398,12 @@ def test_transitive_field_rejects_targets_off_the_float_range():
         transitive_field(Chord((-1e307, 0.0)), 2, TransitiveConfig(scope_cents=100.0), 50)
 
 
+@pytest.mark.parametrize("resolution", [0, -10, math.nan])
+def test_transitive_field_rejects_a_nonpositive_resolution(resolution):
+    with pytest.raises(ValueError, match="^resolution must be a positive number of cents$"):
+        transitive_field(Chord((0.0, 7.0)), 2, TransitiveConfig(scope_cents=10.0), resolution)
+
+
 def test_transitive_field_rejects_overlapping_windows():
     with pytest.raises(ValueError):
         transitive_field(parse_chord("[0,1]"), 2, TransitiveConfig(scope_cents=200.0), 50)
@@ -476,6 +482,19 @@ def test_directional_derivative_on_a_window_field():
     assert directional_derivative(fld, at, velocity, step_cents=h) == central != 0.0
 
 
+@pytest.mark.parametrize(
+    "at, velocity, step, message",
+    [
+        ((math.nan,), (1.0, -1.0), 4.0, "coordinate nan is outside axis x2"),
+        ((600.0,), (math.nan, -1.0), 4.0, "coordinate nan is outside axis x2"),
+        ((600.0,), (1.0, -1.0), math.nan, "step_cents must be positive"),
+    ],
+)
+def test_directional_derivative_rejects_nan_inputs_by_name(at, velocity, step, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        directional_derivative(_smooth_dyad_field(2), at, velocity, step_cents=step)
+
+
 def test_directional_derivative_speed_normalization():
     fld = _smooth_dyad_field(2)
     raw = directional_derivative(fld, (600.0,), (1.0, -1.0))
@@ -488,6 +507,8 @@ def test_transitive_config_validation():
         TransitiveConfig(scope_cents=-1.0)
     with pytest.raises(ValueError):
         TransitiveConfig(jnd_cents=0.0)
+    with pytest.raises(ValueError, match="qmax must be an integer, got 50.5"):
+        TransitiveConfig(qmax=50.5)  # the search would fail on it with a TypeError
 
 
 @pytest.mark.parametrize("scope", [math.nan, math.inf])
