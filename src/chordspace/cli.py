@@ -76,7 +76,7 @@ def _write_field(fld: ScalarField, path: Path, cfg: Config, sigma: float) -> dic
         "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
         "value_name": fld.value_name,
         "axes": list(fld.axis_names),
-        "meta": {k: v for k, v in sorted(fld.meta.items())},
+        "meta": dict(fld.meta),
         "config": cfg.snapshot(),
         "sigma": _both_units(sigma),
     }

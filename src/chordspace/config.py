@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from operator import index
 
 from .harmonicity import PeriodicityConfig
 from .pitch import DEFAULT_F0_HZ
@@ -56,7 +57,8 @@ class Config:
     jnd_cents: float = PeriodicityConfig.jnd_cents
     sigma_mode: str = "third"  # "third": jnd/3; "iqr": jnd/0.674490
     qmax: int = PeriodicityConfig.qmax
-    resolutions: dict[int, int] = field(default_factory=lambda: dict(_DEFAULT_RESOLUTIONS))
+    # given as a mapping (or pairs) of chord size to resolution; kept as sorted pairs
+    resolutions: tuple[tuple[int, int], ...] = tuple(sorted(_DEFAULT_RESOLUTIONS.items()))
     spectrum: Spectrum = field(default_factory=harmonic_spectrum)
     roughness: RoughnessParams = field(default_factory=RoughnessParams)
     scope_cents: float = TransitiveConfig.scope_cents
@@ -66,7 +68,13 @@ class Config:
             raise ValueError(f"sigma_mode must be 'third' or 'iqr', got {self.sigma_mode!r}")
         if not (self.f0_hz > 0 and math.isfinite(self.f0_hz)):
             raise ValueError(f"f0_hz must be positive, got {self.f0_hz!r}")
-        self.periodicity_config()  # jnd and qmax first: a bad one is named even beside a bad scope
+        try:
+            pairs = sorted((index(k), index(v)) for k, v in dict(self.resolutions).items())
+        except TypeError:
+            raise ValueError(f"resolutions must be integers, got {self.resolutions!r}") from None
+        object.__setattr__(self, "resolutions", tuple(pairs))
+        # jnd and qmax first: a bad one is named even beside a bad scope
+        object.__setattr__(self, "qmax", self.periodicity_config().qmax)
         self.transitive_config()  # then the scope
 
     def sigma_cents(self) -> float:
@@ -75,7 +83,7 @@ class Config:
         return sigma_from_jnd(self.jnd_cents)
 
     def resolution_for(self, n: int) -> int:
-        return int(self.resolutions.get(n, _DEFAULT_RESOLUTIONS.get(n, 50)))
+        return dict(self.resolutions).get(n, _DEFAULT_RESOLUTIONS.get(n, 50))
 
     def periodicity_config(self, pairwise: bool = True) -> PeriodicityConfig:
         return PeriodicityConfig(self.jnd_cents, self.qmax, pairwise)
@@ -84,17 +92,13 @@ class Config:
         return TransitiveConfig(self.jnd_cents, self.qmax, self.scope_cents)
 
     def snapshot(self) -> dict:
-        """JSON-ready dict embedded in every artifact."""
+        """JSON-ready dict embedded in every artifact: every field, plus ``sigma_cents``."""
         return {
-            "f0_hz": self.f0_hz,
-            "jnd_cents": self.jnd_cents,
-            "sigma_mode": self.sigma_mode,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "sigma_cents": self.sigma_cents(),
-            "qmax": self.qmax,
-            "resolutions": {str(k): v for k, v in sorted(self.resolutions.items())},
+            "resolutions": {str(k): v for k, v in self.resolutions},
             "spectrum": [[r, a] for r, a in self.spectrum.partials],
             "roughness": asdict(self.roughness),
-            "scope_cents": self.scope_cents,
         }
 
     @classmethod

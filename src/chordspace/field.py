@@ -265,9 +265,9 @@ def make_simplex_field(
         resolution=resolution,
         origins=(0.0,) * dims,
         counts=(n,) * dims,
-        simplex=dims >= 2,
+        simplex=True,
         axis_names=tuple(f"x{k + 2}" for k in range(dims)),
-        values=np.asarray(values, dtype=float),
+        values=values,
         value_name=value_name,
         meta=meta,
     )
@@ -335,11 +335,11 @@ def local_minima(
                     queue.append(nb)
         seen |= component
         # A plateau with no strictly greater surroundings (e.g. a constant
-        # field) is not a minimum.
+        # field) is not a minimum.  Seeds come in lexicographic order and each
+        # mask cell of a reported plateau is a seed, so the seed is its least one
+        # and the list comes out sorted.
         if valid and has_uphill:
-            first = min(i for i in component if field.mask[i])
-            reported.append((tuple(field._coords(first).tolist()), float(me)))
-    reported.sort(key=lambda item: item[0])
+            reported.append((tuple(field._coords(idx).tolist()), float(me)))
     return reported
 
 
@@ -459,14 +459,6 @@ def import_csv(path) -> ScalarField:
         data = _parse_rows(path, header_line, dims)
     rows, values = data[:, :dims], np.ascontiguousarray(data[:, dims])
 
-    if dims == 0:
-        if len(values) != 1:
-            raise ValueError(f"{path}: expected exactly one value row for 0-d field")
-        return ScalarField(
-            resolution=1, origins=(), counts=(), simplex=False, axis_names=(),
-            values=values, value_name=value_name, meta={},
-        )
-
     if not len(values):
         raise ValueError(f"{path}: line {header_line + 1}: no data rows")
     uniques = [np.unique(rows[:, k]) for k in range(dims)]
@@ -479,7 +471,7 @@ def import_csv(path) -> ScalarField:
         _check_box(counts)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    simplex = dims >= 2 and len(values) < math.prod(counts)
+    simplex = len(values) < math.prod(counts)
     try:
         fld = ScalarField(
             resolution=resolution,
@@ -510,6 +502,6 @@ def export_matrix(field: ScalarField, path) -> None:
     """Whitespace-separated dense matrix (rows follow the first axis)."""
     if field.dims != 2:
         raise ValueError("matrix export is defined for 2-d fields only")
-    lines = (" ".join(map(_fmt_value, row)) + "\n" for row in field.dense().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(lines))
+        for row in field.dense():  # one row's strings at a time, not the whole box's
+            fh.write(" ".join(map(_fmt_value, row.tolist())) + "\n")

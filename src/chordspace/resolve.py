@@ -59,7 +59,7 @@ class TransitiveConfig:
     def __post_init__(self):
         if not 0 <= self.scope_cents < math.inf:
             raise ValueError(f"scope must be nonnegative and finite, got {self.scope_cents!r}")
-        self.periodicity_config()  # validates jnd/qmax
+        object.__setattr__(self, "qmax", self.periodicity_config().qmax)  # checks jnd and qmax
 
     def periodicity_config(self) -> PeriodicityConfig:
         return PeriodicityConfig(jnd_cents=self.jnd_cents, qmax=self.qmax)

@@ -22,7 +22,7 @@ Partial frequencies or roughness values that overflow a float raise
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -91,11 +91,10 @@ class RoughnessParams:
     scale: float = 5.0
 
     def __post_init__(self):
-        for name in ("slow_decay", "fast_decay", "peak_fraction",
-                     "bandwidth_slope", "bandwidth_offset_hz", "scale"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
         if self.fast_decay <= self.slow_decay:
             raise ValueError("fast_decay must exceed slow_decay for a unimodal curve")
 

@@ -522,14 +522,6 @@ def row_import_csv(path) -> ScalarField:
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed number") from None
 
-    if dims == 0:
-        if len(values) != 1:
-            raise ValueError(f"{path}: expected exactly one value row for 0-d field")
-        return ScalarField(
-            resolution=1, origins=(), counts=(), simplex=False, axis_names=(),
-            values=np.asarray(values), value_name=value_name, meta={},
-        )
-
     if not coords_rows:
         raise ValueError(f"{path}: line {lines[0][0] + 1}: no data rows")
     rows = np.asarray(coords_rows)

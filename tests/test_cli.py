@@ -1,15 +1,18 @@
 import argparse
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
 import itertools
 import json
 import math
+import pickle
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -489,6 +492,32 @@ def test_config_is_frozen():
     cfg = Config()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.jnd_cents = 5.0
+
+
+def test_config_resolutions_are_immutable_integers():
+    cfg = Config()
+    with pytest.raises(TypeError):
+        cfg.resolutions[3] = 7
+    assert cfg.resolution_for(3) == 10
+    with pytest.raises(ValueError, match="resolutions must be integers"):
+        Config(resolutions={3: 2.5})
+
+
+def test_config_keeps_the_qmax_it_checks():
+    cfg = Config(qmax=np.int64(50))
+    assert type(cfg.qmax) is int
+    assert json.loads(json.dumps(cfg.snapshot()))["qmax"] == 50
+
+
+def test_config_survives_pickle_and_deepcopy():
+    cfg = Config(jnd_cents=12.0, qmax=64, resolutions={3: 20, 2: 5}, scope_cents=100.0)
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert copy.deepcopy(cfg) == cfg
+
+
+def test_config_snapshot_holds_every_field_and_sigma():
+    names = {f.name for f in dataclasses.fields(Config)}
+    assert set(Config().snapshot()) == names | {"sigma_cents"}
 
 
 def test_each_subcommand_keeps_its_options():

@@ -644,6 +644,7 @@ def test_import_csv_equals_row_oracle(fld, data):
     "x2,v\n0,1\n600\n",  # too few columns
     "x2,v\n",  # no data rows
     "v\n1.5\n2.5\n",  # a 0-d field has one row
+    "v\n",  # a 0-d field without rows
     "v\nnan\n",
     "x2,x3,v\n0,0,1\n0,600,2\n600,600,3\n",  # a simplex
 ])

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 
@@ -500,6 +501,14 @@ def test_directional_derivative_speed_normalization():
     raw = directional_derivative(fld, (600.0,), (1.0, -1.0))
     unit = directional_derivative(fld, (600.0,), (1.0, -1.0), normalize_by_speed=True)
     assert unit == pytest.approx(raw / math.sqrt(2.0))
+
+
+def test_transitive_config_keeps_the_qmax_it_checks():
+    # both panels copy the config's qmax into their meta, which a sidecar dumps as JSON
+    cfg = TransitiveConfig(qmax=np.int64(100), scope_cents=100.0)
+    for fld in transitive_field(Chord((3.0, 9.0)), 2, cfg, 10):
+        json.dumps(fld.meta)
+    assert type(TransitiveConfig(qmax=np.int64(100)).qmax) is int
 
 
 def test_transitive_config_validation():
