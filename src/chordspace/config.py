@@ -68,14 +68,17 @@ class Config:
             raise ValueError(f"sigma_mode must be 'third' or 'iqr', got {self.sigma_mode!r}")
         if not (self.f0_hz > 0 and math.isfinite(self.f0_hz)):
             raise ValueError(f"f0_hz must be positive, got {self.f0_hz!r}")
+        object.__setattr__(self, "f0_hz", float(self.f0_hz))  # json cannot dump a numpy float32
         try:
             pairs = sorted((index(k), index(v)) for k, v in dict(self.resolutions).items())
         except TypeError:
             raise ValueError(f"resolutions must be integers, got {self.resolutions!r}") from None
         object.__setattr__(self, "resolutions", tuple(pairs))
         # jnd and qmax first: a bad one is named even beside a bad scope
-        object.__setattr__(self, "qmax", self.periodicity_config().qmax)
-        self.transitive_config()  # then the scope
+        checked = self.periodicity_config()
+        object.__setattr__(self, "jnd_cents", checked.jnd_cents)
+        object.__setattr__(self, "qmax", checked.qmax)
+        object.__setattr__(self, "scope_cents", self.transitive_config().scope_cents)
 
     def sigma_cents(self) -> float:
         if self.sigma_mode == "third":

@@ -181,7 +181,11 @@ class ScalarField:
 
         Simplex fields are extended symmetrically (a cell reads the value of
         its sorted coordinates), which is the natural extension of a function
-        on unordered note sets.
+        on unordered note sets.  The extension is a scatter: each of the d!
+        permutations of the included cells' coordinates writes their values
+        to the box cells it lands on.  A box cell is written exactly when its
+        sorted coordinates are an included cell; if one is never written,
+        the field has no symmetric extension and ``ValueError`` is raised.
         """
         return self._dense
 
@@ -189,13 +193,32 @@ class ScalarField:
     def _dense(self) -> np.ndarray:
         if not self.simplex:
             return self.values.reshape(self.counts)  # a view of read-only values
-        want = np.sort(self._coords(np.moveaxis(np.indices(self.counts), 0, -1)), axis=-1)
-        idx = np.rint((want - self.origins) / self.resolution).astype(np.intp)
-        inside = np.all((idx >= 0) & (idx < self.counts))
-        if not (inside and np.array_equal(self._coords(idx), want)):
+        size = math.prod(self.counts)
+        strides = [math.prod(self.counts[k + 1:]) for k in range(self.dims)]
+        # step[a][k]: flat offset on axis k of each grid point of axis a, found by the
+        # rint and exact-coordinate test of index_of; ``size`` where axis k has no such point
+        step = []
+        for a in range(self.dims):
+            x = self.axis_coords(a)
+            row = []
+            for k in range(self.dims):
+                t = np.rint((x - self.origins[k]) / self.resolution)
+                hit = (t >= 0) & (t < self.counts[k])
+                hit[hit] = self.origins[k] + self.resolution * t[hit] == x[hit]
+                row.append(np.where(hit, t * strides[k], size).astype(np.intp))
+            step.append(row)
+        cells = np.nonzero(self.mask)
+        # writes that leave the grid land in one slot past the box
+        out = np.empty(size + 1)
+        written = np.zeros(size + 1, dtype=bool)
+        for perm in itertools.permutations(range(self.dims)):  # axis k takes cell axis perm[k]
+            at = sum(step[a][k][cells[a]] for k, a in enumerate(perm))
+            np.minimum(at, size, out=at)
+            out[at] = self.values
+            written[at] = True
+        if not written[:size].all():
             raise ValueError("sorted coordinates leave the grid: no symmetric extension")
-        # Sorted coordinates never decrease, so the mask includes every one.
-        out = self.values[self._positions[tuple(np.moveaxis(idx, -1, 0))]]
+        out = out[:size].reshape(self.counts)
         out.flags.writeable = False
         return out
 

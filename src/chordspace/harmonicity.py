@@ -57,6 +57,7 @@ class PeriodicityConfig:
     def __post_init__(self):
         if not (self.jnd_cents > 0 and math.isfinite(self.jnd_cents)):
             raise ValueError(f"jnd_cents must be positive, got {self.jnd_cents!r}")
+        object.__setattr__(self, "jnd_cents", float(self.jnd_cents))  # json cannot dump a numpy float32
         try:
             qmax = index(self.qmax)  # numpy integers pass, a float does not
         except TypeError:

@@ -110,10 +110,19 @@ def gaussian_smooth(field: ScalarField, sigma_cents: float) -> ScalarField:
     dense = field.dense()
     if radius > 0:  # a one-tap kernel would still add 0.0, turning -0.0 into 0.0
         kernel = _kernel(sigma_cents, field.resolution, radius)
-        for axis in range(field.dims):  # pad the axis its "valid" pass trims, and only that one
-            pad = [(radius, radius) if k == axis else (0, 0) for k in range(field.dims)]
-            dense = np.pad(dense, pad, mode="edge")
-            dense = np.apply_along_axis(np.convolve, axis, dense, kernel, mode="valid")
+        for axis in range(field.dims):
+            # Every line along the axis, edge-padded at both ends, laid end to end in
+            # one C-ordered array: one "valid" convolution covers them all, and the
+            # 2 * radius outputs that straddle two lines are skipped by the strides.
+            # Each kept output is the dot product over the same contiguous values
+            # as convolving its line alone, so the values do not change.
+            lines = np.pad(np.moveaxis(dense, axis, -1), [(0, 0)] * (field.dims - 1)
+                           + [(radius, radius)], mode="edge")
+            lines = np.ascontiguousarray(lines)
+            smooth = np.convolve(lines.reshape(-1), kernel, mode="valid")
+            shape = lines.shape[:-1] + (lines.shape[-1] - 2 * radius,)
+            smooth = np.lib.stride_tricks.as_strided(smooth, shape, lines.strides, writeable=False)
+            dense = np.moveaxis(smooth, -1, axis)
     return field.with_values(
         dense[field.mask],
         meta_updates={"sigma_cents": float(sigma_cents)},

@@ -59,7 +59,10 @@ class TransitiveConfig:
     def __post_init__(self):
         if not 0 <= self.scope_cents < math.inf:
             raise ValueError(f"scope must be nonnegative and finite, got {self.scope_cents!r}")
-        object.__setattr__(self, "qmax", self.periodicity_config().qmax)  # checks jnd and qmax
+        object.__setattr__(self, "scope_cents", float(self.scope_cents))
+        checked = self.periodicity_config()  # checks jnd and qmax
+        object.__setattr__(self, "jnd_cents", checked.jnd_cents)
+        object.__setattr__(self, "qmax", checked.qmax)
 
     def periodicity_config(self) -> PeriodicityConfig:
         return PeriodicityConfig(jnd_cents=self.jnd_cents, qmax=self.qmax)

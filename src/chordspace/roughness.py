@@ -149,7 +149,15 @@ def _roughness_rows(
     params: RoughnessParams,
 ) -> np.ndarray:
     """Roughness of each row of ``where``: indices into ``notes`` (Python
-    floats) of distinct ascending pitches; the module's one summation path."""
+    floats) of distinct ascending pitches; the module's one summation path.
+
+    Each row's partials are stably sorted by frequency, then held
+    partial-major, one C-order ``(K, rows)`` array each for frequency and
+    amplitude, so gathering the ``np.triu_indices`` pairs copies whole
+    contiguous rows.  The bandwidth factor and ``scale * amplitude`` are
+    computed once per partial.  Each row's terms are copied back to C order
+    and summed as numpy's pairwise sum of that chord's terms.
+    """
     ratios, amps = np.array(spectrum.partials).T
     rows, k = where.shape
     a = np.tile(amps, k)
@@ -167,18 +175,19 @@ def _roughness_rows(
         for lo in range(0, rows, step):
             f = table[where[lo:lo + step]].reshape(-1, k * len(ratios))
             order = np.argsort(f, axis=1, kind="stable")
-            f = np.take_along_axis(f, order, axis=1)
-            fa = a[order]
-            fmin = f[:, i]
-            gap = f[:, j] - fmin
-            s = params.peak_fraction / (params.bandwidth_slope * fmin + params.bandwidth_offset_hz)
-            x = s * gap
-            terms = params.scale * fa[:, i] * fa[:, j] * (
-                np.exp(-params.slow_decay * x) - np.exp(-params.fast_decay * x)
-            )
-            # a fancy-indexed array is column-major; its row sums would not be
-            # numpy's pairwise sum of each chord's terms
-            out[lo:lo + step] = np.ascontiguousarray(terms).sum(axis=1)
+            f = np.ascontiguousarray(np.take_along_axis(f, order, axis=1).T)
+            fa = np.ascontiguousarray(a[order].T)
+            s = params.peak_fraction / (params.bandwidth_slope * f + params.bandwidth_offset_hz)
+            sa = params.scale * fa
+            x = f[j] - f[i]
+            x *= s[i]
+            beat = np.exp(x * -params.slow_decay)
+            x *= -params.fast_decay
+            beat -= np.exp(x, out=x)
+            terms = np.multiply(sa[i], fa[j], out=x)
+            terms *= beat
+            # one C-order copy, so each row's terms are contiguous and sum pairwise
+            out[lo:lo + step] = np.ascontiguousarray(terms.T).sum(axis=1)
     if not np.isfinite(out).all():
         raise ValueError(
             "roughness overflows a float: the spectrum amplitudes or curve constants are too large"

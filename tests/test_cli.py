@@ -509,6 +509,15 @@ def test_config_keeps_the_qmax_it_checks():
     assert json.loads(json.dumps(cfg.snapshot()))["qmax"] == 50
 
 
+@pytest.mark.parametrize("name, value", [
+    ("f0_hz", 261.5), ("jnd_cents", 18.0), ("scope_cents", 100.0),
+])
+def test_config_keeps_the_floats_it_checks(name, value):
+    cfg = Config(**{name: np.float32(value)})
+    assert type(getattr(cfg, name)) is float
+    assert json.loads(json.dumps(cfg.snapshot()))[name] == value
+
+
 def test_config_survives_pickle_and_deepcopy():
     cfg = Config(jnd_cents=12.0, qmax=64, resolutions={3: 20, 2: 5}, scope_cents=100.0)
     assert pickle.loads(pickle.dumps(cfg)) == cfg

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -383,6 +384,20 @@ def test_dense_is_cached_and_read_only():
             dense[(0,) * fld.dims] = 9.0
     with pytest.raises(ValueError):
         simplex.mask[0, 0] = False
+
+
+def test_dense_peak_memory_is_a_few_box_arrays():
+    # the (4, 10) interval grid: 121**3 box cells, 302,621 of them in the simplex;
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic
+    fld = make_simplex_field(3, 10, np.arange(float(math.comb(123, 3))), "v", {})
+    tracemalloc.start()
+    try:
+        dense = fld.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense.shape == (121,) * 3
+    assert peak <= 5 * dense.nbytes, f"peak {peak / dense.nbytes:.1f} box arrays"
 
 
 # -- properties ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -670,3 +671,10 @@ def test_config_takes_numpy_integer_qmax_and_a_bool_is_too_small():
     )
     with pytest.raises(ValueError, match="qmax must be >= 2, got True"):
         PeriodicityConfig(qmax=True)
+
+
+def test_config_keeps_the_jnd_it_checks_as_a_float():
+    # a numpy float that is no float subclass would reach the field's meta and its sidecar
+    cfg = PeriodicityConfig(jnd_cents=np.float32(18))
+    assert type(cfg.jnd_cents) is float and cfg.jnd_cents == 18.0
+    assert json.loads(json.dumps(periodicity_field(2, 100, cfg).meta))["jnd_cents"] == 18.0

@@ -511,6 +511,14 @@ def test_transitive_config_keeps_the_qmax_it_checks():
     assert type(TransitiveConfig(qmax=np.int64(100)).qmax) is int
 
 
+def test_transitive_config_keeps_the_floats_it_checks():
+    cfg = TransitiveConfig(jnd_cents=np.float32(18), scope_cents=np.float32(100))
+    assert (type(cfg.jnd_cents), type(cfg.scope_cents)) == (float, float)
+    assert (cfg.jnd_cents, cfg.scope_cents) == (18.0, 100.0)
+    for fld in transitive_field(Chord((3.0, 9.0)), 2, cfg, 10):
+        json.dumps(fld.meta)
+
+
 def test_transitive_config_validation():
     with pytest.raises(ValueError):
         TransitiveConfig(scope_cents=-1.0)
