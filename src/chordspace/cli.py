@@ -69,11 +69,20 @@ def _load_config(args) -> Config:
     return replace(cfg, **{key: value for key, value in given.items() if value is not None})
 
 
+def _sha256(path: Path) -> str:
+    """SHA-256 of a file, read in blocks so a large field is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _write_field(fld: ScalarField, path: Path, cfg: Config, sigma: float) -> dict:
     export_csv(fld, path)
     return {
         "file": path.name,
-        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "sha256": _sha256(path),
         "value_name": fld.value_name,
         "axes": list(fld.axis_names),
         "meta": dict(fld.meta),

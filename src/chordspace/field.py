@@ -41,10 +41,6 @@ def _fmt_coord(c: float) -> str:
     return f"{c:.4f}"
 
 
-#: The CSV and matrix value format: 6 decimals.
-_fmt_value = "{:.6f}".format
-
-
 #: Most box cells of any grid: the tetrad at 4 cents (301**3) fits, at 3 cents does not.
 _MAX_BOX_CELLS = 2**25
 
@@ -315,16 +311,19 @@ def local_minima(
     counts = field.counts
     radius = min(radius, max(1, max(counts, default=0) - 1))  # max(counts) - 1 reaches every cell
     dense = field.dense()
-    # Lowest neighbor of every cell, by shifted slices of a padded copy;
-    # infinite padding makes a missing neighbor never the lowest.
-    low = np.pad(dense, radius, constant_values=np.inf)
-    nb_min = np.full(counts, np.inf)
-    for shift in itertools.product(range(2 * radius + 1), repeat=field.dims):
-        if all(s == radius for s in shift):
-            continue
-        window = tuple(slice(s, s + n) for s, n in zip(shift, counts))
-        np.minimum(nb_min, low[window], out=nb_min)
-    no_smaller = dense <= nb_min
+    # Lowest value of every cell's cube, the cell included: a running minimum
+    # along one axis at a time over a padded copy, whose infinite padding is
+    # never the lowest.  A cell equals its cube's minimum exactly when no
+    # neighbor is smaller; np.minimum propagates NaN from either side, so a
+    # NaN cell or a NaN neighbor fails the test, as ``dense <= nb_min`` does.
+    cube_min = np.pad(dense, radius, constant_values=np.inf)
+    for k, n in enumerate(counts):
+        lead = (slice(None),) * k
+        low = cube_min[lead + (slice(0, n),)].copy()
+        for s in range(1, 2 * radius + 1):
+            np.minimum(low, cube_min[lead + (slice(s, s + n),)], out=low)
+        cube_min = low
+    no_smaller = dense == cube_min
 
     def neighbors(idx):
         ranges = [
@@ -397,27 +396,95 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
 # -- serialization ----------------------------------------------------------
 
 
-#: Rows per ``export_csv`` write; any size gives the same bytes.
+#: Rows per ``export_csv`` write (values per ``export_matrix`` write, at least one
+#: row); any size gives the same bytes.
 _CSV_CHUNK_ROWS = 65536
+
+
+#: The zero-padded three-digit groups "000" to "999".
+_DIGITS = np.array([f"{i:03d}" for i in range(1000)], dtype="S3")
+
+
+def _value_bytes(values: np.ndarray) -> np.ndarray:
+    """The CSV and matrix value format, ``"{:.6f}"``, of every value: one
+    NUL-padded fixed-width byte record (a ``V`` item) per value.
+
+    ``N = rint(|v| * 1e6)`` gives the digits: ``divmod(N, 10**6)`` splits it
+    into the integer part, its leading zeros blanked, and six fraction
+    digits; the sign comes from ``np.signbit``, so ``-0.0`` and tiny
+    negatives print as ``-0.000000``, as ``format`` prints them.
+
+    These digits are ``format``'s whenever ``y = |v| * 1e6`` is below 2**52
+    and further than ``4 * np.spacing(y)`` from a half-integer.  ``format``
+    rounds the exact product ``|v| * 10**6`` to an integer, half to even.
+    1e6 is exact in binary, so the float product ``y`` is the exact one
+    rounded once and lies within half an ulp, ``np.spacing(y) / 2``, of it.
+    Both then lie strictly between the same two half-integers, and ``rint``
+    picks the same integer.  Every other value goes through ``format``
+    itself: exact ties such as 0.0078125 (odd multiples of 2**-7), near-ties,
+    huge values, NaN and the infinities.
+    """
+    with np.errstate(over="ignore"):  # a huge value's product is infinite: format prints it
+        y = np.abs(values) * 1e6
+    fast = y < 2.0**52  # False for NaN and the infinities
+    y[~fast] = 0.0  # no NaN reaches the int64 cast
+    fast &= np.abs(y - np.floor(y) - 0.5) > 4 * np.spacing(y)
+    whole, frac = np.divmod(np.rint(y).astype(np.int64), 10**6)
+    width = len(str(whole.max(initial=0)))  # integer digits
+    out = np.zeros((len(y), width + 8), dtype=np.uint8)
+    out[np.signbit(values), 0] = ord("-")
+    for k in range(width):
+        scale = 10 ** (width - 1 - k)
+        digit = whole // scale % 10 + ord("0")
+        out[:, 1 + k] = digit if scale == 1 else np.where(whole >= scale, digit, 0)
+    out[:, width + 1] = ord(".")
+    for k, group in enumerate(np.divmod(frac, 1000)):
+        out[:, width + 2 + 3 * k:width + 5 + 3 * k] = _DIGITS[group].view(np.uint8).reshape(-1, 3)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array(["{:.6f}".format(v) for v in values[slow].tolist()], dtype="S")
+        if text.itemsize > out.shape[1]:
+            out = np.pad(out, ((0, 0), (0, text.itemsize - out.shape[1])))
+        out[slow] = 0
+        out[slow, : text.itemsize] = text.view(np.uint8).reshape(slow.size, -1)
+    return out.view(f"V{out.shape[1]}")[:, 0]
+
+
+def _write_rows(fh, fields: list) -> None:
+    """Write rows whose fields lie side by side, without their NUL padding.
+
+    A field is a 1-D array with one fixed-width item per row (such as the
+    ``S`` or ``V`` records of :func:`_value_bytes`) or one numpy scalar, such
+    as a ``uint8`` separator, shared by every row.  The rows are one
+    structured array, whose ``uint8`` view is a NUL-padded byte matrix.
+    """
+    rows = max(np.size(f) for f in fields)
+    table = np.empty(rows, [(f"f{k}", f.dtype) for k, f in enumerate(fields)])
+    for k, f in enumerate(fields):
+        table[f"f{k}"] = f
+    data = table.view(np.uint8)
+    fh.write(data[data != 0].tobytes())
 
 
 def export_csv(field: ScalarField, path) -> None:
     """Write cells as CSV: coordinate columns, then the value at 6 decimals.
 
-    Each axis's coordinates are formatted once; every cell picks its labels
-    by grid index, so no per-cell tuple is built.  Rows are written in chunks
-    of :data:`_CSV_CHUNK_ROWS`, so no more than one chunk's strings are held.
+    Each axis's coordinates are formatted once into a byte-string table
+    that every cell gathers from by grid index, and the values go through
+    :func:`_value_bytes`, so no per-cell string is built.  Rows are written
+    in chunks of :data:`_CSV_CHUNK_ROWS`, each one NUL-padded byte matrix,
+    so no more than one chunk's bytes are held.
     """
-    labels = [np.array([_fmt_coord(c) for c in field.axis_coords(k).tolist()], dtype=object)
+    labels = [np.array([_fmt_coord(c) for c in field.axis_coords(k).tolist()], dtype="S")
               for k in range(field.dims)]
     idx = np.argwhere(field.mask)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(field.axis_names + (field.value_name,)) + "\n")
+    comma, newline = np.uint8(ord(",")), np.uint8(ord("\n"))
+    with open(path, "wb") as fh:
+        fh.write((",".join(field.axis_names + (field.value_name,)) + "\n").encode("utf-8"))
         for start in range(0, len(idx), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
-            columns = [lab[idx[rows, k]].tolist() for k, lab in enumerate(labels)]
-            values = map(_fmt_value, field.values[rows].tolist())
-            fh.write("\n".join(map(",".join, zip(*columns, values))) + "\n")
+            columns = [f for k, lab in enumerate(labels) for f in (lab[idx[rows, k]], comma)]
+            _write_rows(fh, columns + [_value_bytes(field.values[rows]), newline])
 
 
 def _data_lines(path, header_line: int) -> list[tuple[int, str]]:
@@ -522,9 +589,15 @@ def import_csv(path) -> ScalarField:
 
 
 def export_matrix(field: ScalarField, path) -> None:
-    """Whitespace-separated dense matrix (rows follow the first axis)."""
+    """Whitespace-separated dense matrix (rows follow the first axis), values
+    at 6 decimals as in :func:`export_csv`, written a chunk of rows at a time."""
     if field.dims != 2:
         raise ValueError("matrix export is defined for 2-d fields only")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in field.dense():  # one row's strings at a time, not the whole box's
-            fh.write(" ".join(map(_fmt_value, row.tolist())) + "\n")
+    dense = field.dense()
+    step = max(1, _CSV_CHUNK_ROWS // dense.shape[1])
+    with open(path, "wb") as fh:
+        for start in range(0, len(dense), step):
+            block = dense[start:start + step]
+            ends = np.full(block.shape, ord(" "), np.uint8)
+            ends[:, -1] = ord("\n")
+            _write_rows(fh, [_value_bytes(block.reshape(-1)), ends.reshape(-1)])

@@ -4,9 +4,10 @@ Everything here is deliberately dumb: permutations instead of sorted
 matching, full candidate products instead of branch-and-bound, shortest
 paths over explicit chord graphs instead of the grouping dynamic program,
 per-cell neighbor scans instead of shifted-array filters, one CSV row
-formatted per cell and parsed per line instead of per-axis labels and
-``np.loadtxt``, one roughness sum per chord instead of the batch kernel, a
-``Fraction`` q x p scan instead of a Farey walk on integers, one chord and
+formatted per cell and parsed per line instead of per-axis labels, a byte
+matrix per chunk and ``np.loadtxt``, matrix rows joined from per-value
+strings instead of the same byte matrix, one roughness sum per chord
+instead of the batch kernel, a ``Fraction`` q x p scan instead of a Farey walk on integers, one chord and
 witness per field cell instead of per-axis candidate lists, one
 ``Progression`` per window cell instead of plain note tuples, a scan for
 each geodesic group's end instead of the end the dynamic program recorded,
@@ -490,6 +491,14 @@ def per_cell_export_csv(field: ScalarField, path) -> None:
         lines.append(",".join(parts))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def per_row_export_matrix(field: ScalarField, path) -> None:
+    """Whitespace-separated dense matrix (rows follow the first axis), one
+    6-decimal string per value."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in field.dense():
+            fh.write(" ".join(f"{v:.6f}" for v in row.tolist()) + "\n")
 
 
 def row_import_csv(path) -> ScalarField:

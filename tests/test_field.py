@@ -22,7 +22,9 @@ from chordspace.field import (
     make_simplex_field,
     slice_field,
 )
+from chordspace.harmonicity import periodicity_field
 from chordspace.pitch import Chord
+from chordspace.psychometric import gaussian_smooth
 from chordspace.resolve import TransitiveConfig, transitive_field
 
 import oracles
@@ -410,8 +412,8 @@ CSV_VALUES = st.integers(-10**6, 10**6).map(lambda k: k / 1000)
 
 
 @st.composite
-def simplex_fields(draw, values=LEVELS, min_dims=1):
-    dims = draw(st.integers(min_dims, 3))
+def simplex_fields(draw, values=LEVELS, min_dims=1, max_dims=3):
+    dims = draw(st.integers(min_dims, max_dims))
     res = draw(st.sampled_from((200, 300, 400, 600)))
     n = len(oracles.interval_cells(dims + 1, res))
     vals = draw(st.lists(values, min_size=n, max_size=n))
@@ -519,17 +521,40 @@ def test_slice_values_equal_parent_values(fld, data):
         assert value == fld.value_at(coords[:axis] + (at,) + coords[axis:])
 
 
+def _around(x):
+    """x and its two float neighbors."""
+    return st.sampled_from((math.nextafter(x, -INF), x, math.nextafter(x, INF)))
+
+
+#: Where 6-decimal rounding is hardest: exact ties (odd multiples of 2**-7, such as
+#: 0.0078125 -> 0.007812), the floats nearest (n + 1/2) * 1e-6, values around
+#: 2**52 / 1e6 (about 4.5036e9), each with its float neighbors; -0.0 and tiny
+#: negatives, which print as -0.000000.
+ROUNDING_EDGES = st.one_of(
+    st.integers(-2**38, 2**38).map(lambda k: (2 * k + 1) / 128).flatmap(_around),
+    st.integers(-10**12, 10**12).map(lambda n: (n + 0.5) / 1e6).flatmap(_around),
+    st.floats(4503599620.0, 4503599635.0).flatmap(_around),
+    st.floats(-5e-7, -0.0),
+)
 #: Every float, with the edge cases export_csv's formatter must keep drawn often.
 ANY_FLOATS = st.one_of(
     st.floats(),
     st.sampled_from((-0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 2.5e-310)),
+    ROUNDING_EDGES,
 )
+#: Each kind of ROUNDING_EDGES, NaN, the infinities and huge and tiny values, in one list.
+EDGE_VALUES = [
+    0.0078125, -0.0078125, math.nextafter(0.0078125, INF), math.nextafter(0.0078125, -INF),
+    1.2421875, 2.5e-6, 1234.0000005, math.nextafter(1234.0000005, INF), 2**52 / 1e6,
+    math.nextafter(2**52 / 1e6, INF), math.nextafter(2**52 / 1e6, -INF), 4503599627.5,
+    -0.0, -1e-9, -4.999e-7, 0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324,
+]
 
 
 @st.composite
-def csv_box_fields(draw, values=ANY_FLOATS):
+def csv_box_fields(draw, values=ANY_FLOATS, min_dims=1, max_dims=3):
     """Box fields at any resolution whose origins need not be whole cents."""
-    dims = draw(st.integers(1, 3))
+    dims = draw(st.integers(min_dims, max_dims))
     counts = draw(st.lists(st.integers(1, 5), min_size=dims, max_size=dims))
     origin = st.one_of(
         st.integers(-2400, 2400).map(float),
@@ -555,8 +580,12 @@ def csv_fields(values=ANY_FLOATS):
     return st.one_of(simplex_fields(values), csv_box_fields(values), point_fields(values))
 
 
+EDGE_FIELD = _box_field(1, (0.0,), (len(EDGE_VALUES),), EDGE_VALUES, ("a",))
+
+
 @PROPERTY
 @given(fld=csv_fields())
+@example(fld=EDGE_FIELD)
 def test_export_csv_equals_per_cell_oracle(fld):
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
@@ -567,11 +596,36 @@ def test_export_csv_equals_per_cell_oracle(fld):
 
 @PROPERTY
 @given(fld=csv_fields(), chunk=st.integers(1, 7))
+@example(fld=EDGE_FIELD, chunk=5)
 def test_export_csv_bytes_do_not_depend_on_chunk_size(fld, chunk):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(field_module, "_CSV_CHUNK_ROWS", chunk):
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
         export_csv(fld, got)
         oracles.per_cell_export_csv(fld, want)
+        assert Path(got).read_bytes() == Path(want).read_bytes()
+
+
+def test_export_csv_of_a_smoothed_tetrad_field_equals_per_cell_oracle(tmp_path):
+    fld = gaussian_smooth(periodicity_field(4, 10), 6.0)
+    assert fld.n_cells > 4 * field_module._CSV_CHUNK_ROWS  # five chunks of real values
+    export_csv(fld, tmp_path / "got.csv")
+    oracles.per_cell_export_csv(fld, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@PROPERTY
+@given(
+    fld=st.one_of(simplex_fields(ANY_FLOATS, min_dims=2, max_dims=2),
+                  csv_box_fields(ANY_FLOATS, min_dims=2, max_dims=2)),
+    chunk=st.sampled_from((1, 2, 7, 65536)),  # values per write, at least one row
+)
+@example(fld=_box_field(1, (0.0, 0.0), (2, len(EDGE_VALUES) // 2), EDGE_VALUES, ("a", "b")),
+         chunk=7)
+def test_export_matrix_equals_per_row_oracle(fld, chunk):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(field_module, "_CSV_CHUNK_ROWS", chunk):
+        got, want = os.path.join(tmp, "got.txt"), os.path.join(tmp, "want.txt")
+        export_matrix(fld, got)
+        oracles.per_row_export_matrix(fld, want)
         assert Path(got).read_bytes() == Path(want).read_bytes()
 
 
