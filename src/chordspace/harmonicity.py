@@ -10,12 +10,13 @@ every pairwise detuning difference within the JND as well.
 A candidate list ``(cents, pairs)`` is a window onto one shared table of ``(q, p,
 1200 log2(p/q))`` triples, built once per octave part of at most one JND: ``pairs`` holds
 its ratios' triples in (q, p) order, each detuned by ``log - cents`` when a search reads it.
+A periodicity field reads the same table as numpy rows, one slice per window, ordered by q.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -173,24 +174,40 @@ def _octave_part(k: int, m: int, qmax: int) -> tuple[tuple[int, int, float], ...
     return tuple(out)
 
 
+def _window_span(cents: float, jnd_cents: float, qmax: int, clamp: bool) -> tuple | None:
+    """``(m, parts, a, b, c, d)``: the window's ratios are the :func:`_octave_part` triples,
+    m parts per octave, of ``parts`` with a/b <= p/q <= c/d; None when it holds no ratio."""
+    (a, b), (c, d) = _ratio_window(cents, jnd_cents, clamp, qmax)
+    if a * qmax < b:  # no ratio lies below 1/qmax; a lower end that underflowed to 0 starts there
+        a, b = 1, qmax
+    if a * d > c * b:
+        return None
+    # m parts per octave, each at most one JND (1732 > 1200/ln 2) and 2**20/qmax**2 wide
+    u, v = jnd_cents.as_integer_ratio()
+    m = max(-(-1732 * v // u), qmax * qmax >> 20)
+    return m, range(_part_of(a, b, m), _part_of(c, d, m) + 1), a, b, c, d
+
+
+def _trim(ratios: list, lo: int, hi: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """[i, j): the triples of the ascending ``ratios[lo:hi]`` with a/b <= p/q <= c/d."""
+    i = bisect_left(ratios, True, lo, hi, key=lambda t: t[1] * b >= a * t[0])  # first p/q >= a/b
+    return i, bisect_left(ratios, True, i, hi, key=lambda t: t[1] * d > c * t[0])  # first > c/d
+
+
 @lru_cache(maxsize=65536)
 def _candidates_cached(
     cents: float, jnd_cents: float, qmax: int, clamp: bool
 ) -> tuple[float, tuple[tuple[int, int, float], ...]]:
     """``(cents, pairs)``: the shared :func:`_octave_part` triples of the window's
     ratios, from the parts it touches, trimmed at both ends and stably sorted by q."""
-    (a, b), (c, d) = _ratio_window(cents, jnd_cents, clamp, qmax)
-    if a * qmax < b:  # no ratio lies below 1/qmax; a lower end that underflowed to 0 starts there
-        a, b = 1, qmax
-    if a * d > c * b:
+    span = _window_span(cents, jnd_cents, qmax, clamp)
+    if span is None:
         return cents, ()
-    # m parts per octave, each at most one JND (1732 > 1200/ln 2) and 2**20/qmax**2 wide
-    u, v = jnd_cents.as_integer_ratio()
-    m = max(-(-1732 * v // u), qmax * qmax >> 20)
-    parts = range(_part_of(a, b, m), _part_of(c, d, m) + 1)
-    ratios = [t for k in parts for t in _octave_part(k, m, qmax)]
-    i = bisect_left(ratios, True, key=lambda t: t[1] * b >= a * t[0])  # first p/q >= a/b
-    j = bisect_left(ratios, True, i, key=lambda t: t[1] * d > c * t[0])  # first p/q > c/d
+    m, parts, *ends = span
+    ratios = []
+    for k in parts:
+        ratios += _octave_part(k, m, qmax)
+    i, j = _trim(ratios, 0, len(ratios), *ends)
     return cents, tuple(sorted(ratios[i:j], key=itemgetter(0)))  # stable: each q's p ascend
 
 
@@ -445,46 +462,101 @@ def _field_meta(cfg: PeriodicityConfig, resolution: int, generator: str) -> dict
     }
 
 
+def _ladder_rows(keys: list[tuple]):
+    """``rows(lo, hi, used)``: the rows ``(q, window, detuning)`` with lo < q <= hi of the
+    :func:`_window_key` windows ``keys`` (one JND and qmax) where the boolean array ``used``
+    is true, as three arrays ordered by q.
+
+    Every :func:`_octave_part` that some window touches is copied into numpy once, in
+    ascending order, and each window is the slice :func:`_trim` finds there, as
+    :func:`_candidates_cached` finds it in its own parts: a window's rows with q <= hi are its
+    candidate list cut at hi, each detuned by ``log - cents``.
+    """
+    spans = [_window_span(*key) for key in keys]
+    ratios, start, end = [], {}, {}
+    for k, m in sorted({(k, span[0]) for span in spans if span for k in span[1]}):
+        start[k] = len(ratios)
+        ratios += _octave_part(k, m, keys[0][2])
+        end[k] = len(ratios)
+    first, last = np.array(
+        [(0, 0) if span is None else _trim(ratios, start[span[1][0]], end[span[1][-1]], *span[2:])
+         for span in spans], dtype=np.intp).T
+    q = np.fromiter((t[0] for t in ratios), np.intp, len(ratios))
+    log = np.fromiter((t[2] for t in ratios), float, len(ratios))
+    cents = np.array([key[0] for key in keys])
+
+    def rows(lo: int, hi: int, used: np.ndarray):
+        inside = (lo < q) & (q <= hi)
+        rank = np.zeros(len(q) + 1, dtype=np.intp)  # rank[i]: rows inside before position i
+        np.cumsum(inside, out=rank[1:])
+        window = np.flatnonzero(used)
+        i = rank[first[window]]
+        count = rank[last[window]] - i  # a window's rows inside have ranks i ... i + count - 1
+        ranks = np.arange(count.sum()) + np.repeat(i - np.cumsum(count) + count, count)
+        at, window = np.flatnonzero(inside)[ranks], np.repeat(window, count)
+        order = np.argsort(q[at], kind="stable")
+        at, window = at[order], window[order]
+        return q[at], window, log[at] - cents[window]
+
+    return rows
+
+
 def periodicity_field(
     n: int, resolution: int, cfg: PeriodicityConfig = PeriodicityConfig()
 ) -> ScalarField:
     """log2 chord periodicity on the one-octave grid of n-note chords.
 
     Each cell holds :func:`chord_periodicity` of the cell's chord, from one
-    candidate list per axis value (grid cents round-tripped through semitones).
+    candidate window per axis value (grid cents round-tripped through semitones).
     A cell's minimal lcm L* is the least L at which some joint tuning uses only
     candidates whose denominator q divides L, so one lcm ladder serves the grid:
     for L = 1 ... ``cfg.qmax`` it gives L to every unassigned cell with a choice of
-    q | L whose float max - min, the root's 0 included, fits :func:`min_lcm`'s window,
-    and each time L passes its bound it rebuilds its rows: q <= 2L, for the axis values
-    still in use.  Cells left after qmax (L* > qmax) run :func:`chord_periodicity` one by
-    one in lexicographic order, on the same lists; the first infeasible one raises.
+    q | L whose float max - min, the root's 0 included, fits :func:`min_lcm`'s window.
+    Its rows ``(q, axis value, detuning)``, ordered by q, come from :func:`_ladder_rows`;
+    a level reads the row slices of the divisors of L, and each time L passes its bound the
+    rows with q up to the new bound, min(2L, qmax), are appended for the axis values still
+    in use.  Assigned cells are masked and dropped once half of them are.  Cells left
+    after qmax (L* > qmax) run :func:`chord_periodicity` one by one in lexicographic
+    order; the first infeasible one raises.
     """
     notes, idx = interval_grid(n, resolution)
-    idx = idx.T[1:]  # a contiguous row per non-root note; assigned cells leave it
-    # axis value 0 is the root
-    lists = [_ROOT] + [_candidates_cached(*k) for k in _window_keys(notes[1:].tolist(), cfg, True)]
+    idx = idx.T[1:]  # a contiguous row per non-root note
+    rows = _ladder_rows(_window_keys(notes[1:].tolist(), cfg, True))  # axis value 0 is the root
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])
+    done, left = np.zeros(len(pos), dtype=bool), len(pos)
+    # the root's one row, 1/1 at 0 cents, as :data:`_ROOT` has it
+    q, axis, det = np.ones(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.zeros(1)
     lcm = bound = 0
-    while len(pos) and lcm < cfg.qmax:
+    while left and lcm < cfg.qmax:
         lcm += 1
-        if lcm > bound:  # rebuild the rows (q, axis, detuning), q <= 2 lcm, of axis values in use
-            bound, used = min(2 * lcm, cfg.qmax), np.flatnonzero(np.bincount(idx.ravel())).tolist()
-            cands = np.array([(q, k, log - lists[k][0]) for k in used for q, _, log in
-                              lists[k][1][: bisect_right(lists[k][1], bound, key=itemgetter(0))]])
-            cands = cands.reshape(-1, 3)
-        sel = cands[lcm % cands[:, 0] == 0]  # grouped by axis value
-        axis = sel[:, 1].astype(np.intp)
-        count = np.bincount(axis, minlength=len(lists))
-        table = np.full((count.max(), len(lists)), np.nan)  # NaN pads fail the window
-        table[np.arange(len(axis)) - (np.cumsum(count) - count)[axis], axis] = sel[:, 2]
-        live = np.flatnonzero(np.logical_and.reduce((count > 0)[idx], axis=0))
+        if lcm > bound:  # append the rows with q in (bound, min(2 lcm, qmax)] of axis values in use
+            used = np.zeros(len(notes), dtype=bool)
+            for r in idx:
+                used[r[~done]] = True
+            keep = used[axis]
+            new_q, new_axis, new_det = rows(bound, bound := min(2 * lcm, cfg.qmax), used[1:])
+            q, axis, det = (np.concatenate(pair) for pair in
+                            ((q[keep], new_q), (axis[keep], new_axis + 1), (det[keep], new_det)))
+            start = np.searchsorted(q, np.arange(bound + 2)).tolist()  # rows of q = d: start[d:d+1]
+        small = [d for d in range(1, math.isqrt(lcm) + 1) if lcm % d == 0]
+        sel = [slice(start[d], start[d + 1]) for d in {*small, *(lcm // d for d in small)}]
+        sel_axis = np.concatenate([axis[s] for s in sel])
+        count = np.bincount(sel_axis, minlength=len(notes))
+        live = np.flatnonzero(np.logical_and.reduce((count > 0)[idx], axis=0) & ~done)
+        order = np.argsort(sel_axis, kind="stable")  # grouped by axis value
+        sel_axis = sel_axis[order]
+        table = np.full((count.max(), len(notes)), np.nan)  # NaN pads fail the window
+        table[np.arange(len(sel_axis)) - (np.cumsum(count) - count)[sel_axis], sel_axis] = (
+            np.concatenate([det[s] for s in sel])[order])
         ok = np.zeros(len(live), dtype=bool)
         for picks in product(*[[t[r] for t in table] for r in idx[:, live]]):
             ok |= reduce(np.maximum, picks, 0.0) - reduce(np.minimum, picks, 0.0) <= window
-        values[pos[live[ok]]] = math.log2(lcm)
-        idx, pos = np.delete(idx, live[ok], axis=1), np.delete(pos, live[ok])
-    for p, row in zip(pos.tolist(), idx.T.tolist()):
+        hit = live[ok]
+        values[pos[hit]] = math.log2(lcm)
+        done[hit], left = True, left - len(hit)
+        if 2 * left <= len(pos):  # half the cells are assigned: drop them
+            idx, pos, done = idx[:, ~done], pos[~done], done[~done]
+    for p, row in zip(pos[~done].tolist(), idx[:, ~done].T.tolist()):
         values[p] = math.log2(chord_periodicity(normalize(notes[[0, *row]]), cfg)[0])
     return make_simplex_field(
         n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from chordspace.harmonicity import (
     PeriodicityConfig,
     _candidates_cached,
     _farey_start,
+    _ladder_rows,
     _rooted_min_lcm,
     _window_key,
     _window_keys,
@@ -284,6 +286,15 @@ _DIVISORS_OF_1200 = [d for d in range(1, 1201) if 1200 % d == 0]
 @example(grid=(4, 100), jnd=10.0, qmax=19, pairwise=True)
 # infeasible: [0, 0.2] has no tuning with denominators up to 30
 @example(grid=(3, 5), jnd=18.0, qmax=30, pairwise=True)
+# the last row extension cut by qmax: (30, 31], (30, 33], (62, 63] and (62, 65]
+@example(grid=(3, 50), jnd=10.0, qmax=31, pairwise=True)
+@example(grid=(3, 50), jnd=10.0, qmax=33, pairwise=True)
+@example(grid=(4, 100), jnd=8.0, qmax=63, pairwise=True)
+@example(grid=(4, 100), jnd=8.0, qmax=65, pairwise=True)
+# an 8 c JND at qmax 400
+@example(grid=(2, 1), jnd=8.0, qmax=400, pairwise=True)
+@example(grid=(3, 25), jnd=8.0, qmax=400, pairwise=True)
+@example(grid=(4, 50), jnd=8.0, qmax=400, pairwise=False)
 # the 20 c tetrad grid at the default config, and tetrads without the pairwise bound
 @example(grid=(4, 20), jnd=18.0, qmax=100, pairwise=True)
 @example(grid=(4, 50), jnd=18.0, qmax=100, pairwise=False)
@@ -308,6 +319,37 @@ def test_periodicity_field_equals_per_cell_oracle_full_dyad_grid():
         cfg = PeriodicityConfig(jnd_cents=jnd)
         got = periodicity_field(2, 1, cfg)
         assert np.array_equal(got.values, per_cell_periodicity_field(2, 1, cfg).values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    res=st.sampled_from([d for d in _DIVISORS_OF_1200 if d >= 10]),
+    jnd=st.sampled_from([8.0, 10.0, 18.0, 25.0, 50.0]),
+    qmax=st.integers(8, 400),
+    bound=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(res=50, jnd=8.0, qmax=8, bound=8, seed=0)  # the 50 c window holds no ratio
+@example(res=10, jnd=50.0, qmax=400, bound=400, seed=1)
+def test_ladder_rows_are_the_candidate_lists_cut_at_the_bound(res, jnd, qmax, bound, seed):
+    # grown in the ladder's steps, (0, 2], (2, 6], (6, 14], ..., the rows of each window
+    # in use are its candidate list cut at the bound; the windows at 0 c and 1200 c are
+    # clamped at 1/1 and 2/1
+    cfg, bound = PeriodicityConfig(jnd_cents=jnd, qmax=qmax), min(bound, qmax)
+    keys = _window_keys((np.arange(1200 // res + 1) * res / 100).tolist(), cfg, True)
+    assert keys[0][3] and keys[-1][3]
+    used = np.random.default_rng(seed).random(len(keys)) < 0.8
+    rows, grown, lo = _ladder_rows(keys), [], 0
+    while lo < bound:
+        grown.append(rows(lo, lo := min(2 * lo + 2, bound), used))
+    q, window, det = (np.concatenate(part) for part in zip(*grown))
+    assert np.all(q[1:] >= q[:-1])
+    for w, key in enumerate(keys):
+        cents, pairs = _candidates_cached(*key)
+        if not pairs:
+            event("a window without ratios")
+        want = Counter((t[0], t[2] - cents) for t in pairs if t[0] <= bound) if used[w] else Counter()
+        assert Counter(zip(q[window == w].tolist(), det[window == w].tolist())) == want
 
 
 @pytest.mark.parametrize(
