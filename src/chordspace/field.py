@@ -146,11 +146,6 @@ class ScalarField:
         return np.add(self.origins, self.resolution * np.asarray(idx, dtype=float))
 
     @cached_property
-    def cells(self) -> tuple[tuple[float, ...], ...]:
-        """Included cell coordinates (cents), lexicographic order."""
-        return tuple(map(tuple, self._coords(np.argwhere(self.mask)).tolist()))
-
-    @cached_property
     def _positions(self) -> np.ndarray:
         """Index into ``values`` of every box cell; -1 where the mask excludes it."""
         return np.where(self.mask, np.cumsum(self.mask).reshape(self.counts) - 1, -1)

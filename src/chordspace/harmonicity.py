@@ -10,7 +10,8 @@ every pairwise detuning difference within the JND as well.
 A candidate list ``(cents, pairs)`` is a window onto one shared table of ``(q, p,
 1200 log2(p/q))`` triples, built once per octave part of at most one JND: ``pairs`` holds
 its ratios' triples in (q, p) order, each detuned by ``log - cents`` when a search reads it.
-A periodicity field reads the same table as numpy rows, one slice per window, ordered by q.
+A periodicity field copies the same table into numpy once, one slice per window, and
+expands the rows of each lcm level's divisors from it.
 """
 
 from __future__ import annotations
@@ -463,39 +464,42 @@ def _field_meta(cfg: PeriodicityConfig, resolution: int, generator: str) -> dict
 
 
 def _ladder_rows(keys: list[tuple]):
-    """``rows(lo, hi, used)``: the rows ``(q, window, detuning)`` with lo < q <= hi of the
-    :func:`_window_key` windows ``keys`` (one JND and qmax) where the boolean array ``used``
-    is true, as three arrays ordered by q.
+    """``rows(qs)``: the rows ``(q, window, detuning)`` with q in ``qs`` of the
+    :func:`_window_key` windows ``keys`` (one JND and qmax, ascending cents), as three arrays.
 
     Every :func:`_octave_part` that some window touches is copied into numpy once, in
-    ascending order, and each window is the slice :func:`_trim` finds there, as
-    :func:`_candidates_cached` finds it in its own parts: a window's rows with q <= hi are its
-    candidate list cut at hi, each detuned by ``log - cents``.
+    ascending order, and each window is the slice ``[first, last)`` that :func:`_trim` finds
+    there, as :func:`_candidates_cached` finds it in its own parts: a window's rows with q in
+    ``qs`` are its candidate list restricted to those q, each detuned by ``log - cents``.
+    Each grid window is clamped into [1, 2] with a positive JND, so its ends satisfy
+    ``a/b <= c/d`` and :func:`_window_span` never returns None; both ends ascend with the
+    cents, so ``first`` and ``last`` never decrease along the windows.  The windows holding
+    position ``at`` are then those with ``first <= at < last``: from the first whose ``last``
+    exceeds ``at`` to the last whose ``first`` does not, and ``first[w] <= last[w]`` keeps
+    that range ordered.
     """
     spans = [_window_span(*key) for key in keys]
     ratios, start, end = [], {}, {}
-    for k, m in sorted({(k, span[0]) for span in spans if span for k in span[1]}):
+    for k, m in sorted({(k, span[0]) for span in spans for k in span[1]}):
         start[k] = len(ratios)
         ratios += _octave_part(k, m, keys[0][2])
         end[k] = len(ratios)
     first, last = np.array(
-        [(0, 0) if span is None else _trim(ratios, start[span[1][0]], end[span[1][-1]], *span[2:])
-         for span in spans], dtype=np.intp).T
-    q = np.fromiter((t[0] for t in ratios), np.intp, len(ratios))
+        [_trim(ratios, start[span[1][0]], end[span[1][-1]], *span[2:]) for span in spans],
+        dtype=np.intp).T
+    # the narrowest dtype that holds qmax: numpy sorts 8- and 16-bit keys stably by radix
+    q = np.fromiter((t[0] for t in ratios), np.min_scalar_type(keys[0][2]), len(ratios))
     log = np.fromiter((t[2] for t in ratios), float, len(ratios))
     cents = np.array([key[0] for key in keys])
+    by_q = np.argsort(q, kind="stable")  # the positions of q = d: by_q[offset[d]:offset[d + 1]]
+    offset = np.searchsorted(q[by_q], np.arange(keys[0][2] + 2))
 
-    def rows(lo: int, hi: int, used: np.ndarray):
-        inside = (lo < q) & (q <= hi)
-        rank = np.zeros(len(q) + 1, dtype=np.intp)  # rank[i]: rows inside before position i
-        np.cumsum(inside, out=rank[1:])
-        window = np.flatnonzero(used)
-        i = rank[first[window]]
-        count = rank[last[window]] - i  # a window's rows inside have ranks i ... i + count - 1
-        ranks = np.arange(count.sum()) + np.repeat(i - np.cumsum(count) + count, count)
-        at, window = np.flatnonzero(inside)[ranks], np.repeat(window, count)
-        order = np.argsort(q[at], kind="stable")
-        at, window = at[order], window[order]
+    def rows(qs):
+        at = np.concatenate([by_q[offset[d]:offset[d + 1]] for d in qs])
+        lo = np.searchsorted(last, at, "right")
+        count = np.searchsorted(first, at, "right") - lo  # windows lo ... lo + count - 1
+        window = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+        at = np.repeat(at, count)
         return q[at], window, log[at] - cents[window]
 
     return rows
@@ -512,10 +516,9 @@ def periodicity_field(
     candidates whose denominator q divides L, so one lcm ladder serves the grid:
     for L = 1 ... ``cfg.qmax`` it gives L to every unassigned cell with a choice of
     q | L whose float max - min, the root's 0 included, fits :func:`min_lcm`'s window.
-    Its rows ``(q, axis value, detuning)``, ordered by q, come from :func:`_ladder_rows`;
-    a level reads the row slices of the divisors of L, and each time L passes its bound the
-    rows with q up to the new bound, min(2L, qmax), are appended for the axis values still
-    in use.  Assigned cells are masked and dropped once half of them are.  Cells left
+    Each level asks :func:`_ladder_rows` for the rows ``(q, axis value, detuning)`` of the
+    divisors of L and adds the root's one row; no rows are held between levels.  Assigned
+    cells are masked and dropped once half of them are.  Cells left
     after qmax (L* > qmax) run :func:`chord_periodicity` one by one in lexicographic
     order; the first infeasible one raises.
     """
@@ -523,31 +526,19 @@ def periodicity_field(
     idx = idx.T[1:]  # a contiguous row per non-root note
     rows = _ladder_rows(_window_keys(notes[1:].tolist(), cfg, True))  # axis value 0 is the root
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])
-    done, left = np.zeros(len(pos), dtype=bool), len(pos)
-    # the root's one row, 1/1 at 0 cents, as :data:`_ROOT` has it
-    q, axis, det = np.ones(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.zeros(1)
-    lcm = bound = 0
+    done, left, lcm = np.zeros(len(pos), dtype=bool), len(pos), 0
     while left and lcm < cfg.qmax:
         lcm += 1
-        if lcm > bound:  # append the rows with q in (bound, min(2 lcm, qmax)] of axis values in use
-            used = np.zeros(len(notes), dtype=bool)
-            for r in idx:
-                used[r[~done]] = True
-            keep = used[axis]
-            new_q, new_axis, new_det = rows(bound, bound := min(2 * lcm, cfg.qmax), used[1:])
-            q, axis, det = (np.concatenate(pair) for pair in
-                            ((q[keep], new_q), (axis[keep], new_axis + 1), (det[keep], new_det)))
-            start = np.searchsorted(q, np.arange(bound + 2)).tolist()  # rows of q = d: start[d:d+1]
         small = [d for d in range(1, math.isqrt(lcm) + 1) if lcm % d == 0]
-        sel = [slice(start[d], start[d + 1]) for d in {*small, *(lcm // d for d in small)}]
-        sel_axis = np.concatenate([axis[s] for s in sel])
-        count = np.bincount(sel_axis, minlength=len(notes))
+        _, axis, det = rows({*small, *(lcm // d for d in small)})
+        # the root's one row, 1/1 at 0 cents, as :data:`_ROOT` has it
+        axis, det = np.append(axis + 1, 0), np.append(det, 0.0)
+        count = np.bincount(axis, minlength=len(notes))
         live = np.flatnonzero(np.logical_and.reduce((count > 0)[idx], axis=0) & ~done)
-        order = np.argsort(sel_axis, kind="stable")  # grouped by axis value
-        sel_axis = sel_axis[order]
+        order = np.argsort(axis, kind="stable")  # grouped by axis value
+        axis = axis[order]
         table = np.full((count.max(), len(notes)), np.nan)  # NaN pads fail the window
-        table[np.arange(len(sel_axis)) - (np.cumsum(count) - count)[sel_axis], sel_axis] = (
-            np.concatenate([det[s] for s in sel])[order])
+        table[np.arange(len(axis)) - (np.cumsum(count) - count)[axis], axis] = det[order]
         ok = np.zeros(len(live), dtype=bool)
         for picks in product(*[[t[r] for t in table] for r in idx[:, live]]):
             ok |= reduce(np.maximum, picks, 0.0) - reduce(np.minimum, picks, 0.0) <= window

@@ -25,8 +25,8 @@ THIRD_QUARTILE_Z = 0.674490
 
 def jnd_from_quartiles(c25: float, c75: float) -> float:
     """Half the interquartile range of a discrimination curve, in cents."""
-    if not c75 > c25:
-        raise ValueError(f"quartiles must increase, got c25={c25}, c75={c75}")
+    if not (c75 > c25 and math.isfinite(c75 - c25)):
+        raise ValueError(f"quartiles must increase by a finite width, got c25={c25}, c75={c75}")
     return (c75 - c25) / 2.0
 
 
@@ -72,8 +72,8 @@ def expected_pitch(curve: PsychometricCurve) -> float:
 
 def gaussian_product_sigma(s1: float, s2: float) -> float:
     """Width of the (renormalized) product of two Gaussians; below min(s1, s2)."""
-    if not (s1 > 0 and s2 > 0):
-        raise ValueError("standard deviations must be positive")
+    if not (s1 > 0 and s2 > 0 and math.isfinite(s1) and math.isfinite(s2)):
+        raise ValueError(f"standard deviations must be positive and finite, got {s1!r}, {s2!r}")
     return s1 * s2 / math.hypot(s1, s2)
 
 

@@ -235,7 +235,7 @@ def directional_derivative(
 
     ``velocity`` has one rate per chord note (semitones per unit time).  On
     interval-domain fields the root rate is subtracted coordinate-wise, so
-    pure transposition gives exactly zero without touching the grid.  The
+    pure transposition gives exactly zero: both stencil points are ``at``.  The
     stencil uses multilinear interpolation and converges at second order in
     ``step_cents`` on smooth fields.  Raw step fields are rejected: their
     derivative is not meaningful, so the field must carry a positive
@@ -257,14 +257,14 @@ def directional_derivative(
         if len(velocity) != fld.dims:
             raise ValueError(f"expected {fld.dims} per-note rates, got {len(velocity)}")
         u = [CENTS_PER_SEMITONE * v for v in velocity]
-    if all(x == 0.0 for x in u):
-        return 0.0
+    if len(at) != fld.dims:  # zip below would cut a longer point short
+        raise ValueError(f"expected {fld.dims} coordinates, got {len(at)}")
     if not step_cents > 0:
         raise ValueError("step_cents must be positive")
     s = step_cents / CENTS_PER_SEMITONE
     plus = [c + s * x for c, x in zip(at, u)]
     minus = [c - s * x for c, x in zip(at, u)]
     value = (fld.interpolate(plus) - fld.interpolate(minus)) / (2.0 * s)
-    if normalize_by_speed:
+    if normalize_by_speed and value:  # a zero velocity has no direction to divide by
         value /= math.sqrt(sum(v * v for v in velocity))
     return value

@@ -485,7 +485,8 @@ def per_line_gaussian_smooth(field: ScalarField, sigma_cents: float) -> np.ndarr
 def per_cell_export_csv(field: ScalarField, path) -> None:
     """Write cells as CSV: coordinate columns, then the value at 6 decimals."""
     lines = [",".join(field.axis_names + (field.value_name,))]
-    for coords, v in zip(field.cells if field.dims else [()], field.values.reshape(-1)):
+    cells = field._coords(np.argwhere(field.mask)).tolist() if field.dims else [()]
+    for coords, v in zip(cells, field.values.reshape(-1)):
         parts = [_fmt_coord(c) for c in coords]
         parts.append(f"{float(v):.6f}")
         lines.append(",".join(parts))

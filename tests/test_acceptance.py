@@ -172,11 +172,12 @@ def test_criterion_5_triad_field_most_consonant_cell():
         x2, x3 = c
         return x2 > 50.0 and (x3 - x2) > 50.0 and x3 < 1150.0
 
-    idx = [i for i, c in enumerate(fld.cells) if nondegenerate(c)]
+    cells = list(map(tuple, fld._coords(np.argwhere(fld.mask)).tolist()))
+    idx = [i for i, c in enumerate(cells) if nondegenerate(c)]
     raw_min = min(fld.values[i] for i in idx)
-    raw_argmin = {fld.cells[i] for i in idx if fld.values[i] == raw_min}
+    raw_argmin = {cells[i] for i in idx if fld.values[i] == raw_min}
     smoothed_min = min(smoothed.values[i] for i in idx)
-    smoothed_argmin = {fld.cells[i] for i in idx if smoothed.values[i] == smoothed_min}
+    smoothed_argmin = {cells[i] for i in idx if smoothed.values[i] == smoothed_min}
     elapsed = time.time() - t0
     ok = (
         raw_min == math.log2(3)

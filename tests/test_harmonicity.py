@@ -242,7 +242,7 @@ def test_step_function_plateaus_around_just_positions():
 def test_field_values_match_pointwise_evaluation():
     cfg = PeriodicityConfig()
     fld = periodicity_field(2, 25, cfg)
-    for coords, value in zip(fld.cells, fld.values):
+    for coords, value in zip(fld._coords(np.argwhere(fld.mask)).tolist(), fld.values):
         chord = normalize([0.0, coords[0] / 100.0])
         want = 0.0 if len(chord) == 1 else math.log2(chord_periodicity(chord, cfg)[0])
         assert value == want
@@ -326,29 +326,27 @@ def test_periodicity_field_equals_per_cell_oracle_full_dyad_grid():
     res=st.sampled_from([d for d in _DIVISORS_OF_1200 if d >= 10]),
     jnd=st.sampled_from([8.0, 10.0, 18.0, 25.0, 50.0]),
     qmax=st.integers(8, 400),
-    bound=st.integers(1, 400),
-    seed=st.integers(0, 2**32 - 1),
+    lcm=st.integers(1, 400),
 )
-@example(res=50, jnd=8.0, qmax=8, bound=8, seed=0)  # the 50 c window holds no ratio
-@example(res=10, jnd=50.0, qmax=400, bound=400, seed=1)
-def test_ladder_rows_are_the_candidate_lists_cut_at_the_bound(res, jnd, qmax, bound, seed):
-    # grown in the ladder's steps, (0, 2], (2, 6], (6, 14], ..., the rows of each window
-    # in use are its candidate list cut at the bound; the windows at 0 c and 1200 c are
-    # clamped at 1/1 and 2/1
-    cfg, bound = PeriodicityConfig(jnd_cents=jnd, qmax=qmax), min(bound, qmax)
+@example(res=50, jnd=8.0, qmax=8, lcm=8)  # the 50 c window holds no ratio
+@example(res=10, jnd=50.0, qmax=400, lcm=360)
+def test_ladder_rows_are_the_candidate_lists_of_the_divisors(res, jnd, qmax, lcm):
+    # the rows of the divisors of L are each window's candidate list restricted to those q;
+    # the windows at 0 c and 1200 c are clamped at 1/1 and 2/1
+    cfg, lcm = PeriodicityConfig(jnd_cents=jnd, qmax=qmax), min(lcm, qmax)
     keys = _window_keys((np.arange(1200 // res + 1) * res / 100).tolist(), cfg, True)
     assert keys[0][3] and keys[-1][3]
-    used = np.random.default_rng(seed).random(len(keys)) < 0.8
-    rows, grown, lo = _ladder_rows(keys), [], 0
-    while lo < bound:
-        grown.append(rows(lo, lo := min(2 * lo + 2, bound), used))
-    q, window, det = (np.concatenate(part) for part in zip(*grown))
-    assert np.all(q[1:] >= q[:-1])
+    rows = _ladder_rows(keys)
+    held = dict(zip(rows.__code__.co_freevars, (cell.cell_contents for cell in rows.__closure__)))
+    for ends in held["first"], held["last"]:  # the window bisections rely on both ascending
+        assert np.all(ends[1:] >= ends[:-1])
+    divisors = {d for d in range(1, lcm + 1) if lcm % d == 0}
+    q, window, det = rows(divisors)
     for w, key in enumerate(keys):
         cents, pairs = _candidates_cached(*key)
         if not pairs:
             event("a window without ratios")
-        want = Counter((t[0], t[2] - cents) for t in pairs if t[0] <= bound) if used[w] else Counter()
+        want = Counter((t[0], t[2] - cents) for t in pairs if t[0] in divisors)
         assert Counter(zip(q[window == w].tolist(), det[window == w].tolist())) == want
 
 

@@ -76,6 +76,16 @@ def test_gaussian_product_sigma_values():
             gaussian_product_sigma(s1, s2)
 
 
+def test_helpers_reject_infinite_widths():
+    # as sigma_from_jnd and PsychometricCurve do: an infinite width gave nan or inf
+    for s1, s2 in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            gaussian_product_sigma(s1, s2)
+    for c25, c75 in ((0, math.inf), (-math.inf, 0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite width"):
+            jnd_from_quartiles(c25, c75)
+
+
 def test_smooth_constant_field_unchanged():
     fld = make_simplex_field(1, 10, [3.5] * 121, "value", {})
     out = gaussian_smooth(fld, 15.0)

@@ -290,7 +290,8 @@ def test_transitive_field_pair_and_sweep_equality():
 
     # companion panel equals the one-octave periodicity of each shifted target
     pcfg = cfg.periodicity_config()
-    for coords, value in zip(companion.cells, companion.values):
+    cells = companion._coords(np.argwhere(companion.mask)).tolist()
+    for coords, value in zip(cells, companion.values):
         c2 = Chord(tuple(x / 100.0 for x in coords))
         assert value == math.log2(chord_periodicity(shift(c2, c2.root), pcfg)[0])
 
@@ -363,7 +364,8 @@ def test_transitive_field_equals_per_cell_oracle(window):
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g.values, w.values)
         assert g.meta == w.meta and g.value_name == w.value_name
-        assert g.axis_names == w.axis_names and g.cells == w.cells
+        assert g.axis_names == w.axis_names
+        assert np.array_equal(g._coords(np.argwhere(g.mask)), w._coords(np.argwhere(w.mask)))
 
 
 def test_transitive_field_rejects_targets_beyond_the_octave():
@@ -463,6 +465,18 @@ def test_directional_derivative_domain_and_dimension_checks():
         directional_derivative(fld, (2.0,), (1.0, -1.0))  # stencil leaves the grid
     with pytest.raises(ValueError):
         directional_derivative(fld, (600.0,), (1.0, 0.0, -1.0))
+
+
+def test_directional_derivative_checks_its_inputs_at_zero_rates():
+    # a transposition's zero relative rates are checked like any others
+    fld = _smooth_dyad_field(2)
+    for rates in (1.0, 1.0), (1.0, 0.5):
+        with pytest.raises(ValueError, match="step_cents must be positive"):
+            directional_derivative(fld, (600.0,), rates, step_cents=-4.0)
+        with pytest.raises(ValueError, match="expected 1 coordinates, got 3"):
+            directional_derivative(fld, (400.0, 5.0, 7.0), rates)
+        with pytest.raises(ValueError, match="is outside axis x2"):
+            directional_derivative(fld, (99999.0,), rates)
 
 
 def test_directional_derivative_on_a_window_field():
