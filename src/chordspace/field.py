@@ -295,22 +295,20 @@ def local_minima(
 ) -> list[tuple[tuple[float, ...], float]]:
     """Cells strictly below every neighbor within a Chebyshev radius.
 
-    Equal-valued plateaus count as one minimum, reported at the
-    lexicographically smallest member, provided no cell reachable through the
-    plateau sees a smaller neighbor.  Neighbor values of simplex fields come
-    from the symmetric extension, so cells near the diagonal are compared
-    against their mirrored surroundings as well.
+    An equal-valued plateau is one minimum, at its lexicographically least
+    mask cell, if none of its cells has a smaller neighbor.  One with no greater
+    neighbor either is closed under adjacency, so it is the whole connected box:
+    a constant box has no minimum.  NaN equals nothing, so no NaN cell and no
+    cell next to one is a minimum.  Simplex fields use their symmetric extension.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     counts = field.counts
     radius = min(radius, max(1, max(counts, default=0) - 1))  # max(counts) - 1 reaches every cell
     dense = field.dense()
-    # Lowest value of every cell's cube, the cell included: a running minimum
-    # along one axis at a time over a padded copy, whose infinite padding is
-    # never the lowest.  A cell equals its cube's minimum exactly when no
-    # neighbor is smaller; np.minimum propagates NaN from either side, so a
-    # NaN cell or a NaN neighbor fails the test, as ``dense <= nb_min`` does.
+    if (dense == dense.flat[0]).all():
+        return []
+    # Each cell's cube minimum, itself included; np.minimum propagates NaN, which fails ==.
     cube_min = np.pad(dense, radius, constant_values=np.inf)
     for k, n in enumerate(counts):
         lead = (slice(None),) * k
@@ -318,46 +316,47 @@ def local_minima(
         for s in range(1, 2 * radius + 1):
             np.minimum(low, cube_min[lead + (slice(s, s + n),)], out=low)
         cube_min = low
-    no_smaller = dense == cube_min
+    no_smaller, flat, mask = (dense == cube_min).ravel(), dense.ravel(), field.mask.ravel()
+    strides = [math.prod(counts[k + 1:]) for k in range(len(counts))]
+    offsets = [o for o in itertools.product(range(-radius, radius + 1), repeat=field.dims) if any(o)]
 
-    def neighbors(idx):
-        ranges = [
-            range(max(0, i - radius), min(counts[k], i + radius + 1))
-            for k, i in enumerate(idx)
-        ]
-        for nb in itertools.product(*ranges):
-            if nb != idx:
-                yield nb
+    def equal_neighbors(cells):  # positions in ``cells``, flat indices of equal neighbors
+        # An offset off the box is clipped onto it, which keeps it within the radius.
+        at = [[np.clip(a + d, 0, n - 1) * s for d in range(-radius, radius + 1)]
+              for a, n, s in zip(np.unravel_index(cells, counts), counts, strides)]
+        found = []
+        for o in offsets:
+            nb = sum(at[k][radius + d] for k, d in enumerate(o))
+            i = np.flatnonzero(flat[nb] == flat[cells])
+            found.append((i, nb[i]))
+        return [np.concatenate(a) for a in zip(*found)]
 
-    # Flood from every cell with no smaller neighbor across equal-valued
-    # neighbors (a strict minimum is a one-cell plateau); a plateau leaking to
-    # a cell with a smaller neighbor is not a minimum.
-    reported, seen = [], set()
-    for idx in map(tuple, np.argwhere(field.mask & no_smaller).tolist()):
-        if idx in seen:
-            continue
-        me = dense[idx]
-        component = {idx}
-        queue = [idx]
-        valid = True
-        has_uphill = False
-        while queue:
-            cur = queue.pop()
-            for nb in neighbors(cur):
-                if dense[nb] > me:
-                    has_uphill = True
-                if dense[nb] == me and nb not in component:
-                    component.add(nb)
-                    valid = valid and no_smaller[nb]
-                    queue.append(nb)
-        seen |= component
-        # A plateau with no strictly greater surroundings (e.g. a constant
-        # field) is not a minimum.  Seeds come in lexicographic order and each
-        # mask cell of a reported plateau is a seed, so the seed is its least one
-        # and the list comes out sorted.
-        if valid and has_uphill:
-            reported.append((tuple(field._coords(idx).tolist()), float(me)))
-    return reported
+    def reach(seen):  # ``seen`` grown by every cell it reaches through equal neighbors
+        front = np.flatnonzero(seen)
+        while front.size:
+            nb = equal_neighbors(front)[1]
+            nb = np.sort(nb[~seen[nb]])
+            front = nb[np.diff(nb, prepend=-1) != 0]
+            seen[front] = True
+        return seen
+
+    # The plateaus of the cells with no smaller neighbor, less those reaching a cell with one.
+    plateau = reach(mask & no_smaller)
+    cells = np.flatnonzero(plateau & ~reach(plateau & ~no_smaller))
+    # Labels are flat indices, plus the box size off the mask.  Each pass gives equal
+    # neighbors the least label and jumps every label to its cell's, until none changes.
+    label = np.empty(flat.size, np.intp)  # only `cells` are ever read or written
+    label[cells] = cells + flat.size * ~mask[cells]
+    front = cells
+    while front.size:
+        before = label[cells]
+        i, nb = equal_neighbors(front)
+        np.minimum.at(label, nb, label[front[i]])
+        label[cells] = label[label[cells] % flat.size]
+        front = cells[label[cells] < before]
+    report = np.unique(label[cells])  # flat C order is lexicographic
+    coords = field._coords(report[:, None] // strides % counts)
+    return list(zip(map(tuple, coords.tolist()), flat[report].tolist()))
 
 
 def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarField:

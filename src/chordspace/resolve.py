@@ -259,8 +259,8 @@ def directional_derivative(
         u = [CENTS_PER_SEMITONE * v for v in velocity]
     if len(at) != fld.dims:  # zip below would cut a longer point short
         raise ValueError(f"expected {fld.dims} coordinates, got {len(at)}")
-    if not step_cents > 0:
-        raise ValueError("step_cents must be positive")
+    if not 0 < step_cents < math.inf:  # an infinite step gives nan or inf coordinates
+        raise ValueError(f"step_cents must be {'finite' if step_cents > 0 else 'positive'}")
     s = step_cents / CENTS_PER_SEMITONE
     plus = [c + s * x for c, x in zip(at, u)]
     minus = [c - s * x for c, x in zip(at, u)]

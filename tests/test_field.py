@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -454,7 +455,16 @@ def general_simplex_fields(draw, values=LEVELS):
     return ScalarField(res, tuple(origins), tuple(counts), True, names, vals, "v")
 
 
-INF = math.inf
+INF, NAN = math.inf, math.nan
+SERPENTINE = [
+    1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+    2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0,
+    1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+    1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0,
+    1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+    2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0,
+    0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+]
 
 
 @PROPERTY
@@ -472,8 +482,50 @@ INF = math.inf
 # a strict minimum in a box corner, seeing the whole box at radius 2
 @example(fld=_box_field(50, (0, 0), (3, 3), [0.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0],
                         ("a", "b")), radius=2)
+# plateaus that take many BFS levels to reach or to leak: a 50-cell run leaking only at its far
+# end, and a serpentine leaking only at its tail, (6, 1) next to the 0 at (6, 0)
+@example(fld=_box_field(50, (0,), (60,), [2.0] * 5 + [1.0] * 50 + [0.0] + [2.0] * 4, ("a",)),
+         radius=1)
+@example(fld=_box_field(50, (0, 0), (7, 7), SERPENTINE, ("a", "b")), radius=1)
+# NaN equals nothing: the NaN pair is no plateau, and the plateau next to it leaks
+@example(fld=_box_field(50, (0,), (10,), [2.0, 1.0, 1.0, 1.0, 2.0, NAN, NAN, 1.0, 1.0, 2.0],
+                        ("a",)), radius=1)
+# a plateau walled by +inf is a minimum, one next to -inf leaks, and a -inf pair is one minimum
+@example(fld=_box_field(50, (0,), (10,), [INF, 1.0, 1.0, 1.0, INF, 2.0, 2.0, -INF, -INF, 3.0],
+                        ("a",)), radius=1)
+# equal plateaus touching only at a corner are one plateau: reported once, or leaking together
+@example(fld=_box_field(50, (0, 0), (3, 3), [0.0, 2.0, 2.0, 2.0, 0.0, 2.0, 2.0, 2.0, 1.0],
+                        ("a", "b")), radius=1)
+@example(fld=_box_field(50, (0, 0), (5, 5), [0.0] + [2.0] * 11 + [0.0] + [2.0] * 11 + [-1.0],
+                        ("a", "b")), radius=2)
+# a plateau across the diagonal: the mask cells (300, 600), (600, 600) and the mirrored (600, 300)
+@example(fld=make_simplex_field(2, 300, [1.0] * 6 + [0.0] + [1.0] * 2 + [0.0] + [1.0] * 5, "v", {}),
+         radius=1)
 def test_local_minima_equals_per_cell_oracle(fld, radius):
     assert local_minima(fld, radius) == oracles.local_minima(fld, radius)
+
+
+@pytest.mark.parametrize(
+    "n, resolution, sigma, radius, count, sha256",
+    [
+        (3, 5, 0.0, 1, 141, "55e05d3da078d3c76196ff22893b8eae350f347c92b011ed444213179458409b"),
+        (3, 5, 0.0, 2, 116, "9245903fbd4d0be69a767f02e573cdc1915c7975a6b835028cdf1ee7b5eda97c"),
+        (3, 5, 6.0, 1, 185, "bc29888940087369591b3f8104e6bd555001b509346acdac1fe5453eaecb10a4"),
+        (3, 5, 6.0, 2, 176, "7159ca21c7fa8ceee0c2330aa7e4cbf954aa8b901689ec53a3bb64b6f1355628"),
+        (4, 10, 0.0, 1, 882, "9f80ee1490ed92577ca8056e219f4f3a9662689229adbaee185ea1307de4fecd"),
+        (4, 10, 0.0, 2, 441, "50afac987ad5492de72a02c0e29375b5f1997ef6996ac55ea9be822a4ef18470"),
+        (4, 10, 6.0, 1, 1978, "06687349c9d52825a91047842c94e2e0ade395245c64dd736e81c2f544ff5267"),
+        (4, 10, 6.0, 2, 1173, "fa1af79766f58e1b2c0f775225003bf8270bf4106ae0539fbfa3c1e7c55477de"),
+        (3, 1, 0.0, 1, 166, "e525d62f0d079cdd9205447fb5086ca24fc19b31840a037d6bfd73e8875a1acd"),
+    ],
+)
+def test_local_minima_of_large_fields_keep_their_lists(n, resolution, sigma, radius, count, sha256):
+    # recorded from the per-seed plateau flood; 732,535 cells of the raw (3, 1) field lie on
+    # plateaus, far more than the property tests draw
+    fld = periodicity_field(n, resolution)
+    minima = local_minima(gaussian_smooth(fld, sigma) if sigma else fld, radius)
+    assert len(minima) == count
+    assert hashlib.sha256(repr(minima).encode()).hexdigest() == sha256
 
 
 @PROPERTY

@@ -510,6 +510,13 @@ def test_directional_derivative_rejects_nan_inputs_by_name(at, velocity, step, m
         directional_derivative(_smooth_dyad_field(2), at, velocity, step_cents=step)
 
 
+@pytest.mark.parametrize("velocity", [(1.0, 1.0), (0.5, 0.6)])
+def test_directional_derivative_rejects_an_infinite_step_by_name(velocity):
+    # an infinite step moves the point by inf * 0 = nan at rates (1, 1), by inf at (0.5, 0.6)
+    with pytest.raises(ValueError, match="^step_cents must be finite$"):
+        directional_derivative(_smooth_dyad_field(2), (600.0,), velocity, step_cents=math.inf)
+
+
 def test_directional_derivative_speed_normalization():
     fld = _smooth_dyad_field(2)
     raw = directional_derivative(fld, (600.0,), (1.0, -1.0))
