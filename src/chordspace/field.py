@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
@@ -109,8 +110,8 @@ class ScalarField:
     mask: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError("resolution must be a positive number of cents")
+        if not (self.resolution > 0 and math.isfinite(self.resolution)):
+            raise ValueError(f"resolution must be a positive number of cents, got {self.resolution!r}")
         if not (len(self.origins) == len(self.counts) == len(self.axis_names)):
             raise ValueError("origins, counts and axis_names must align")
         if any(c < 1 for c in self.counts):
@@ -300,7 +301,19 @@ def local_minima(
     neighbor either is closed under adjacency, so it is the whole connected box:
     a constant box has no minimum.  NaN equals nothing, so no NaN cell and no
     cell next to one is a minimum.  Simplex fields use their symmetric extension.
+
+    Plateaus are labelled on the mask alone: sorting coordinates keeps a cell's
+    value and does not increase Chebyshev distance, so a box plateau meeting the
+    mask sorts onto one mask plateau, which lies in it and so is its mask cells,
+    and a smaller neighbor onto a smaller neighbor.  Seeds (mask cells with no
+    smaller neighbor) start at label 0 next to an equal mask cell with one; rounds
+    hook each root onto the least label across its edges of equal seeds, then jump
+    each label to its root (Shiloach and Vishkin, 1982); up to 5 were measured.
     """
+    try:
+        radius = operator.index(radius)  # numpy integers pass, a float does not
+    except TypeError:
+        raise ValueError(f"radius must be an integer, got {radius!r}") from None
     if radius < 1:
         raise ValueError("radius must be >= 1")
     counts = field.counts
@@ -316,47 +329,33 @@ def local_minima(
         for s in range(1, 2 * radius + 1):
             np.minimum(low, cube_min[lead + (slice(s, s + n),)], out=low)
         cube_min = low
-    no_smaller, flat, mask = (dense == cube_min).ravel(), dense.ravel(), field.mask.ravel()
-    strides = [math.prod(counts[k + 1:]) for k in range(len(counts))]
-    offsets = [o for o in itertools.product(range(-radius, radius + 1), repeat=field.dims) if any(o)]
-
-    def equal_neighbors(cells):  # positions in ``cells``, flat indices of equal neighbors
-        # An offset off the box is clipped onto it, which keeps it within the radius.
-        at = [[np.clip(a + d, 0, n - 1) * s for d in range(-radius, radius + 1)]
-              for a, n, s in zip(np.unravel_index(cells, counts), counts, strides)]
-        found = []
-        for o in offsets:
-            nb = sum(at[k][radius + d] for k, d in enumerate(o))
-            i = np.flatnonzero(flat[nb] == flat[cells])
-            found.append((i, nb[i]))
-        return [np.concatenate(a) for a in zip(*found)]
-
-    def reach(seen):  # ``seen`` grown by every cell it reaches through equal neighbors
-        front = np.flatnonzero(seen)
-        while front.size:
-            nb = equal_neighbors(front)[1]
-            nb = np.sort(nb[~seen[nb]])
-            front = nb[np.diff(nb, prepend=-1) != 0]
-            seen[front] = True
-        return seen
-
-    # The plateaus of the cells with no smaller neighbor, less those reaching a cell with one.
-    plateau = reach(mask & no_smaller)
-    cells = np.flatnonzero(plateau & ~reach(plateau & ~no_smaller))
-    # Labels are flat indices, plus the box size off the mask.  Each pass gives equal
-    # neighbors the least label and jumps every label to its cell's, until none changes.
-    label = np.empty(flat.size, np.intp)  # only `cells` are ever read or written
-    label[cells] = cells + flat.size * ~mask[cells]
-    front = cells
-    while front.size:
-        before = label[cells]
-        i, nb = equal_neighbors(front)
-        np.minimum.at(label, nb, label[front[i]])
-        label[cells] = label[label[cells] % flat.size]
-        front = cells[label[cells] < before]
-    report = np.unique(label[cells])  # flat C order is lexicographic
+    seed = field.mask & (dense == cube_min)
+    kind = np.pad(field.mask.view(np.int8) + seed, radius)  # 2 on a seed, 1 on the mask, else 0
+    cells, at = np.flatnonzero(seed), np.flatnonzero(kind == 2)  # seeds in the box, in the pad
+    value, nodes = dense.take(cells), 1 + cells  # label 0 is every leaking plateau's
+    strides, padded = ([math.prod(m[k + 1:]) for k in range(len(m))] for m in (counts, kind.shape))
+    label = np.zeros(dense.size + 1, np.intp)  # only 0 and the nodes are read or written
+    label[nodes] = nodes
+    edges = [(nodes[:0], nodes[:0])]  # each pair of equal neighboring seeds once, lesser first
+    for o in filter(any, itertools.product(range(-radius, radius + 1), repeat=field.dims)):
+        step = np.dot(o, strides)
+        nb, k = cells + step, kind.take(at + np.dot(o, padded))
+        equal = dense.take(nb, mode="clip") == value  # meaningless where k == 0
+        label[nodes[equal & (k == 1)]] = 0
+        if step > 0:
+            i = np.flatnonzero(equal & (k == 2))
+            edges.append((nodes[i], 1 + nb[i]))
+    u, v = map(np.concatenate, zip(*edges))
+    del edges
+    while (apart := label[u] != label[v]).any():
+        u, v = u[apart], v[apart]  # a pair once joined stays joined
+        np.minimum.at(label, label[u], label[v])
+        np.minimum.at(label, label[v], label[u])
+        while not np.array_equal(root := label[label[nodes]], label[nodes]):
+            label[nodes] = root
+    report = np.setdiff1d(label[nodes], 0) - 1  # flat C order is lexicographic
     coords = field._coords(report[:, None] // strides % counts)
-    return list(zip(map(tuple, coords.tolist()), flat[report].tolist()))
+    return list(zip(map(tuple, coords.tolist()), dense.take(report).tolist()))
 
 
 def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarField:

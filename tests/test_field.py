@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -94,6 +95,8 @@ def test_field_equality_with_a_non_field_is_not_implemented():
         (-100, (0.0,), (3,), "resolution must be a positive number of cents"),
         (100, (0.0, 0.0), (3,), "origins, counts and axis_names must align"),
         (100, (0.0,), (0,), "every axis needs at least one grid point"),
+        (math.nan, (0.0,), (3,), "resolution must be a positive number of cents, got nan"),
+        (math.inf, (0.0,), (3,), "resolution must be a positive number of cents, got inf"),
     ],
 )
 def test_scalar_field_rejects_malformed_grids(resolution, origins, counts, message):
@@ -313,6 +316,10 @@ def test_local_minima_leaking_plateau_rejected():
 def test_local_minima_radius_validation():
     with pytest.raises(ValueError):
         local_minima(_triad_field(300), radius=0)
+    for radius in (1.5, 2.0):
+        with pytest.raises(ValueError, match=f"radius must be an integer, got {radius}"):
+            local_minima(_triad_field(300), radius=radius)
+    assert local_minima(_triad_field(300), radius=np.int64(2)) == local_minima(_triad_field(300), 2)
 
 
 def test_local_minima_of_a_point_field_is_empty():
@@ -468,7 +475,8 @@ SERPENTINE = [
 
 
 @PROPERTY
-@given(fld=grid_fields(), radius=st.sampled_from((1, 2, 10**6)))  # 10**6 covers every box
+@given(fld=st.one_of(grid_fields(), general_simplex_fields()),
+       radius=st.sampled_from((1, 2, 10**6)))  # 10**6 covers every box
 @example(fld=make_simplex_field(1, 200, [INF, -INF, -INF, INF, 0.0, -INF, INF], "v", {}),
          radius=1)
 @example(fld=_box_field(50, (0, 100), (3, 3), [INF, 0.0, -INF, INF, -INF, INF, 1.0, INF, -INF],
@@ -502,7 +510,38 @@ SERPENTINE = [
 @example(fld=make_simplex_field(2, 300, [1.0] * 6 + [0.0] + [1.0] * 2 + [0.0] + [1.0] * 5, "v", {}),
          radius=1)
 def test_local_minima_equals_per_cell_oracle(fld, radius):
+    # general simplex fields, whose axes differ in origin or count, check that plateaus
+    # found on the mask alone are the box's; one without a symmetric extension has no box
+    try:
+        fld.dense()
+    except ValueError:
+        assume(False)
     assert local_minima(fld, radius) == oracles.local_minima(fld, radius)
+
+
+def _assert_minima_in_bounded_time(fld, radius, minima):
+    # a pass that walks a plateau one neighbour step per level takes seconds on these
+    # fields; a labelling in a few rounds, however long the plateau, takes milliseconds
+    fld.dense()
+    start = time.perf_counter()
+    found = local_minima(fld, radius)
+    elapsed = time.perf_counter() - start
+    assert found == minima
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_local_minima_of_a_long_leaking_line_take_bounded_time(radius):
+    fld = _box_field(1, (0,), (200000,), [1.0] + [0.0] * 199998 + [-1.0], ("a",))
+    _assert_minima_in_bounded_time(fld, radius, [((199999.0,), -1.0)])
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_local_minima_of_a_long_chain_take_bounded_time(radius):
+    # row 0 is 0, 0, 0, -1, -1, ..., row 1 all 0 and row 2 all 1
+    values = [0.0] * 3 + [-1.0] * 99997 + [0.0] * 100000 + [1.0] * 100000
+    fld = _box_field(1, (0, 0), (3, 100000), values, ("a", "b"))
+    _assert_minima_in_bounded_time(fld, radius, [((0.0, 3.0), -1.0)])
 
 
 @pytest.mark.parametrize(
