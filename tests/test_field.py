@@ -511,7 +511,7 @@ SERPENTINE = [
          radius=1)
 def test_local_minima_equals_per_cell_oracle(fld, radius):
     # general simplex fields, whose axes differ in origin or count, check that plateaus
-    # found on the mask alone are the box's; one without a symmetric extension has no box
+    # found on the mask alone are the box's; one without a symmetric extension is skipped
     try:
         fld.dense()
     except ValueError:
