@@ -17,7 +17,7 @@ expands the rows of each lcm level's divisors from it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -359,7 +359,10 @@ def _transition(
     joint search leads with :data:`_ROOT` as well, keeps only the pinned
     candidates whose denominator divides p and starts its lcm at p.  Each
     pinned sub-tuning fits a window its minimal search also allowed, so its
-    lcm is at least p; as every denominator divides p, it is exactly p.
+    lcm is at least p; as every denominator divides p, it is exactly p.  A
+    divisor of p is at most p, and each list is stably sorted by q, so only
+    its prefix with q <= p is tested: the kept triples and their order are
+    those of a test of the whole list.
 
     The other chord's lists are built only after the pinned search succeeds,
     so an infeasible pinned chord wins over an overflowing window.  A pinned
@@ -381,7 +384,10 @@ def _transition(
             f"{which} chord {Chord(notes)} admits no rational tuning within bounds"
         )
     p = found[0]
-    sub = [(cents, [c for c in pairs if p % c[0] == 0]) for cents, pairs in lists]
+    sub = [
+        (cents, [c for c in pairs[: bisect_right(pairs, p, key=itemgetter(0))] if p % c[0] == 0])
+        for cents, pairs in lists
+    ]
     rest = [_candidates_cached(*k) for k in _window_keys(other, pcfg)]
     found = min_lcm([_ROOT] + sub + rest, pcfg.jnd_cents, p)
     if found is None:

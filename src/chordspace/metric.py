@@ -135,6 +135,37 @@ class GeodesicWitness:
         }
 
 
+def _grouping_dp(
+    c1: Chord, c2: Chord
+) -> tuple[list[tuple[float, int]], list[float], list[int]]:
+    """The grouping DP of :func:`geodesic_witness` and :func:`geodesic_distance`.
+
+    Returns the sorted, labeled union ``pts`` of the notes, ``best[i]``, the
+    least total span of a grouping of ``pts[i:]``, and ``cut[i]``, the smallest
+    j whose group ``pts[i:j]`` attains it.  A group needs a source and a target,
+    so the scan over j starts at one past the farther of the nearest source and
+    the nearest target at or after i, tracked from the right; no earlier j makes
+    a group, and every later one does.
+    """
+    pts = sorted(
+        [(p, 0) for p in c1.notes] + [(p, 1) for p in c2.notes]
+    )  # kind 0 = source, 1 = target; sources sort first at equal pitch
+    k = len(pts)
+    best = [math.inf] * (k + 1)
+    best[k] = 0.0
+    cut = [k] * (k + 1)
+    nearest = [k, k]  # the nearest source and target at or after i; k while there is none
+    for i in range(k - 1, -1, -1):
+        nearest[pts[i][1]] = i
+        for j in range(max(nearest) + 1, k + 1):
+            cost = pts[j - 1][0] - pts[i][0] + best[j]
+            if cost < best[i]:
+                best[i], cut[i] = cost, j
+    if math.isinf(best[0]):  # every grouping's span overflows a float
+        raise ValueError("distance overflows a float: the notes are too far apart")
+    return pts, best, cut
+
+
 def geodesic_witness(c1: Chord, c2: Chord) -> GeodesicWitness:
     """Optimal grouping realizing the geodesic distance (Manhattan movement).
 
@@ -145,31 +176,15 @@ def geodesic_witness(c1: Chord, c2: Chord) -> GeodesicWitness:
     order (merging two overlapping groups never costs more than their sum), so
     a quadratic dynamic program over the sorted, labeled union of notes finds
     the optimum.  Ties are broken toward the lexicographically smallest
-    grouping: the earliest feasible group boundaries win.
+    grouping: the earliest feasible group boundaries win.  The groups follow
+    the ``cut`` of :func:`_grouping_dp`, the one DP that
+    :func:`geodesic_distance` runs as well; its scan over j starts at the
+    first group that holds a source and a target.
     """
-    pts = sorted(
-        [(p, 0) for p in c1.notes] + [(p, 1) for p in c2.notes]
-    )  # kind 0 = source, 1 = target; sources sort first at equal pitch
-    k = len(pts)
-    n_src = [0, *accumulate(1 - kind for _, kind in pts)]
-    n_tgt = [0, *accumulate(kind for _, kind in pts)]
-
-    # Suffix DP; cut[i] is the smallest j whose group pts[i:j] attains best[i].
-    best = [math.inf] * (k + 1)
-    best[k] = 0.0
-    cut = [k] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        for j in range(i + 1, k + 1):
-            if n_src[j] - n_src[i] >= 1 and n_tgt[j] - n_tgt[i] >= 1:
-                cost = pts[j - 1][0] - pts[i][0] + best[j]
-                if cost < best[i]:
-                    best[i], cut[i] = cost, j
-    if math.isinf(best[0]):  # every grouping's span overflows a float
-        raise ValueError("distance overflows a float: the notes are too far apart")
-
+    pts, best, cut = _grouping_dp(c1, c2)
     groups = []
     i = 0
-    while i < k:
+    while i < len(pts):
         j = cut[i]
         seg = pts[i:j]
         groups.append(
@@ -187,6 +202,9 @@ def geodesic_distance(c1: Chord, c2: Chord) -> float:
     """Shortest split/merge voice-leading path length between two chords.
 
     Defined for Manhattan movement; satisfies all metric axioms, including
-    the triangle inequality that :func:`chord_distance` violates.
+    the triangle inequality that :func:`chord_distance` violates.  It is the
+    ``best[0]`` of :func:`_grouping_dp`, the DP :func:`geodesic_witness` runs
+    (its scan over j starts at the first group that holds a source and a
+    target), and builds no groups.
     """
-    return geodesic_witness(c1, c2).total
+    return _grouping_dp(c1, c2)[1][0]

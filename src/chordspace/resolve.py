@@ -179,7 +179,7 @@ def transitive_field(
                 f"scope {cfg.scope_cents:g} cents makes note windows overlap "
                 f"(minimal note gap is {min_gap_cents:g} cents)"
             )
-    if not resolution > 0:
+    if not 0 < resolution < math.inf:
         raise ValueError("resolution must be a positive number of cents")
     k = int(cfg.scope_cents // resolution)
     origins = tuple(p * CENTS_PER_SEMITONE - k * resolution for p in c1.notes)

@@ -226,7 +226,9 @@ small_chords = st.lists(st.integers(-3, 6), min_size=1, max_size=5).map(normaliz
 def test_geodesic_witness_equals_scan_oracle(c1, c2, scale):
     # small integer pitches make equal-cost groupings, so tie-breaking is exercised
     c1, c2 = normalize(x * scale for x in c1), normalize(x * scale for x in c2)
-    assert geodesic_witness(c1, c2) == scan_geodesic_witness(c1, c2)
+    want = scan_geodesic_witness(c1, c2)
+    assert geodesic_witness(c1, c2) == want
+    assert geodesic_distance(c1, c2) == want.total  # the DP alone, with no witness built
 
 
 def test_geodesic_never_exceeds_duplication_distance():

@@ -176,6 +176,11 @@ LARGER_PAIRS = st.sampled_from([(4, 4), (2, 5), (5, 2), (4, 3)]).flatmap(
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(pair=LARGER_PAIRS)
+# the joint search keeps a pinned list's q | p from its q <= p prefix: here p = 1 and only
+# q = 1 is kept (transitive 28, relative 1), and then p = 34 and 36 exceed qmax = 24, so
+# the prefixes are the whole lists (transitive 3, relative 1)
+@example(pair=(parse_chord("[0,4,7,10]"), parse_chord("[0,12]")))
+@example(pair=(parse_chord("[0,1,5,6]"), parse_chord("[0,1,6,7]")))
 def test_larger_chord_transitive_quantities_equal_exhaustive_oracles(pair):
     first, second = pair
     cfg = TransitiveConfig(qmax=24)
@@ -401,7 +406,7 @@ def test_transitive_field_rejects_targets_off_the_float_range():
         transitive_field(Chord((-1e307, 0.0)), 2, TransitiveConfig(scope_cents=100.0), 50)
 
 
-@pytest.mark.parametrize("resolution", [0, -10, math.nan])
+@pytest.mark.parametrize("resolution", [0, -10, math.nan, math.inf])
 def test_transitive_field_rejects_a_nonpositive_resolution(resolution):
     with pytest.raises(ValueError, match="^resolution must be a positive number of cents$"):
         transitive_field(Chord((0.0, 7.0)), 2, TransitiveConfig(scope_cents=10.0), resolution)
