@@ -116,6 +116,12 @@ class ScalarField:
             raise ValueError("origins, counts and axis_names must align")
         if any(c < 1 for c in self.counts):
             raise ValueError("every axis needs at least one grid point")
+        for name, o, c in zip(self.axis_names, self.origins, self.counts):
+            if not (math.isfinite(o) and math.isfinite(o + float(self.resolution) * (c - 1))):
+                raise ValueError(
+                    f"axis {name!r} must have finite coordinates, got origin {o!r}, "
+                    f"{c} points {self.resolution!r} cents apart"
+                )
         vals = np.asarray(self.values, dtype=float)
         # the field owns its values: freezing the caller's array would stop the caller's
         # writes, and a frozen view would still follow writes to its base
@@ -512,8 +518,10 @@ def import_csv(path) -> ScalarField:
 
     Grid structure (origins, counts, resolution, simplex flag) is inferred
     from the coordinate columns.  The header is the first non-blank line;
-    the data rows are parsed in one ``np.loadtxt`` pass.  Malformed rows
-    raise ``ValueError`` with the offending physical line number.  Only when
+    the data rows are parsed in one ``np.loadtxt`` pass.  Malformed rows and
+    non-finite coordinates raise ``ValueError`` with the offending physical
+    line number; coordinates whose span overflows a float or whose smallest
+    step rounds to 0 cents raise ``ValueError`` naming the file.  Only when
     that pass fails, or finds the wrong column count, are the rows parsed
     again line by line with ``float``: that fallback exists only to name the
     bad line (and to read the few spellings, such as ``1_000``, that
@@ -544,11 +552,23 @@ def import_csv(path) -> ScalarField:
 
     if not len(values):
         raise ValueError(f"{path}: line {header_line + 1}: no data rows")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        lineno = _data_lines(path, header_line)[bad[0]][0]
+        raise ValueError(f"{path}: line {lineno}: non-finite coordinates {tuple(rows[bad[0]].tolist())}")
     uniques = [np.unique(rows[:, k]) for k in range(dims)]
-    steps = [float(np.diff(u).min()) for u in uniques if len(u) >= 2]
-    resolution = int(round(min(steps))) if steps else 1
+    with np.errstate(over="ignore"):  # a step or span past the float range is refused below
+        steps = [float(np.diff(u).min()) for u in uniques if len(u) >= 2]
+        spans = [float(u[-1] - u[0]) for u in uniques]
+    step = min(steps, default=1.0)
+    if not (step > 0.5 and all(map(math.isfinite, spans))):  # round(0.5) is 0
+        raise ValueError(
+            f"{path}: the coordinates span {max(spans):g} cents in steps of {step:g}, "
+            "no grid of whole cents"
+        )
+    resolution = int(round(step))
     origins = tuple(float(u[0]) for u in uniques)
-    counts = tuple(int(round(float(u[-1] - u[0]) / resolution)) + 1 for u in uniques)
+    counts = tuple(int(round(span / resolution)) + 1 for span in spans)
 
     try:  # a grid too large is refused as such, not as a row-count mismatch
         _check_box(counts)

@@ -88,26 +88,6 @@ def _window_error(cents: float, jnd_cents: float, what: str) -> ValueError:
     return ValueError(f"the ratio window of {cents:g} cents with a JND of {jnd_cents:g} cents {what}")
 
 
-def _ratio_window(
-    cents: float, jnd_cents: float, clamp: bool, qmax: int
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    # Exact integer ratios, taken before clamping so that an infinite end fails here.
-    try:
-        a, b = (2.0 ** ((cents - jnd_cents) / 1200.0)).as_integer_ratio()
-        c, d = (2.0 ** ((cents + jnd_cents) / 1200.0)).as_integer_ratio()
-    except OverflowError:
-        raise _window_error(cents, jnd_cents, "overflows a float") from None
-    if clamp:  # cut the window to the octave [1, 2]
-        a, b = (a, b) if a >= b else (1, 1)
-        c, d = (c, d) if c <= 2 * d else (2, 1)
-    # The walk costs time and memory for each of about (hi - lo) * qmax**2 * 3 / pi**2 ratios.
-    if c * b - a * d > 64 * b * d:
-        raise _window_error(cents, jnd_cents, f"spans {a / b:g} to {c / d:g}, wider than 64")
-    if (c * b - a * d) * qmax**2 > 4_000_000 * b * d:
-        raise _window_error(cents, jnd_cents, f"holds too many ratios with denominators up to {qmax}")
-    return (a, b), (c, d)
-
-
 def min_denominator_ratio(
     interval: float, cfg: PeriodicityConfig = PeriodicityConfig()
 ) -> Fraction:
@@ -123,8 +103,8 @@ def min_denominator_ratio(
     cents = interval * CENTS_PER_SEMITONE
     candidates = ratio_candidates(cents, cfg)
     if not candidates:
-        window = tuple(n / m for n, m in _ratio_window(cents, cfg.jnd_cents, True, cfg.qmax))
-        raise UnresolvableIntervalError(cents, cfg.jnd_cents, cfg.qmax, window)
+        _, _, a, b, c, d = _window_span(cents, cfg.jnd_cents, cfg.qmax, True)
+        raise UnresolvableIntervalError(cents, cfg.jnd_cents, cfg.qmax, (a / b, c / d))
     q, p, _ = candidates[0]
     return Fraction(p, q)
 
@@ -134,21 +114,22 @@ def dyad_periodicity(interval: float, cfg: PeriodicityConfig = PeriodicityConfig
     return min_denominator_ratio(interval, cfg).denominator
 
 
+def _successor(p: int, q: int, n: int) -> tuple[int, int]:
+    """r/s: the successor of p/q in the Farey sequence of order n, the r/s with
+    r*q - p*s = 1 and the largest such s <= n."""
+    s = n - (n + pow(p, -1, q)) % q
+    return (p * s + 1) // q, s
+
+
 def _farey_start(a: int, b: int, n: int) -> tuple[int, int, int, int]:
-    """(p, q, r, s): the least p/q >= a/b > 0 with q <= n and its Farey successor r/s, by
-    a Stern-Brocot descent that keeps neighbours L < a/b <= R, each run of steps at once."""
-    lp = (a - 1) // b  # L < a/b <= R, both integers
-    lq, rp, rq = 1, lp + 1, 1
-    while lq + rq <= n:
-        below, above = a * lq - b * lp, b * rp - a * rq
-        if below <= above:  # a/b <= mediant: R moves towards L
-            k = min(above // below, (n - rq) // lq)
-            rp, rq = rp + k * lp, rq + k * lq
-        else:  # L moves towards R, staying below a/b
-            k = min((below - 1) // above if above else n, (n - lq) // rq)
-            lp, lq = lp + k * rp, lq + k * rq
-    k = (n + lq) // rq
-    return rp, rq, k * rp - lp, k * rq - lq
+    """(p, q, r, s): the least p/q >= a/b > 0 with q <= n and its Farey successor r/s.
+    The fraction nearest a/b with q <= n is one of a/b's two neighbours in the Farey
+    sequence of order n, so p/q is it or, if it lies below a/b, its successor."""
+    f = Fraction(a, b).limit_denominator(n)
+    p, q = f.numerator, f.denominator
+    if p * b < a * q:
+        p, q = _successor(p, q, n)
+    return p, q, *_successor(p, q, n)
 
 
 def _part_of(a: int, b: int, m: int) -> int:
@@ -175,24 +156,37 @@ def _octave_part(k: int, m: int, qmax: int) -> tuple[tuple[int, int, float], ...
     return tuple(out)
 
 
-def _window_span(cents: float, jnd_cents: float, qmax: int, clamp: bool) -> tuple | None:
+def _window_span(cents: float, jnd_cents: float, qmax: int, clamp: bool) -> tuple:
     """``(m, parts, a, b, c, d)``: the window's ratios are the :func:`_octave_part` triples,
-    m parts per octave, of ``parts`` with a/b <= p/q <= c/d; None when it holds no ratio."""
-    (a, b), (c, d) = _ratio_window(cents, jnd_cents, clamp, qmax)
+    m parts per octave, of ``parts`` with a/b <= p/q <= c/d; ``parts`` is empty when the
+    window holds no ratio.  With ``clamp`` the ends are cut to the octave [1, 2]."""
+    # Exact integer ratios, taken before clamping so that an infinite end fails here.
+    try:
+        a, b = (2.0 ** ((cents - jnd_cents) / 1200.0)).as_integer_ratio()
+        c, d = (2.0 ** ((cents + jnd_cents) / 1200.0)).as_integer_ratio()
+    except OverflowError:
+        raise _window_error(cents, jnd_cents, "overflows a float") from None
+    if clamp:  # cut the window to the octave [1, 2]
+        a, b = (a, b) if a >= b else (1, 1)
+        c, d = (c, d) if c <= 2 * d else (2, 1)
+    # The walk costs time and memory for each of about (hi - lo) * qmax**2 * 3 / pi**2 ratios.
+    if c * b - a * d > 64 * b * d:
+        raise _window_error(cents, jnd_cents, f"spans {a / b:g} to {c / d:g}, wider than 64")
+    if (c * b - a * d) * qmax**2 > 4_000_000 * b * d:
+        raise _window_error(cents, jnd_cents, f"holds too many ratios with denominators up to {qmax}")
     if a * qmax < b:  # no ratio lies below 1/qmax; a lower end that underflowed to 0 starts there
         a, b = 1, qmax
-    if a * d > c * b:
-        return None
     # m parts per octave, each at most one JND (1732 > 1200/ln 2) and 2**20/qmax**2 wide
     u, v = jnd_cents.as_integer_ratio()
     m = max(-(-1732 * v // u), qmax * qmax >> 20)
-    return m, range(_part_of(a, b, m), _part_of(c, d, m) + 1), a, b, c, d
+    parts = range(_part_of(a, b, m), _part_of(c, d, m) + 1) if a * d <= c * b else range(0)
+    return m, parts, a, b, c, d
 
 
-def _trim(ratios: list, lo: int, hi: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """[i, j): the triples of the ascending ``ratios[lo:hi]`` with a/b <= p/q <= c/d."""
-    i = bisect_left(ratios, True, lo, hi, key=lambda t: t[1] * b >= a * t[0])  # first p/q >= a/b
-    return i, bisect_left(ratios, True, i, hi, key=lambda t: t[1] * d > c * t[0])  # first > c/d
+def _trim(ratios: list, a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """[i, j): the triples of the ascending ``ratios`` with a/b <= p/q <= c/d."""
+    i = bisect_left(ratios, True, key=lambda t: t[1] * b >= a * t[0])  # first p/q >= a/b
+    return i, bisect_left(ratios, True, i, key=lambda t: t[1] * d > c * t[0])  # first > c/d
 
 
 @lru_cache(maxsize=65536)
@@ -201,14 +195,11 @@ def _candidates_cached(
 ) -> tuple[float, tuple[tuple[int, int, float], ...]]:
     """``(cents, pairs)``: the shared :func:`_octave_part` triples of the window's
     ratios, from the parts it touches, trimmed at both ends and stably sorted by q."""
-    span = _window_span(cents, jnd_cents, qmax, clamp)
-    if span is None:
-        return cents, ()
-    m, parts, *ends = span
+    m, parts, *ends = _window_span(cents, jnd_cents, qmax, clamp)
     ratios = []
     for k in parts:
         ratios += _octave_part(k, m, qmax)
-    i, j = _trim(ratios, 0, len(ratios), *ends)
+    i, j = _trim(ratios, *ends)
     return cents, tuple(sorted(ratios[i:j], key=itemgetter(0)))  # stable: each q's p ascend
 
 
@@ -233,7 +224,7 @@ def _window_key(cents: float, cfg: PeriodicityConfig, clamp: bool) -> tuple:
     is dropped.
 
     A clamped window whose JND band lies inside the octave, ``0 <= cents - jnd`` and
-    ``(cents + jnd) / 1200.0 <= 1`` (the float expressions :func:`_ratio_window` takes
+    ``(cents + jnd) / 1200.0 <= 1`` (the float expressions :func:`_window_span` takes
     its ends from), shares the unclamped entry: the clamp leaves both of its ends as
     they are, so both keys give the same ``(cents, pairs)``.  A band that crosses 1/1
     or 2/1 keeps its own entry.
@@ -475,24 +466,20 @@ def _ladder_rows(keys: list[tuple]):
 
     Every :func:`_octave_part` that some window touches is copied into numpy once, in
     ascending order, and each window is the slice ``[first, last)`` that :func:`_trim` finds
-    there, as :func:`_candidates_cached` finds it in its own parts: a window's rows with q in
+    there.  The parts are disjoint and ascend, so that slice is the one
+    :func:`_candidates_cached` finds in the window's own parts: a window's rows with q in
     ``qs`` are its candidate list restricted to those q, each detuned by ``log - cents``.
     Each grid window is clamped into [1, 2] with a positive JND, so its ends satisfy
-    ``a/b <= c/d`` and :func:`_window_span` never returns None; both ends ascend with the
-    cents, so ``first`` and ``last`` never decrease along the windows.  The windows holding
-    position ``at`` are then those with ``first <= at < last``: from the first whose ``last``
-    exceeds ``at`` to the last whose ``first`` does not, and ``first[w] <= last[w]`` keeps
-    that range ordered.
+    ``a/b <= c/d``; both ends ascend with the cents, so ``first`` and ``last`` never
+    decrease along the windows.  The windows holding position ``at`` are then those with
+    ``first <= at < last``: from the first whose ``last`` exceeds ``at`` to the last whose
+    ``first`` does not, and ``first[w] <= last[w]`` keeps that range ordered.
     """
     spans = [_window_span(*key) for key in keys]
-    ratios, start, end = [], {}, {}
+    ratios = []
     for k, m in sorted({(k, span[0]) for span in spans for k in span[1]}):
-        start[k] = len(ratios)
         ratios += _octave_part(k, m, keys[0][2])
-        end[k] = len(ratios)
-    first, last = np.array(
-        [_trim(ratios, start[span[1][0]], end[span[1][-1]], *span[2:]) for span in spans],
-        dtype=np.intp).T
+    first, last = np.array([_trim(ratios, *span[2:]) for span in spans], dtype=np.intp).T
     # the narrowest dtype that holds qmax: numpy sorts 8- and 16-bit keys stably by radix
     q = np.fromiter((t[0] for t in ratios), np.min_scalar_type(keys[0][2]), len(ratios))
     log = np.fromiter((t[2] for t in ratios), float, len(ratios))

@@ -74,7 +74,8 @@ def gaussian_product_sigma(s1: float, s2: float) -> float:
     """Width of the (renormalized) product of two Gaussians; below min(s1, s2)."""
     if not (s1 > 0 and s2 > 0 and math.isfinite(s1) and math.isfinite(s2)):
         raise ValueError(f"standard deviations must be positive and finite, got {s1!r}, {s2!r}")
-    return s1 * s2 / math.hypot(s1, s2)
+    lo, hi = min(s1, s2), max(s1, s2)
+    return lo / math.hypot(1.0, lo / hi)  # s1 s2 / hypot(s1, s2), free of over- and underflow
 
 
 def _kernel(sigma_cents: float, resolution: int, radius: int) -> np.ndarray:

@@ -534,10 +534,20 @@ def row_import_csv(path) -> ScalarField:
 
     if not coords_rows:
         raise ValueError(f"{path}: line {lines[0][0] + 1}: no data rows")
+    for (lineno, _), coords in zip(lines[1:], coords_rows):
+        if not all(math.isfinite(x) for x in coords):
+            raise ValueError(f"{path}: line {lineno}: non-finite coordinates {coords}")
     rows = np.asarray(coords_rows)
     uniques = [np.unique(rows[:, k]) for k in range(dims)]
-    steps = [float(np.diff(u).min()) for u in uniques if len(u) >= 2]
-    resolution = int(round(min(steps))) if steps else 1
+    steps = [min(float(y) - float(x) for x, y in zip(u, u[1:])) for u in uniques if len(u) >= 2]
+    spans = [float(u[-1]) - float(u[0]) for u in uniques]
+    step = min(steps) if steps else 1.0
+    if not (all(map(math.isfinite, spans)) and round(step) >= 1):  # a finite span bounds the steps
+        raise ValueError(
+            f"{path}: the coordinates span {max(spans):g} cents in steps of {step:g}, "
+            "no grid of whole cents"
+        )
+    resolution = int(round(step))
     origins = tuple(float(u[0]) for u in uniques)
     counts = tuple(int(round(float(u[-1] - u[0]) / resolution)) + 1 for u in uniques)
 

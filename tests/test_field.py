@@ -97,6 +97,9 @@ def test_field_equality_with_a_non_field_is_not_implemented():
         (100, (0.0,), (0,), "every axis needs at least one grid point"),
         (math.nan, (0.0,), (3,), "resolution must be a positive number of cents, got nan"),
         (math.inf, (0.0,), (3,), "resolution must be a positive number of cents, got inf"),
+        (1, (math.inf,), (3,), "axis 'a' must have finite coordinates, got origin inf"),
+        (1, (math.nan,), (3,), "axis 'a' must have finite coordinates, got origin nan"),
+        (1e308, (1e308,), (3,), "axis 'a' must have finite coordinates"),  # its last point is inf
     ],
 )
 def test_scalar_field_rejects_malformed_grids(resolution, origins, counts, message):
@@ -727,7 +730,7 @@ def _import_outcome(read, path):
     the exception's type and message."""
     try:
         fld = read(path)
-    except Exception as exc:  # the oracle's overflow errors must match too
+    except Exception as exc:  # the oracle's errors must match too, type and message
         return type(exc), str(exc)
     return (
         fld.resolution, repr(fld.origins), fld.counts, fld.simplex,
@@ -758,6 +761,13 @@ def _check_import_against_oracle(text: str):
 
 
 BLANK_LINES = ("", "  ", "\t", "\x0c", "\u3000")
+#: Coordinates that no field of whole-cent steps has.
+NO_GRID_TEXTS = (
+    "x2,v\n0,1\n0.25,2\n",  # the smallest step rounds to 0 cents
+    "x2,v\n0,1\ninf,2\n",
+    "x2,v\n-1e308,1\n1e308,2\n",  # the step overflows a float
+    "x2,v\n0,1\nnan,2\n",
+)
 #: Tokens that float() and loadtxt disagree on, or that neither reads.
 BAD_TOKENS = ("abc", "1_000", "\u0661\u0662", "", "#1")
 
@@ -809,6 +819,15 @@ def test_import_csv_equals_row_oracle(fld, data):
     "v\n",  # a 0-d field without rows
     "v\nnan\n",
     "x2,x3,v\n0,0,1\n0,600,2\n600,600,3\n",  # a simplex
+    *NO_GRID_TEXTS,
 ])
 def test_import_csv_equals_row_oracle_on_hand_written_text(text):
     _check_import_against_oracle(text)
+
+
+@pytest.mark.parametrize("text", NO_GRID_TEXTS)
+def test_import_csv_refuses_coordinates_that_form_no_grid(tmp_path, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=r"line 3: non-finite coordinates|no grid of whole cents"):
+        import_csv(path)

@@ -127,6 +127,14 @@ def test_chord_periodicity_witnesses():
     assert tuning.ratios == (Fraction(1), Fraction(4, 3), Fraction(5, 3))
 
 
+def test_chord_periodicity_at_a_fine_jnd_and_a_large_qmax():
+    # 0.01 c and qmax 20,000 start Farey walks at octave-part ends with m = 173,200;
+    # exhaustive_chord_periodicity gives the same value and witness, in seconds
+    p, tuning = chord_periodicity(normalize([0, 4, 7]), PeriodicityConfig(0.01, 20000))
+    assert p == 2647
+    assert tuning.ratios == (Fraction(1), Fraction(3335, 2647), Fraction(3966, 2647))
+
+
 def test_chord_periodicity_matches_exhaustive_oracle():
     rng = random.Random(101)
     cfg = PeriodicityConfig()
@@ -440,6 +448,14 @@ def _positive_rationals(n: int):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), _positive_rationals(n))))
+# octave-part ends at m = 173,200 (a JND of 0.01 c) for qmax 20,000, one of them an octave up
+@example((20000, (173200 + 86603, 173200)))
+@example((20000, (2 * (173200 + 173199), 173200)))
+@example((20000, (173200 + 1, 173200 << 2)))  # nearest 1/4 lies below: one successor step
+@example((2000, (1234567, 1000000)))
+@example((60, (1, 1000)))  # below 1/(2n): the nearest fraction is 0/1
+@example((10, (199, 100)))  # nearest 2/1 lies above
+@example((10, (201, 100)))  # nearest 2/1 lies below: a q = 1 neighbour steps to 21/10
 def test_farey_start_equals_scan(case):
     n, (a, b) = case
     assert _farey_start(a, b, n) == farey_start_scan(a, b, n)

@@ -67,6 +67,8 @@ def test_gaussian_product_sigma_values():
     assert gaussian_product_sigma(3.0, 3.0) == pytest.approx(3.0 / math.sqrt(2.0))
     assert gaussian_product_sigma(6.0, 8.0) == pytest.approx(4.8)
     assert gaussian_product_sigma(5.0, 1e9) == pytest.approx(5.0, rel=1e-9)
+    for s in (1e200, 1e-170):  # no intermediate over- or underflows
+        assert gaussian_product_sigma(s, s) == pytest.approx(s / math.sqrt(2.0), rel=1e-15)
     rng = random.Random(4)
     for _ in range(100):
         s1, s2 = rng.uniform(0.1, 50), rng.uniform(0.1, 50)
