@@ -145,28 +145,25 @@ def cmd_periodicity(args) -> int:
 
 def cmd_field(args) -> int:
     cfg = _load_config(args)
-    resolution = args.res if args.res is not None else cfg.resolution_for(args.size)
-    if resolution <= 0 or 1200 % resolution != 0:
-        raise ValueError(f"resolution {resolution} must be positive and divide 1200")
+    size = len(args.from_chord) if args.kind == "transitive" else args.size
+    resolution = args.res if args.res is not None else cfg.resolution_for(size)
     sigma = args.sigma if args.sigma is not None else cfg.sigma_cents()
     out = Path(args.out)
-    if args.matrix and args.kind != "transitive" and args.size != 3:
+    sidecar_path = out.with_suffix(out.suffix + ".json")
+    if args.matrix and args.size != 3:
         raise ValueError("matrix export is defined for 2-d fields only")
+    if args.matrix and os.path.realpath(args.matrix) in map(os.path.realpath, (out, sidecar_path)):
+        raise ValueError(f"--matrix {args.matrix} would overwrite the field CSV or its sidecar")
 
     paths = [out]
     if args.kind == "periodicity":
-        panels = [harmonicity.periodicity_field(args.size, resolution, cfg.periodicity_config())]
+        panels = [harmonicity.periodicity_field(size, resolution, cfg.periodicity_config())]
     elif args.kind == "roughness":
         panels = [
-            roughness.roughness_field(args.size, resolution, cfg.spectrum, cfg.f0_hz, cfg.roughness)
+            roughness.roughness_field(size, resolution, cfg.spectrum, cfg.f0_hz, cfg.roughness)
         ]
-    else:  # transitive
-        if args.from_chord is None:
-            raise ValueError("--from CHORD is required for transitive fields")
-        if args.matrix:
-            raise ValueError("--matrix applies to periodicity and roughness fields only")
-        tcfg = cfg.transitive_config()
-        panels = resolve.transitive_field(args.from_chord, args.size, tcfg, resolution)
+    else:  # resolve-field: a window around its chord, one axis per note
+        panels = resolve.transitive_field(args.from_chord, cfg.transitive_config(), resolution)
         paths.append(out.with_name(out.stem + "_p2" + out.suffix))
 
     panels = [psychometric.gaussian_smooth(fld, sigma) for fld in panels]
@@ -175,7 +172,7 @@ def cmd_field(args) -> int:
         export_matrix(panels[0], args.matrix)
         sidecars[0]["matrix_file"] = str(args.matrix)
     sidecar = sidecars[0] if len(sidecars) == 1 else {"panels": sidecars}
-    with open(out.with_suffix(out.suffix + ".json"), "w", encoding="utf-8") as fh:
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)
     _emit(sidecar)
     return EXIT_OK
@@ -214,10 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     tuning = argparse.ArgumentParser(add_help=False)
     tuning.add_argument("--jnd", type=parse_cents)
     tuning.add_argument("--qmax", type=int)
-    scope = argparse.ArgumentParser(add_help=False)
-    scope.add_argument("--scope", type=parse_cents, help="half-width of each note window")
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--res", type=int, help="grid resolution in cents")
+    grid.add_argument("--res", type=int, help="grid step in cents (for field, a divisor of 1200)")
     grid.add_argument("--sigma", type=parse_cents,
                       help="smoothing width, e.g. 6c (0 for the raw step field)")
     grid.add_argument("--out", required=True, help="output CSV path")
@@ -239,25 +234,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the minimum over every re-rooting")
     p.set_defaults(fn=cmd_periodicity)
 
-    p = sub.add_parser("field", parents=[grid, tuning, scope],
-                       help="write a grid field as CSV (plus JSON sidecar)")
-    p.add_argument("kind", choices=["periodicity", "roughness", "transitive"])
+    p = sub.add_parser("field", parents=[grid, tuning],
+                       help="write a one-octave grid field as CSV (plus JSON sidecar)")
+    p.add_argument("kind", choices=["periodicity", "roughness"])
     p.add_argument("size", type=int, help="number of chord notes")
-    p.add_argument("--from", dest="from_chord", type=_chord_arg,
-                   help="starting chord for transitive fields")
     p.add_argument("--matrix", help="also write a dense whitespace matrix (2-d fields)")
     p.set_defaults(fn=cmd_field)
 
-    p = sub.add_parser("resolve", parents=[tuning, scope],
+    p = sub.add_parser("resolve", parents=[tuning],
                        help="transition quantities for an ordered pair")
     p.add_argument("chord1", type=_chord_arg)
     p.add_argument("chord2", type=_chord_arg)
     p.set_defaults(fn=cmd_resolve)
 
-    p = sub.add_parser("resolve-field", parents=[grid, tuning, scope],
-                       help="transitive-periodicity window field plus companion periodicity field")
+    p = sub.add_parser("resolve-field", parents=[grid, tuning],
+                       help="transitive-periodicity window around a chord plus its companion field")
     p.add_argument("from_chord", type=_chord_arg, metavar="chord")
-    p.add_argument("size", type=int)
+    p.add_argument("--scope", type=parse_cents, help="half-width of each note window")
     p.set_defaults(fn=cmd_field, kind="transitive", matrix=None)
 
     return parser

@@ -81,6 +81,10 @@ def interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 2 <= n <= 4:
         raise ValueError(f"interval grids hold 2 to 4 notes, got {n}")
+    try:
+        resolution = operator.index(resolution)  # numpy integers pass, a float does not
+    except TypeError:
+        raise ValueError(f"resolution must be an integer, got {resolution!r}") from None
     if resolution <= 0 or 1200 % resolution != 0:
         raise ValueError(f"resolution {resolution} must be positive and divide 1200")
     m = 1200 // resolution + 1

@@ -516,6 +516,7 @@ def periodicity_field(
     order; the first infeasible one raises.
     """
     notes, idx = interval_grid(n, resolution)
+    resolution = index(resolution)  # JSON takes a Python int, not a numpy one
     idx = idx.T[1:]  # a contiguous row per non-root note
     rows = _ladder_rows(_window_keys(notes[1:].tolist(), cfg, True))  # axis value 0 is the root
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])

@@ -151,25 +151,19 @@ def chan_transitional_harmony(
 
 def transitive_field(
     c1: Chord,
-    n: int,
     cfg: TransitiveConfig = TransitiveConfig(),
     resolution: int = 50,
 ) -> tuple[ScalarField, ScalarField]:
     """Transitive periodicity over a window of target chords around ``c1``.
 
     Returns the pair (log2 transitive periodicity of ``c1 -> c2``, log2
-    periodicity of ``c2``) on the same grid: one axis per note of the target
-    chord, each spanning ``scope`` cents around the corresponding note of
-    ``c1``.  Windows must not overlap, so every grid tuple is already sorted.
-    One search per cell fills both panels (see
-    :func:`~chordspace.harmonicity._transition`); a target beyond the octave
-    raises after that cell's transition errors.
+    periodicity of ``c2``) on the same grid: one axis per note of ``c1``, each
+    spanning ``scope`` cents around that note in steps of ``resolution`` cents
+    (any positive step; it need not divide the octave).  Windows must not
+    overlap, so every grid tuple is already sorted.  One search per cell fills
+    both panels (see :func:`~chordspace.harmonicity._transition`); a target
+    beyond the octave raises after that cell's transition errors.
     """
-    if n != len(c1):
-        raise ValueError(
-            "window fields currently require the target size to match the "
-            f"starting chord ({len(c1)} notes), got {n}"
-        )
     if len(c1) > 1:
         min_gap_cents = min(
             (b - a) * CENTS_PER_SEMITONE for a, b in zip(c1.notes, c1.notes[1:])

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -204,6 +205,7 @@ def roughness_field(
 ) -> ScalarField:
     """Chord roughness over the one-octave grid (same convention as periodicity)."""
     notes, rows = interval_grid(n, resolution)
+    resolution = index(resolution)  # JSON takes a Python int, not a numpy one
     distinct = np.diff(rows, axis=1, prepend=-1) != 0  # indices ascend along each row
     sizes = distinct.sum(axis=1)
     values = np.empty(len(rows))

@@ -826,14 +826,9 @@ def _feasible_at_ratio(prog: Progression, cfg: TransitiveConfig, ratio: int) -> 
     return False
 
 
-def _window_cells(c1: Chord, n: int, cfg: TransitiveConfig, resolution: int):
+def _window_cells(c1: Chord, cfg: TransitiveConfig, resolution: int):
     """Origins, counts and cent coordinates of the target window around
     ``c1``, in lexicographic cell order, with ``transitive_field``'s checks."""
-    if n != len(c1):
-        raise ValueError(
-            "window fields currently require the target size to match the "
-            f"starting chord ({len(c1)} notes), got {n}"
-        )
     gaps = [(b - a) * 100.0 for a, b in zip(c1.notes, c1.notes[1:])]
     if gaps and 2 * cfg.scope_cents >= min(gaps):
         raise ValueError(
@@ -869,13 +864,12 @@ def _window_panel(
 
 def per_cell_transitive_field(
     c1: Chord,
-    n: int,
     cfg: TransitiveConfig = TransitiveConfig(),
     resolution: int = 50,
 ) -> tuple[ScalarField, ScalarField]:
     """``transitive_field`` from one target chord per cell: its transitive
     periodicity, then the periodicity of the target shifted to its root."""
-    origins, counts, cells = _window_cells(c1, n, cfg, resolution)
+    origins, counts, cells = _window_cells(c1, cfg, resolution)
     targets = [Chord(tuple(x / 100.0 for x in coords)) for coords in cells]
     pcfg = cfg.periodicity_config()
     trans, comp = [], []
@@ -896,7 +890,6 @@ def per_cell_transitive_field(
 
 def sweep_transitive_field(
     c1: Chord,
-    n: int,
     cfg: TransitiveConfig = TransitiveConfig(),
     resolution: int = 50,
     max_ratio: int = 100_000,
@@ -907,7 +900,7 @@ def sweep_transitive_field(
     joint tuning exists; the order-independent cross-check of the
     cell-local minimization.
     """
-    origins, counts, cells = _window_cells(c1, n, cfg, resolution)
+    origins, counts, cells = _window_cells(c1, cfg, resolution)
     targets = [Chord(tuple(x / 100.0 for x in coords)) for coords in cells]
     values = np.full(len(cells), np.nan)
     remaining = set(range(len(cells)))

@@ -311,8 +311,8 @@ def test_criterion_9_tritone_resolve_property():
     self_ok = transitive_periodicity(Progression(tritone, tritone), cfg) == 1
 
     window_cfg = TransitiveConfig(scope_cents=200.0)
-    direct, _ = transitive_field(tritone, 2, window_cfg, resolution=50)
-    swept = sweep_transitive_field(tritone, 2, window_cfg, resolution=50)
+    direct, _ = transitive_field(tritone, window_cfg, resolution=50)
+    swept = sweep_transitive_field(tritone, window_cfg, resolution=50)
     sweep_ok = np.array_equal(direct.values, swept.values)
 
     elapsed = time.time() - t0

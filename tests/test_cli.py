@@ -18,9 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from chordspace.cli import build_parser, main, parse_cents
 from chordspace.config import Config
-from chordspace.field import export_matrix
+from chordspace.field import export_csv, export_matrix
 from chordspace.harmonicity import periodicity_field
+from chordspace.pitch import Chord
 from chordspace.psychometric import THIRD_QUARTILE_Z, gaussian_smooth
+from chordspace.resolve import TransitiveConfig, transitive_field
 
 
 def run_cli(capsys, *argv):
@@ -192,15 +194,18 @@ def test_field_resolution_must_divide_octave(tmp_path, capsys):
     "argv",
     [
         ("field", "periodicity", "3"),
-        ("field", "transitive", "2", "--from", "[3,9]"),
-        ("resolve-field", "[3,9]", "2"),
+        ("field", "roughness", "2"),
+        ("resolve-field", "[3,9]"),
     ],
 )
 def test_field_nonpositive_resolution_exits_2(tmp_path, capsys, argv, res):
     out = tmp_path / "a.csv"
     code, stdout, err = run_cli(capsys, *argv, "--res", res, "--out", str(out))
     assert code == 2
-    assert err == f"error: resolution {res} must be positive and divide 1200\n"
+    if argv[0] == "field":  # interval_grid's rule
+        assert err == f"error: resolution {res} must be positive and divide 1200\n"
+    else:  # a window takes any positive step
+        assert err == "error: resolution must be a positive number of cents\n"
     assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
@@ -215,13 +220,13 @@ def test_parse_cents_rejects_non_finite(text):
     [
         ("field", "periodicity", "2", "--res", "600", "--sigma", "nanc"),
         ("field", "periodicity", "2", "--res", "600", "--sigma", "infc"),
-        ("resolve", "[0,4,7]", "[0,4,7]", "--scope", "nanc"),
-        ("resolve", "[0,4,7]", "[0,4,7]", "--scope", "infc"),
+        ("resolve-field", "[3,9]", "--scope", "nanc"),
+        ("resolve-field", "[3,9]", "--scope", "infc"),
     ],
 )
 def test_non_finite_width_flags_exit_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, *(["--out", str(tmp_path / "a.csv")] if argv[0] == "field" else [])])
+        main([*argv, "--out", str(tmp_path / "a.csv")])
     assert exc.value.code == 2
     assert "finite" in capsys.readouterr().err
 
@@ -275,7 +280,7 @@ def test_field_roughness_rejects_non_finite_config(tmp_path, capsys, config):
 def test_field_transitive_emits_pair(tmp_path, capsys):
     out = tmp_path / "win.csv"
     code, stdout, _ = run_cli(
-        capsys, "field", "transitive", "2", "--from", "[3,9]", "--scope", "100c",
+        capsys, "resolve-field", "[3,9]", "--scope", "100c",
         "--res", "50", "--sigma", "0c", "--out", str(out),
     )
     assert code == 0
@@ -286,23 +291,14 @@ def test_field_transitive_emits_pair(tmp_path, capsys):
     assert (tmp_path / "win.csv").exists()
     assert (tmp_path / "win_p2.csv").exists()
 
-    code2, stdout2, _ = run_cli(
-        capsys, "resolve-field", "[3,9]", "2", "--scope", "100c",
-        "--res", "50", "--sigma", "0c", "--out", str(tmp_path / "win2.csv"),
-    )
-    assert code2 == 0
-    assert (tmp_path / "win2.csv").read_bytes() == out.read_bytes()
-
 
 @pytest.mark.parametrize(
     "field_args,message",
     [
-        (("transitive", "2", "--from", "[3,9]", "--scope", "200c", "--res", "10"),
-         "--matrix applies to periodicity and roughness fields only"),
         (("periodicity", "2", "--res", "10"), "matrix export is defined for 2-d fields only"),
         (("roughness", "4", "--res", "100"), "matrix export is defined for 2-d fields only"),
     ],
-    ids=["transitive", "periodicity-dyad", "roughness-tetrad"],
+    ids=["periodicity-dyad", "roughness-tetrad"],
 )
 def test_field_transitive_rejects_matrix_before_computing(tmp_path, capsys, field_args, message):
     code, stdout, err = run_cli(
@@ -314,10 +310,52 @@ def test_field_transitive_rejects_matrix_before_computing(tmp_path, capsys, fiel
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["w.csv", "w.csv.json"])
+def test_matrix_may_not_overwrite_the_field_or_its_sidecar(tmp_path, capsys, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)  # the same file, spelled relative to the absolute --out
+    code, stdout, err = run_cli(
+        capsys, "field", "periodicity", "3", "--res", "600", "--sigma", "0c",
+        "--out", str(tmp_path / "w.csv"), "--matrix", target,
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: --matrix ") and "overwrite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("field", "transitive", "2", "--from", "[3,9]", "--out", "{out}"),
+        ("field", "periodicity", "3", "--scope", "100c", "--out", "{out}"),
+        ("resolve", "[3,9]", "[4,8]", "--scope", "100c"),
+        ("resolve-field", "[3,9]", "2", "--out", "{out}"),
+        ("resolve-field", "[3,9]", "--matrix", "{matrix}", "--out", "{out}"),
+    ],
+    ids=["field-transitive", "field-scope", "resolve-scope", "resolve-field-size",
+         "resolve-field-matrix"],
+)
+def test_removed_window_spellings_exit_2(tmp_path, argv):
+    argv = [part.format(out=tmp_path / "w.csv", matrix=tmp_path / "m.txt") for part in argv]
+    assert _exit_code(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_window_resolution_need_not_divide_the_octave(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CHORDSPACE_CONFIG", raising=False)
+    out = tmp_path / "w.csv"
+    code, _, _ = run_cli(capsys, "resolve-field", "[3,9]", "--scope", "30c", "--res", "7",
+                         "--sigma", "0c", "--out", str(out))
+    assert code == 0
+    panels = transitive_field(Chord((3.0, 9.0)), TransitiveConfig(scope_cents=30.0), 7)
+    for fld, path in zip(panels, (out, tmp_path / "w_p2.csv"), strict=True):
+        export_csv(fld, tmp_path / "want.csv")
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_readme_window_command_keeps_its_bytes(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CHORDSPACE_CONFIG", raising=False)
     code, stdout, _ = run_cli(
-        capsys, "resolve-field", "[3,9]", "2", "--scope", "200c", "--res", "10",
+        capsys, "resolve-field", "[3,9]", "--scope", "200c", "--res", "10",
         "--out", str(tmp_path / "window.csv"),
     )
     assert code == 0
@@ -331,14 +369,6 @@ def test_readme_window_command_keeps_its_bytes(tmp_path, capsys, monkeypatch):
         "window.csv.json": "797354b1c51b1151e12a1e3df5c3c708bd58022fd2d90d3fe8ba4c6e27376483",
     }
     assert json.loads(stdout) == json.loads((tmp_path / "window.csv.json").read_text())
-
-
-def test_field_transitive_requires_from(tmp_path, capsys):
-    code, stdout, err = run_cli(capsys, "field", "transitive", "2",
-                                "--res", "50", "--out", str(tmp_path / "x.csv"))
-    assert code == 2
-    assert err == "error: --from CHORD is required for transitive fields\n"
-    assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 def test_resolve_reports_all_quantities(capsys):
@@ -479,13 +509,11 @@ def test_invalid_settings_exit_2_on_every_command(tmp_path, capsys, config, argv
 
 
 def test_scope_flag_is_the_scope_the_snapshot_records(tmp_path, capsys):
-    code, stdout, _ = run_cli(capsys, "field", "transitive", "2", "--from", "[3,9]",
+    code, stdout, _ = run_cli(capsys, "resolve-field", "[3,9]",
                               "--scope", "100c", "--res", "10", "--out", str(tmp_path / "w.csv"))
     assert code == 0
     for panel in json.loads(stdout)["panels"]:
         assert panel["config"]["scope_cents"] == panel["meta"]["scope_cents"] == 100.0
-    code, stdout, _ = run_cli(capsys, "resolve", "[3,9]", "[4,8]", "--scope", "100c")
-    assert code == 0 and json.loads(stdout)["config"]["scope_cents"] == 100.0
 
 
 def test_config_is_frozen():
@@ -543,9 +571,8 @@ def test_each_subcommand_keeps_its_options():
         "distance": {"-h", "--help", "--norm"},
         "periodicity": {"-h", "--help", "--jnd", "--qmax", "--shift-to-root", "--per-note-only",
                         "--all-rerootings"},
-        "field": {"-h", "--help", "--res", "--sigma", "--jnd", "--qmax", "--from", "--scope",
-                  "--out", "--matrix"},
-        "resolve": {"-h", "--help", "--jnd", "--qmax", "--scope"},
+        "field": {"-h", "--help", "--res", "--sigma", "--jnd", "--qmax", "--out", "--matrix"},
+        "resolve": {"-h", "--help", "--jnd", "--qmax"},
         "resolve-field": {"-h", "--help", "--res", "--sigma", "--jnd", "--qmax", "--scope",
                           "--out"},
     }
@@ -575,8 +602,7 @@ def _exit_code(argv) -> int:
     command=st.sampled_from([
         ("field", "periodicity", "{size}"),
         ("field", "roughness", "{size}"),
-        ("field", "transitive", "{size}", "--from", "[3,9]"),
-        ("resolve-field", "[3,9]", "{size}"),
+        ("resolve-field", "[3,9]"),
     ]),
     size=st.integers(0, 5),
     res=st.sampled_from(["0", "-50", "7", "600"]),
@@ -588,11 +614,12 @@ def _exit_code(argv) -> int:
 # grids beyond the box-cell bound, refused before any per-cell array is built
 @example(command=("field", "periodicity", "{size}"), size=4, res="1", sigma=None, scope=None)
 @example(command=("field", "roughness", "{size}"), size=4, res="1", sigma=None, scope=None)
-@example(command=("resolve-field", "[0]", "{size}"), size=1, res="1", sigma=None,
-         scope="100000000000c")
+@example(command=("resolve-field", "[0]"), size=1, res="1", sigma=None, scope="100000000000c")
 def test_field_commands_never_exit_internal(command, size, res, sigma, scope):
     """User input never makes the field commands exit 4 (internal error)."""
     argv = [part.format(size=size) for part in command] + ["--res", res]
+    if command[0] != "resolve-field":  # only a window field has a scope
+        scope = None
     for flag, value in (("--sigma", sigma), ("--scope", scope)):
         if value is not None:
             argv += [flag, value]
@@ -635,9 +662,9 @@ def test_field_roughness_config_never_exits_internal(size):
         (("resolve", "[0]", "[0]", "--jnd", "1e300c"), "overflows a float"),
         (("field", "periodicity", "2", "--res", "600", "--jnd", "1e300c", "--out", "{out}"),
          "overflows a float"),
-        (("field", "transitive", "2", "--from", "[0,20000]", "--scope", "100c", "--res", "100",
-          "--out", "{out}"), "overflows a float"),
-        (("resolve-field", "[0,20000]", "2", "--scope", "50c", "--res", "50", "--out", "{out}"),
+        (("resolve-field", "[0,20000]", "--scope", "100c", "--res", "100", "--out", "{out}"),
+         "overflows a float"),
+        (("resolve-field", "[0,20000]", "--scope", "50c", "--res", "50", "--out", "{out}"),
          "overflows a float"),
         (("--config", "{config}", "field", "periodicity", "2", "--out", "{out}"),
          "overflows a float"),
@@ -650,9 +677,9 @@ def test_field_roughness_config_never_exits_internal(size):
         # about 10**14 ratios with denominators up to 10**8, refused before any is built
         (("periodicity", "[0,4,7]", "--qmax", "100000000"), "too many ratios"),
         # target windows reaching beyond the octave
-        (("field", "transitive", "2", "--from", "[0,13]", "--scope", "100c", "--res", "50",
-          "--out", "{out}"), "one octave"),
-        (("resolve-field", "[0,13]", "2", "--scope", "100c", "--res", "50", "--out", "{out}"),
+        (("resolve-field", "[0,12]", "--scope", "100c", "--res", "50", "--out", "{out}"),
+         "one octave"),
+        (("resolve-field", "[0,13]", "--scope", "100c", "--res", "50", "--out", "{out}"),
          "one octave"),
     ],
 )

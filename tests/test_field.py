@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import re
@@ -28,6 +29,7 @@ from chordspace.harmonicity import periodicity_field
 from chordspace.pitch import Chord
 from chordspace.psychometric import gaussian_smooth
 from chordspace.resolve import TransitiveConfig, transitive_field
+from chordspace.roughness import roughness_field
 
 import oracles
 
@@ -57,9 +59,16 @@ def test_simplex_cell_count_and_order():
 
 
 def test_resolution_must_divide_octave():
-    for n, resolution in ((3, 7), (3, 0), (3, -600), (1, 600), (5, 600)):
+    for n, resolution in ((3, 7), (3, 0), (3, -600), (1, 600), (5, 600), (3, 600.0)):
         with pytest.raises(ValueError):
             interval_grid(n, resolution)
+
+
+def test_grid_generators_keep_a_numpy_resolution_as_an_int():
+    # the sidecar dumps the meta as JSON, which takes no numpy integer
+    for fld in (periodicity_field(2, np.int64(600)), roughness_field(2, np.int64(600))):
+        assert type(fld.resolution) is int and type(fld.meta["resolution_cents"]) is int
+        assert json.loads(json.dumps(fld.meta))["resolution_cents"] == 600
 
 
 def test_value_count_must_match_cells():
@@ -265,7 +274,7 @@ def test_grid_size_bound_both_sides(tmp_path):
     with pytest.raises(ValueError, match="larger than"):
         ScalarField(1, (0.0,), (bound + 1,), False, ("a",), [0.0])
     with pytest.raises(ValueError, match="larger than"):
-        transitive_field(Chord((0.0,)), 1, TransitiveConfig(scope_cents=1e11), 1)
+        transitive_field(Chord((0.0,)), TransitiveConfig(scope_cents=1e11), 1)
     huge = tmp_path / "huge.csv"
     huge.write_text("x2,x3,v\n0,0,1\n1,1000000000,2\n")
     with pytest.raises(ValueError, match="larger than") as exc:

@@ -288,8 +288,8 @@ def test_chan_coincidence_tolerance_knob():
 
 def test_transitive_field_pair_and_sweep_equality():
     cfg = TransitiveConfig(scope_cents=200.0)
-    trans, companion = transitive_field(TRITONE, 2, cfg, resolution=100)
-    sweep = sweep_transitive_field(TRITONE, 2, cfg, resolution=100)
+    trans, companion = transitive_field(TRITONE, cfg, resolution=100)
+    sweep = sweep_transitive_field(TRITONE, cfg, resolution=100)
     assert np.array_equal(trans.values, sweep.values)
     assert trans.value_at((300.0, 900.0)) == 0.0  # self-resolution cell
 
@@ -302,29 +302,29 @@ def test_transitive_field_pair_and_sweep_equality():
 
 
 @pytest.mark.parametrize(
-    "chord, n, scope, resolution, sha256",
+    "chord, scope, resolution, sha256",
     [
-        ("[3,9]", 2, 200.0, 10, (
+        ("[3,9]", 200.0, 10, (
             "781ca4a6a967b97f04c6219fef865222b87214adbb0b00e20d296193fe2eed32",
             "ec9452d935456e1eeea26e0e29597cbb1e5e0b8197acb46b7189f46af3bf55bb",
         )),
-        ("[0,4,7]", 3, 100.0, 10, (
+        ("[0,4,7]", 100.0, 10, (
             "e07d681427e76daf32e4a3c81b2fd85df469c7f566d37e156dcc441fa9d28a26",
             "e38c2329daf399391c56ece705648fccc5205cdef04a5ee879b796de17c7095c",
         )),
-        ("[3,9]", 2, 200.0, 2, (
+        ("[3,9]", 200.0, 2, (
             "6e7a8930cf2876dc9152335930f471669cf6a07db22090bd6e871d043124361b",
             "804c325243e5b04295dd507d3dfc13061f9d8ebd5942a5e8b5485c92e395b56d",
         )),
-        ("[2,6,9]", 3, 60.0, 5, (
+        ("[2,6,9]", 60.0, 5, (
             "8d382dea87862e94c6bc33e39d19267b468809c9553403c9e198226c722ff830",
             "19d457815025b534bcb5ecaa23fc6557725cc94b85beda09f0d2200ce4487736",
         )),
     ],
 )
-def test_window_field_panels_keep_their_bytes(chord, n, scope, resolution, sha256):
+def test_window_field_panels_keep_their_bytes(chord, scope, resolution, sha256):
     cfg = TransitiveConfig(scope_cents=scope)
-    panels = transitive_field(parse_chord(chord), n, cfg, resolution)
+    panels = transitive_field(parse_chord(chord), cfg, resolution)
     assert tuple(hashlib.sha256(f.values.tobytes()).hexdigest() for f in panels) == sha256
 
 
@@ -361,8 +361,8 @@ def _outcome(fn, *args):
 @example((parse_chord("[0,4,7]"), TransitiveConfig(jnd_cents=10.0, scope_cents=30.0), 15))
 def test_transitive_field_equals_per_cell_oracle(window):
     c1, cfg, resolution = window
-    got = _outcome(transitive_field, c1, len(c1), cfg, resolution)
-    want = _outcome(per_cell_transitive_field, c1, len(c1), cfg, resolution)
+    got = _outcome(transitive_field, c1, cfg, resolution)
+    want = _outcome(per_cell_transitive_field, c1, cfg, resolution)
     if isinstance(want[0], type):
         assert got == want
         return
@@ -376,10 +376,10 @@ def test_transitive_field_equals_per_cell_oracle(window):
 def test_transitive_field_rejects_targets_beyond_the_octave():
     c1, cfg = parse_chord("[0,13]"), TransitiveConfig(scope_cents=100.0)
     with pytest.raises(ValueError, match=r"one octave, got \(0\.0, 13\.0\)"):
-        transitive_field(c1, 2, cfg, 50)
+        transitive_field(c1, cfg, 50)
     # the first cell's transition error comes before its octave error
     with pytest.raises(UnresolvableProgressionError, match="second chord"):
-        transitive_field(c1, 2, TransitiveConfig(qmax=2, scope_cents=100.0), 50)
+        transitive_field(c1, TransitiveConfig(qmax=2, scope_cents=100.0), 50)
 
 
 @pytest.mark.parametrize(
@@ -401,22 +401,20 @@ def test_transition_shift_keeps_the_chord_errors(first, second, message):
 
 def test_transitive_field_rejects_targets_off_the_float_range():
     with pytest.raises(ValueError, match="finite, got inf"):
-        transitive_field(Chord((1e307,)), 1, TransitiveConfig(scope_cents=100.0), 50)
+        transitive_field(Chord((1e307,)), TransitiveConfig(scope_cents=100.0), 50)
     with pytest.raises(ValueError, match="finite, got -inf"):
-        transitive_field(Chord((-1e307, 0.0)), 2, TransitiveConfig(scope_cents=100.0), 50)
+        transitive_field(Chord((-1e307, 0.0)), TransitiveConfig(scope_cents=100.0), 50)
 
 
 @pytest.mark.parametrize("resolution", [0, -10, math.nan, math.inf])
 def test_transitive_field_rejects_a_nonpositive_resolution(resolution):
     with pytest.raises(ValueError, match="^resolution must be a positive number of cents$"):
-        transitive_field(Chord((0.0, 7.0)), 2, TransitiveConfig(scope_cents=10.0), resolution)
+        transitive_field(Chord((0.0, 7.0)), TransitiveConfig(scope_cents=10.0), resolution)
 
 
 def test_transitive_field_rejects_overlapping_windows():
     with pytest.raises(ValueError):
-        transitive_field(parse_chord("[0,1]"), 2, TransitiveConfig(scope_cents=200.0), 50)
-    with pytest.raises(ValueError):
-        transitive_field(TRITONE, 3, TransitiveConfig(), 50)
+        transitive_field(parse_chord("[0,1]"), TransitiveConfig(scope_cents=200.0), 50)
 
 
 def _smooth_dyad_field(resolution=1):
@@ -486,7 +484,7 @@ def test_directional_derivative_checks_its_inputs_at_zero_rates():
 
 def test_directional_derivative_on_a_window_field():
     # a window field's axes are the notes themselves: one rate per axis, no root rate
-    trans, _ = transitive_field(TRITONE, 2, TransitiveConfig(scope_cents=200.0), resolution=10)
+    trans, _ = transitive_field(TRITONE, TransitiveConfig(scope_cents=200.0), resolution=10)
     fld = gaussian_smooth(trans, 20.0)
     assert fld.meta["domain"] == "notes"
     at, velocity, h = (300.0, 900.0), (1.0, -0.5), 4.0
@@ -532,7 +530,7 @@ def test_directional_derivative_speed_normalization():
 def test_transitive_config_keeps_the_qmax_it_checks():
     # both panels copy the config's qmax into their meta, which a sidecar dumps as JSON
     cfg = TransitiveConfig(qmax=np.int64(100), scope_cents=100.0)
-    for fld in transitive_field(Chord((3.0, 9.0)), 2, cfg, 10):
+    for fld in transitive_field(Chord((3.0, 9.0)), cfg, 10):
         json.dumps(fld.meta)
     assert type(TransitiveConfig(qmax=np.int64(100)).qmax) is int
 
@@ -541,7 +539,7 @@ def test_transitive_config_keeps_the_floats_it_checks():
     cfg = TransitiveConfig(jnd_cents=np.float32(18), scope_cents=np.float32(100))
     assert (type(cfg.jnd_cents), type(cfg.scope_cents)) == (float, float)
     assert (cfg.jnd_cents, cfg.scope_cents) == (18.0, 100.0)
-    for fld in transitive_field(Chord((3.0, 9.0)), 2, cfg, 10):
+    for fld in transitive_field(Chord((3.0, 9.0)), cfg, 10):
         json.dumps(fld.meta)
 
 
