@@ -167,9 +167,10 @@ def cmd_field(args) -> int:
         paths.append(out.with_name(out.stem + "_p2" + out.suffix))
 
     panels = [psychometric.gaussian_smooth(fld, sigma) for fld in panels]
+    if args.matrix:  # first: a matrix path that cannot be written leaves no CSV behind
+        export_matrix(panels[0], args.matrix)
     sidecars = [_write_field(fld, path, cfg, sigma) for fld, path in zip(panels, paths)]
     if args.matrix:
-        export_matrix(panels[0], args.matrix)
         sidecars[0]["matrix_file"] = str(args.matrix)
     sidecar = sidecars[0] if len(sidecars) == 1 else {"panels": sidecars}
     with open(sidecar_path, "w", encoding="utf-8") as fh:

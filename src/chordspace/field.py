@@ -46,6 +46,14 @@ def _fmt_coord(c: float) -> str:
 _MAX_BOX_CELLS = 2**25
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: numpy integers pass, a float does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_box(counts: Sequence[int]) -> None:
     """Refuse a grid whose box exceeds :data:`_MAX_BOX_CELLS` cells."""
     if math.prod(counts) > _MAX_BOX_CELLS:
@@ -81,10 +89,7 @@ def interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 2 <= n <= 4:
         raise ValueError(f"interval grids hold 2 to 4 notes, got {n}")
-    try:
-        resolution = operator.index(resolution)  # numpy integers pass, a float does not
-    except TypeError:
-        raise ValueError(f"resolution must be an integer, got {resolution!r}") from None
+    resolution = _integer("resolution", resolution)
     if resolution <= 0 or 1200 % resolution != 0:
         raise ValueError(f"resolution {resolution} must be positive and divide 1200")
     m = 1200 // resolution + 1
@@ -114,7 +119,8 @@ class ScalarField:
     mask: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.resolution > 0 and math.isfinite(self.resolution)):
+        object.__setattr__(self, "resolution", _integer("resolution", self.resolution))
+        if self.resolution <= 0:
             raise ValueError(f"resolution must be a positive number of cents, got {self.resolution!r}")
         if not (len(self.origins) == len(self.counts) == len(self.axis_names)):
             raise ValueError("origins, counts and axis_names must align")
@@ -320,10 +326,7 @@ def local_minima(
     hook each root onto the least label across its edges of equal seeds, then jump
     each label to its root (Shiloach and Vishkin, 1982); up to 5 were measured.
     """
-    try:
-        radius = operator.index(radius)  # numpy integers pass, a float does not
-    except TypeError:
-        raise ValueError(f"radius must be an integer, got {radius!r}") from None
+    radius = _integer("radius", radius)
     if radius < 1:
         raise ValueError("radius must be >= 1")
     counts = field.counts

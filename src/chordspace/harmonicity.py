@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from operator import index, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import UnresolvableChordError, UnresolvableIntervalError, UnresolvableProgressionError
-from .field import ScalarField, interval_grid, make_simplex_field
+from .field import ScalarField, _integer, interval_grid, make_simplex_field
 from .pitch import CENTS_PER_SEMITONE, Chord, normalize
 
 __all__ = [
@@ -60,10 +60,7 @@ class PeriodicityConfig:
         if not (self.jnd_cents > 0 and math.isfinite(self.jnd_cents)):
             raise ValueError(f"jnd_cents must be positive, got {self.jnd_cents!r}")
         object.__setattr__(self, "jnd_cents", float(self.jnd_cents))  # json cannot dump a numpy float32
-        try:
-            qmax = index(self.qmax)  # numpy integers pass, a float does not
-        except TypeError:
-            raise ValueError(f"qmax must be an integer, got {self.qmax!r}") from None
+        qmax = _integer("qmax", self.qmax)
         if qmax < 2:
             raise ValueError(f"qmax must be >= 2, got {self.qmax!r}")
         object.__setattr__(self, "qmax", qmax)  # a numpy integer would overflow the window bound
@@ -516,7 +513,7 @@ def periodicity_field(
     order; the first infeasible one raises.
     """
     notes, idx = interval_grid(n, resolution)
-    resolution = index(resolution)  # JSON takes a Python int, not a numpy one
+    resolution = _integer("resolution", resolution)  # JSON takes a Python int, not a numpy one
     idx = idx.T[1:]  # a contiguous row per non-root note
     rows = _ladder_rows(_window_keys(notes[1:].tolist(), cfg, True))  # axis value 0 is the root
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])

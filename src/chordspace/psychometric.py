@@ -108,8 +108,9 @@ def gaussian_smooth(field: ScalarField, sigma_cents: float) -> ScalarField:
             f"beyond the longest axis ({max(field.counts)} cells of {field.resolution} cents)"
         )
     radius = int(reach)
-    dense = field.dense()
+    values = field.values
     if radius > 0:  # a one-tap kernel would still add 0.0, turning -0.0 into 0.0
+        dense = field.dense()
         kernel = _kernel(sigma_cents, field.resolution, radius)
         for axis in range(field.dims):
             # Every line along the axis, edge-padded at both ends, laid end to end in
@@ -124,7 +125,8 @@ def gaussian_smooth(field: ScalarField, sigma_cents: float) -> ScalarField:
             shape = lines.shape[:-1] + (lines.shape[-1] - 2 * radius,)
             smooth = np.lib.stride_tricks.as_strided(smooth, shape, lines.strides, writeable=False)
             dense = np.moveaxis(smooth, -1, axis)
+        values = dense[field.mask]
     return field.with_values(
-        dense[field.mask],
+        values,
         meta_updates={"sigma_cents": float(sigma_cents)},
     )

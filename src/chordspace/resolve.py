@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .field import ScalarField, _check_box
+from .field import ScalarField, _check_box, _integer
 from .harmonicity import PeriodicityConfig, _check_octave, _transition, chord_periodicity
 from .pitch import CENTS_PER_SEMITONE, Chord, DEFAULT_F0_HZ, freq_from_pitch, normalize, shift
 
@@ -159,9 +159,9 @@ def transitive_field(
     Returns the pair (log2 transitive periodicity of ``c1 -> c2``, log2
     periodicity of ``c2``) on the same grid: one axis per note of ``c1``, each
     spanning ``scope`` cents around that note in steps of ``resolution`` cents
-    (any positive step; it need not divide the octave).  Windows must not
-    overlap, so every grid tuple is already sorted.  One search per cell fills
-    both panels (see :func:`~chordspace.harmonicity._transition`); a target
+    (any positive whole number of cents; it need not divide the octave).  Windows
+    must not overlap, so every grid tuple is already sorted.  One search per cell
+    fills both panels (see :func:`~chordspace.harmonicity._transition`); a target
     beyond the octave raises after that cell's transition errors.
     """
     if len(c1) > 1:
@@ -173,7 +173,7 @@ def transitive_field(
                 f"scope {cfg.scope_cents:g} cents makes note windows overlap "
                 f"(minimal note gap is {min_gap_cents:g} cents)"
             )
-    if not 0 < resolution < math.inf:
+    if (resolution := _integer("resolution", resolution)) <= 0:  # the meta takes a Python int
         raise ValueError("resolution must be a positive number of cents")
     k = int(cfg.scope_cents // resolution)
     origins = tuple(p * CENTS_PER_SEMITONE - k * resolution for p in c1.notes)
@@ -201,18 +201,12 @@ def transitive_field(
         "jnd_cents": cfg.jnd_cents,
         "qmax": cfg.qmax,
         "sigma_cents": 0.0,
+        "generator": "transitive",
     }
     names = tuple(f"x{i + 1}" for i in range(len(c1)))
-    return tuple(
-        ScalarField(
-            resolution, origins, counts, False, names, values, value_name,
-            {**meta, "generator": generator},
-        )
-        for values, value_name, generator in (
-            (trans_vals, "log2_transitive_periodicity", "transitive"),
-            (comp_vals, "log2_periodicity", "periodicity_of_second"),
-        )
-    )
+    trans = ScalarField(resolution, origins, counts, False, names, trans_vals,
+                        "log2_transitive_periodicity", meta)
+    return trans, trans.with_values(comp_vals, "log2_periodicity", {"generator": "periodicity_of_second"})
 
 
 # -- derivatives --------------------------------------------------------------

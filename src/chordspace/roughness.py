@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from operator import index
 from typing import Sequence
 
 import numpy as np
 
-from .field import ScalarField, interval_grid, make_simplex_field
+from .field import ScalarField, _integer, interval_grid, make_simplex_field
 from .pitch import Chord, DEFAULT_F0_HZ, freq_from_pitch
 
 __all__ = [
@@ -205,7 +204,7 @@ def roughness_field(
 ) -> ScalarField:
     """Chord roughness over the one-octave grid (same convention as periodicity)."""
     notes, rows = interval_grid(n, resolution)
-    resolution = index(resolution)  # JSON takes a Python int, not a numpy one
+    resolution = _integer("resolution", resolution)  # JSON takes a Python int, not a numpy one
     distinct = np.diff(rows, axis=1, prepend=-1) != 0  # indices ascend along each row
     sizes = distinct.sum(axis=1)
     values = np.empty(len(rows))

@@ -322,6 +322,18 @@ def test_matrix_may_not_overwrite_the_field_or_its_sidecar(tmp_path, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_matrix_path_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the matrix is written first: a path it cannot open leaves no CSV without a sidecar
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(
+        capsys, "field", "periodicity", "3", "--res", "600", "--sigma", "0c",
+        "--out", "w.csv", "--matrix", "nodir/m.txt",
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and "nodir/m.txt" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

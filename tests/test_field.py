@@ -66,9 +66,11 @@ def test_resolution_must_divide_octave():
 
 def test_grid_generators_keep_a_numpy_resolution_as_an_int():
     # the sidecar dumps the meta as JSON, which takes no numpy integer
-    for fld in (periodicity_field(2, np.int64(600)), roughness_field(2, np.int64(600))):
+    window = transitive_field(Chord((3.0, 9.0)), TransitiveConfig(scope_cents=30.0), np.int64(10))
+    grids = (periodicity_field(2, np.int64(600)), roughness_field(2, np.int64(600)))
+    for fld, res in [(fld, 600) for fld in grids] + [(fld, 10) for fld in window]:
         assert type(fld.resolution) is int and type(fld.meta["resolution_cents"]) is int
-        assert json.loads(json.dumps(fld.meta))["resolution_cents"] == 600
+        assert json.loads(json.dumps(fld.meta))["resolution_cents"] == res
 
 
 def test_value_count_must_match_cells():
@@ -104,11 +106,16 @@ def test_field_equality_with_a_non_field_is_not_implemented():
         (-100, (0.0,), (3,), "resolution must be a positive number of cents"),
         (100, (0.0, 0.0), (3,), "origins, counts and axis_names must align"),
         (100, (0.0,), (0,), "every axis needs at least one grid point"),
-        (math.nan, (0.0,), (3,), "resolution must be a positive number of cents, got nan"),
-        (math.inf, (0.0,), (3,), "resolution must be a positive number of cents, got inf"),
+        (math.nan, (0.0,), (3,), "resolution must be an integer, got nan$"),
+        (math.inf, (0.0,), (3,), "resolution must be an integer, got inf$"),
         (1, (math.inf,), (3,), "axis 'a' must have finite coordinates, got origin inf"),
         (1, (math.nan,), (3,), "axis 'a' must have finite coordinates, got origin nan"),
-        (1e308, (1e308,), (3,), "axis 'a' must have finite coordinates"),  # its last point is inf
+        pytest.param(  # its last point is inf
+            10**308, (1e308,), (3,), "axis 'a' must have finite coordinates",
+            id="1e+308-origins8-counts8-axis 'a' must have finite coordinates",
+        ),
+        (7.5, (0.0,), (3,), r"resolution must be an integer, got 7\.5$"),
+        (100.0, (0.0,), (3,), r"resolution must be an integer, got 100\.0$"),
     ],
 )
 def test_scalar_field_rejects_malformed_grids(resolution, origins, counts, message):

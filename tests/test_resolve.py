@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import chordspace.harmonicity as harmonicity
 from chordspace.errors import UnresolvableProgressionError
-from chordspace.field import make_simplex_field
+from chordspace.field import export_csv, import_csv, make_simplex_field
 from chordspace.harmonicity import (
     PeriodicityConfig, chord_periodicity, periodicity_field, ratio_candidates
 )
@@ -406,10 +407,26 @@ def test_transitive_field_rejects_targets_off_the_float_range():
         transitive_field(Chord((-1e307, 0.0)), TransitiveConfig(scope_cents=100.0), 50)
 
 
-@pytest.mark.parametrize("resolution", [0, -10, math.nan, math.inf])
+@pytest.mark.parametrize("resolution", [0, -10])
 def test_transitive_field_rejects_a_nonpositive_resolution(resolution):
     with pytest.raises(ValueError, match="^resolution must be a positive number of cents$"):
         transitive_field(Chord((0.0, 7.0)), TransitiveConfig(scope_cents=10.0), resolution)
+
+
+@pytest.mark.parametrize("resolution", [math.nan, math.inf, 7.5, 10.0])
+def test_transitive_field_takes_a_whole_number_of_cents(resolution):
+    # a 7.5 c window printed coordinates that its own CSV could not read back
+    message = f"^resolution must be an integer, got {re.escape(repr(resolution))}$"
+    with pytest.raises(ValueError, match=message):
+        transitive_field(Chord((3.0, 9.0)), TransitiveConfig(scope_cents=30.0), resolution)
+
+
+def test_window_field_csv_round_trip_keeps_its_bytes(tmp_path):
+    for k, fld in enumerate(transitive_field(Chord((3.0, 9.0)), TransitiveConfig(scope_cents=30.0), 10)):
+        first, second = tmp_path / f"{k}.csv", tmp_path / f"{k}_again.csv"
+        export_csv(fld, first)
+        export_csv(import_csv(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_transitive_field_rejects_overlapping_windows():
