@@ -10,6 +10,7 @@ width or offset accept cents with a ``c`` suffix (``6c``) or plain semitones
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -78,11 +79,36 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_field(fld: ScalarField, path: Path, cfg: Config, sigma: float) -> dict:
-    export_csv(fld, path)
+@contextlib.contextmanager
+def _all_or_none():
+    """Yield ``stage``: ``stage(path)`` names a temporary file beside ``path``, which
+    replaces ``path`` when the block ends.  If the block raises, none does, all are
+    removed, and an ``OSError`` names the path instead of its temporary file."""
+    staged = {}  # temporary file -> the path it replaces
+
+    def stage(path) -> str:
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        staged[tmp] = os.fspath(path)
+        return tmp
+
+    try:
+        try:
+            yield stage
+        except OSError as exc:
+            exc.filename = staged.get(exc.filename, exc.filename)
+            raise
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            Path(tmp).unlink(missing_ok=True)
+
+
+def _write_field(fld: ScalarField, path: Path, staged: str, cfg: Config, sigma: float) -> dict:
+    export_csv(fld, staged)  # the sidecar names the path the staged file replaces
     return {
         "file": path.name,
-        "sha256": _sha256(path),
+        "sha256": _sha256(staged),
         "value_name": fld.value_name,
         "axes": list(fld.axis_names),
         "meta": dict(fld.meta),
@@ -167,14 +193,14 @@ def cmd_field(args) -> int:
         paths.append(out.with_name(out.stem + "_p2" + out.suffix))
 
     panels = [psychometric.gaussian_smooth(fld, sigma) for fld in panels]
-    if args.matrix:  # first: a matrix path that cannot be written leaves no CSV behind
-        export_matrix(panels[0], args.matrix)
-    sidecars = [_write_field(fld, path, cfg, sigma) for fld, path in zip(panels, paths)]
-    if args.matrix:
-        sidecars[0]["matrix_file"] = str(args.matrix)
-    sidecar = sidecars[0] if len(sidecars) == 1 else {"panels": sidecars}
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
+    with _all_or_none() as stage:  # a run that fails leaves no file
+        sidecars = [_write_field(fld, p, stage(p), cfg, sigma) for fld, p in zip(panels, paths)]
+        if args.matrix:
+            export_matrix(panels[0], stage(args.matrix))
+            sidecars[0]["matrix_file"] = str(args.matrix)
+        sidecar = sidecars[0] if len(sidecars) == 1 else {"panels": sidecars}
+        with open(stage(sidecar_path), "w", encoding="utf-8") as fh:
+            json.dump(sidecar, fh, sort_keys=True, indent=2)
     _emit(sidecar)
     return EXIT_OK
 

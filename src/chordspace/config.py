@@ -37,7 +37,8 @@ def _number(key: str, value) -> float:
         raise ValueError(f"config {key} is out of range: {value!r}") from None
 
 
-def _integer(key: str, value) -> int:
+def _whole(key: str, value) -> int:
+    """A JSON number without fraction, ``100.0`` too, as an int (field._integer refuses floats)."""
     if not _number(key, value).is_integer():
         raise ValueError(f"config {key} must be an integer, got {value!r}")
     return int(value)
@@ -110,13 +111,13 @@ class Config:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        checks = {"f0_hz": _number, "jnd_cents": _number, "qmax": _integer, "scope_cents": _number}
+        checks = {"f0_hz": _number, "jnd_cents": _number, "qmax": _whole, "scope_cents": _number}
         kwargs = {key: check(key, data[key]) for key, check in checks.items() if key in data}
         if "sigma_mode" in data:  # any value but the two mode names fails validation
             kwargs["sigma_mode"] = data["sigma_mode"]
         if "resolutions" in data:
             kwargs["resolutions"] = {
-                _size(k): _integer(f"resolutions.{k}", v)
+                _size(k): _whole(f"resolutions.{k}", v)
                 for k, v in _typed("resolutions", data["resolutions"], dict, "an object").items()
             }
         if "spectrum" in data:

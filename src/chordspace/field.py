@@ -4,7 +4,9 @@ A field stores one real value per grid cell.  Two domain flavors exist:
 
 * interval grids: coordinates are the non-root notes of a chord rooted at 0,
   constrained to ``0 <= x2 <= ... <= xn <= 1200`` cents (simplex storage --
-  the rest of the hypercube is redundant under note reordering);
+  the rest of the hypercube is redundant under note reordering).  A simplex
+  field is the sorted cells of one axis grid repeated on every axis; a simplex
+  over axes that differ in origin or count is refused;
 * note-window grids: a box of candidate chords around a reference chord, one
   axis per note, no simplex constraint.
 
@@ -14,6 +16,7 @@ stable and shared by the CSV export, which makes outputs hashable in CI.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -47,7 +50,8 @@ _MAX_BOX_CELLS = 2**25
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as a Python int: numpy integers pass, a float does not."""
+    """``value`` as a Python int: numpy integers pass, and floats fail, even the
+    ``100.0`` that a config file's ``config._whole`` accepts."""
     try:
         return operator.index(value)
     except TypeError:
@@ -78,6 +82,14 @@ def _cell_mask(
     return mask
 
 
+def _octave_points(resolution: int) -> int:
+    """Grid points of an axis from 0 to 1200 cents; ``resolution`` must divide 1200."""
+    resolution = _integer("resolution", resolution)
+    if resolution <= 0 or 1200 % resolution != 0:
+        raise ValueError(f"resolution {resolution} must be positive and divide 1200")
+    return 1200 // resolution + 1
+
+
 def interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """The one-octave grid of n-note chords rooted at 0: ``(notes, rows)``.
 
@@ -89,10 +101,7 @@ def interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 2 <= n <= 4:
         raise ValueError(f"interval grids hold 2 to 4 notes, got {n}")
-    resolution = _integer("resolution", resolution)
-    if resolution <= 0 or 1200 % resolution != 0:
-        raise ValueError(f"resolution {resolution} must be positive and divide 1200")
-    m = 1200 // resolution + 1
+    m = _octave_points(resolution)
     cells = np.nonzero(_cell_mask((0.0,) * (n - 1), resolution, (m,) * (n - 1), True))
     return np.arange(m) * resolution / 100, np.stack((np.zeros_like(cells[0]), *cells)).T
 
@@ -103,9 +112,11 @@ class ScalarField:
 
     ``values`` holds one float per included cell, in lexicographic coordinate
     order.  ``mask`` is the read-only ``counts``-shaped boolean array of the
-    included cells, built once; every cell lookup derives from it.  ``meta``
-    carries the generator name and configuration snapshot; it is excluded
-    from equality.
+    included cells, built once; every cell lookup derives from it.  A simplex
+    keeps the cells whose coordinates never decrease, and its axes must share
+    one origin and one count: one axis grid, sorted.  A simplex that excludes
+    no cell is stored as a box, whatever its axes.  ``meta`` carries the
+    generator name and configuration snapshot; it is excluded from equality.
     """
 
     resolution: int
@@ -127,11 +138,13 @@ class ScalarField:
         if any(c < 1 for c in self.counts):
             raise ValueError("every axis needs at least one grid point")
         for name, o, c in zip(self.axis_names, self.origins, self.counts):
-            if not (math.isfinite(o) and math.isfinite(o + float(self.resolution) * (c - 1))):
-                raise ValueError(
-                    f"axis {name!r} must have finite coordinates, got origin {o!r}, "
-                    f"{c} points {self.resolution!r} cents apart"
-                )
+            with contextlib.suppress(OverflowError):  # a resolution past the float range
+                if math.isfinite(o) and math.isfinite(o + float(self.resolution) * (c - 1)):
+                    continue
+            raise ValueError(
+                f"axis {name!r} must have finite coordinates, got origin {o!r}, "
+                f"{c} points {self.resolution!r} cents apart"
+            )
         vals = np.asarray(self.values, dtype=float)
         # the field owns its values: freezing the caller's array would stop the caller's
         # writes, and a frozen view would still follow writes to its base
@@ -144,6 +157,8 @@ class ScalarField:
         object.__setattr__(self, "mask", mask)
         # Canonical flag: simplex that excludes nothing is stored as a box.
         object.__setattr__(self, "simplex", not mask.all())
+        if self.simplex and (len(set(self.origins)) > 1 or len(set(self.counts)) > 1):
+            raise ValueError("a simplex field's axes must share one origin and one count")
         if len(vals) != self.n_cells:
             raise ValueError(
                 f"value count {len(vals)} does not match cell count {self.n_cells}"
@@ -189,11 +204,10 @@ class ScalarField:
 
         Simplex fields are extended symmetrically (a cell reads the value of
         its sorted coordinates), which is the natural extension of a function
-        on unordered note sets.  The extension is a scatter: each of the d!
-        permutations of the included cells' coordinates writes their values
-        to the box cells it lands on.  A box cell is written exactly when its
-        sorted coordinates are an included cell; if one is never written,
-        the field has no symmetric extension and ``ValueError`` is raised.
+        on unordered note sets.  The extension is d! plain writes: each
+        ordering of the included cells' indices writes their values.  With one
+        axis grid, the sorted indices of every box cell are an included cell,
+        so every box cell is written.
         """
         return self._dense
 
@@ -201,32 +215,9 @@ class ScalarField:
     def _dense(self) -> np.ndarray:
         if not self.simplex:
             return self.values.reshape(self.counts)  # a view of read-only values
-        size = math.prod(self.counts)
-        strides = [math.prod(self.counts[k + 1:]) for k in range(self.dims)]
-        # step[a][k]: flat offset on axis k of each grid point of axis a, found by the
-        # rint and exact-coordinate test of index_of; ``size`` where axis k has no such point
-        step = []
-        for a in range(self.dims):
-            x = self.axis_coords(a)
-            row = []
-            for k in range(self.dims):
-                t = np.rint((x - self.origins[k]) / self.resolution)
-                hit = (t >= 0) & (t < self.counts[k])
-                hit[hit] = self.origins[k] + self.resolution * t[hit] == x[hit]
-                row.append(np.where(hit, t * strides[k], size).astype(np.intp))
-            step.append(row)
-        cells = np.nonzero(self.mask)
-        # writes that leave the grid land in one slot past the box
-        out = np.empty(size + 1)
-        written = np.zeros(size + 1, dtype=bool)
-        for perm in itertools.permutations(range(self.dims)):  # axis k takes cell axis perm[k]
-            at = sum(step[a][k][cells[a]] for k, a in enumerate(perm))
-            np.minimum(at, size, out=at)
-            out[at] = self.values
-            written[at] = True
-        if not written[:size].all():
-            raise ValueError("sorted coordinates leave the grid: no symmetric extension")
-        out = out[:size].reshape(self.counts)
+        out = np.empty(self.counts)
+        for cells in itertools.permutations(np.nonzero(self.mask)):
+            out[cells] = self.values
         out.flags.writeable = False
         return out
 
@@ -252,56 +243,33 @@ class ScalarField:
         for k, c in enumerate(coords):
             t = (float(c) - self.origins[k]) / self.resolution
             if not -1e-9 <= t <= self.counts[k] - 1 + 1e-9:
-                raise ValueError(
-                    f"coordinate {c} is outside axis {self.axis_names[k]}"
-                )
+                raise ValueError(f"coordinate {c} is outside axis {self.axis_names[k]}")
             pos.append(min(max(t, 0.0), self.counts[k] - 1.0))
         lo = [min(int(math.floor(t)), self.counts[k] - 1) for k, t in enumerate(pos)]
+        frac = [t - i for t, i in zip(pos, lo)]
         out = 0.0
         for corner in itertools.product((0, 1), repeat=self.dims):
-            idx = []
-            w = 1.0
-            for k, bit in enumerate(corner):
-                i = min(lo[k] + bit, self.counts[k] - 1)
-                frac = pos[k] - lo[k]
-                w *= frac if bit else 1.0 - frac
-                idx.append(i)
+            w = math.prod(f if bit else 1.0 - f for f, bit in zip(frac, corner))
+            idx = tuple(min(i + bit, n - 1) for i, bit, n in zip(lo, corner, self.counts))
             if w:
-                out += w * float(dense[tuple(idx)])
+                out += w * float(dense[idx])
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScalarField):
             return NotImplemented
-        return (
-            self.resolution == other.resolution
-            and self.origins == other.origins
-            and self.counts == other.counts
-            and self.simplex == other.simplex
-            and self.axis_names == other.axis_names
-            and self.value_name == other.value_name
-            and np.array_equal(self.values, other.values)
+        key = operator.attrgetter(
+            "resolution", "origins", "counts", "simplex", "axis_names", "value_name"
         )
+        return key(self) == key(other) and np.array_equal(self.values, other.values)
 
 
 def make_simplex_field(
-    dims: int,
-    resolution: int,
-    values: Sequence[float],
-    value_name: str,
-    meta: dict,
+    dims: int, resolution: int, values: Sequence[float], value_name: str, meta: dict
 ) -> ScalarField:
-    n = 1200 // resolution + 1
-    return ScalarField(
-        resolution=resolution,
-        origins=(0.0,) * dims,
-        counts=(n,) * dims,
-        simplex=True,
-        axis_names=tuple(f"x{k + 2}" for k in range(dims)),
-        values=values,
-        value_name=value_name,
-        meta=meta,
-    )
+    """The interval grid's field: ``dims`` axes from 0 to 1200 cents, sorted."""
+    names, counts = tuple(f"x{k + 2}" for k in range(dims)), (_octave_points(resolution),) * dims
+    return ScalarField(resolution, (0.0,) * dims, counts, True, names, values, value_name, meta)
 
 
 # -- analysis ---------------------------------------------------------------
@@ -381,10 +349,8 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
         raise ValueError(f"{value_cents} cents is not on the grid of axis {axis}")
 
     at = (slice(None),) * axis + (int(round(t)),)
-    positions, kept = field._positions[at], field.mask[at]  # a kept cell's own value
-    if not kept.any():
-        name = field.axis_names[axis]
-        raise ValueError(f"no cell of the field has {name} = {value_cents:g} cents")
+    # a kept cell's own value; every slab holds its diagonal cell, so one is kept
+    positions, kept = field._positions[at], field.mask[at]
     box = np.argwhere(kept)  # nonzero would raise on the 0-d slice of a dyad field
     lo, hi = box.min(axis=0).tolist(), (box.max(axis=0) + 1).tolist()
     window = tuple(map(slice, lo, hi))

@@ -175,7 +175,8 @@ def transitive_field(
             )
     if (resolution := _integer("resolution", resolution)) <= 0:  # the meta takes a Python int
         raise ValueError("resolution must be a positive number of cents")
-    k = int(cfg.scope_cents // resolution)
+    # compared first: float // int overflows on an int past the float range
+    k = int(cfg.scope_cents // resolution) if resolution <= cfg.scope_cents else 0
     origins = tuple(p * CENTS_PER_SEMITONE - k * resolution for p in c1.notes)
     counts = (2 * k + 1,) * len(c1)
     _check_box(counts)

@@ -323,7 +323,7 @@ def test_matrix_may_not_overwrite_the_field_or_its_sidecar(tmp_path, capsys, mon
 
 
 def test_unwritable_matrix_path_leaves_no_file(tmp_path, capsys, monkeypatch):
-    # the matrix is written first: a path it cannot open leaves no CSV without a sidecar
+    # no output replaces its path until every one is written: no CSV without a sidecar
     monkeypatch.chdir(tmp_path)
     code, stdout, err = run_cli(
         capsys, "field", "periodicity", "3", "--res", "600", "--sigma", "0c",
@@ -331,6 +331,30 @@ def test_unwritable_matrix_path_leaves_no_file(tmp_path, capsys, monkeypatch):
     )
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and "nodir/m.txt" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_csv_path_leaves_the_directory_as_it_was(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.txt").write_bytes(b"kept\n")
+    argv = ("field", "periodicity", "3", "--res", "600", "--sigma", "0c", "--matrix", "m.txt")
+    code, stdout, err = run_cli(capsys, *argv, "--out", "nodir/w.csv")
+    assert (code, stdout) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: 'nodir/w.csv'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+    assert (tmp_path / "m.txt").read_bytes() == b"kept\n"
+    # a run that succeeds replaces m.txt and leaves no temporary file
+    assert run_cli(capsys, *argv, "--out", "w.csv")[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt", "w.csv", "w.csv.json"]
+    assert (tmp_path / "m.txt").read_bytes() != b"kept\n"
+
+
+def test_a_resolution_past_the_float_range_exits_2(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    code, stdout, err = run_cli(capsys, "resolve-field", "[3,9]", "--res", huge,
+                                "--out", str(tmp_path / "w.csv"))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and f" {huge} cents" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -64,6 +64,17 @@ def test_resolution_must_divide_octave():
             interval_grid(n, resolution)
 
 
+@pytest.mark.parametrize("resolution, message", [
+    (7, "^resolution 7 must be positive and divide 1200$"),  # its axis ended at 1197 c
+    (0, "^resolution 0 must be positive and divide 1200$"),
+    (-600, "^resolution -600 must be positive and divide 1200$"),
+    (600.0, r"^resolution must be an integer, got 600\.0$"),
+])
+def test_simplex_field_resolution_must_divide_the_octave(resolution, message):
+    with pytest.raises(ValueError, match=message):
+        make_simplex_field(1, resolution, [0.0] * 172, "v", {})
+
+
 def test_grid_generators_keep_a_numpy_resolution_as_an_int():
     # the sidecar dumps the meta as JSON, which takes no numpy integer
     window = transitive_field(Chord((3.0, 9.0)), TransitiveConfig(scope_cents=30.0), np.int64(10))
@@ -116,6 +127,10 @@ def test_field_equality_with_a_non_field_is_not_implemented():
         ),
         (7.5, (0.0,), (3,), r"resolution must be an integer, got 7\.5$"),
         (100.0, (0.0,), (3,), r"resolution must be an integer, got 100\.0$"),
+        pytest.param(  # a resolution past the float range
+            10**400, (0.0,), (3,), "axis 'a' must have finite coordinates, got origin 0.0, 3 points 1000",
+            id="10**400-axis 'a' must have finite coordinates",
+        ),
     ],
 )
 def test_scalar_field_rejects_malformed_grids(resolution, origins, counts, message):
@@ -233,39 +248,46 @@ def test_slice_requires_on_grid_value():
             slice_field(_triad_field(200), axis, 0.0)
 
 
-def test_slice_of_simplex_whose_later_axis_starts_above_the_pin():
-    # x3 starts at 500 c, above the pinned x2 = 300 c: every x3 cell stays
-    cells = [(x2, x3) for x2 in range(0, 1201, 100) for x3 in range(500, 1201, 100) if x2 <= x3]
-    fld = ScalarField(
-        resolution=100, origins=(0.0, 500.0), counts=(13, 8), simplex=True,
-        axis_names=("x2", "x3"), values=np.arange(len(cells), dtype=float),
-    )
-    cut = slice_field(fld, 0, 300.0)
-    assert (cut.origins, cut.counts) == ((500.0,), (8,))
-    assert [cut.value_at(c) for c in cut._coords(np.argwhere(cut.mask)).tolist()] == [
-        fld.value_at((300.0, x3)) for x3 in range(500, 1201, 100)
+def test_slice_of_a_simplex_on_its_middle_axis_is_a_box():
+    # pinning x3 = 300 c leaves x2 <= 300 <= x4: the later axis starts at the pin
+    fld = make_simplex_field(3, 300, np.arange(35.0), "v", {})
+    cut = slice_field(fld, 1, 300.0)
+    assert (cut.origins, cut.counts, cut.simplex) == ((0.0, 300.0), (2, 4), False)
+    assert cut.values.tolist() == [
+        fld.value_at((x2, 300.0, x4)) for x2 in (0.0, 300.0) for x4 in (300.0, 600.0, 900.0, 1200.0)
     ]
 
 
-def test_slice_of_simplex_field_without_symmetric_extension():
-    # x2 up to 1200 c but x3 only up to 200 c: sorted coordinates leave the
-    # grid, so dense() fails, yet every cell of the slice x3 = 0 or 200 exists
-    fld = ScalarField(100, (0.0, 0.0), (13, 3), True, ("a", "b"), np.arange(6, dtype=float))
-    with pytest.raises(ValueError, match="no symmetric extension"):
-        fld.dense()
-    for at in (0.0, 100.0, 200.0):
-        cut = slice_field(fld, 1, at)
-        cells = cut._coords(np.argwhere(cut.mask)).tolist()
-        assert [cut.value_at(c) for c in cells] == [fld.value_at(c + [at]) for c in cells]
-    assert slice_field(fld, 1, 0.0).values.tolist() == [0.0]
-    assert slice_field(fld, 1, 200.0).values.tolist() == [2.0, 4.0, 5.0]
+@pytest.mark.parametrize("origins, counts", [((0.0, 500.0), (13, 8)), ((0.0, 0.0), (13, 3))])
+def test_simplex_over_differing_axes_is_refused(tmp_path, origins, counts):
+    # with one axis grid every box cell sorts onto a mask cell; with these it would not
+    axes = [[o + 100 * i for i in range(c)] for o, c in zip(origins, counts)]
+    cells = [(a, b) for a, b in itertools.product(*axes) if a <= b]
+    values = np.arange(float(len(cells)))
+    with pytest.raises(ValueError, match="^a simplex field's axes must share one origin and one count$"):
+        ScalarField(100, origins, counts, True, ("a", "b"), values)
+    path = tmp_path / "f.csv"
+    path.write_text("a,b,v\n" + "".join(f"{a:g},{b:g},{k}\n" for k, (a, b) in enumerate(cells)))
+    if counts == (13, 8):
+        with pytest.raises(ValueError, match="share one origin and one count"):
+            import_csv(path)
+    else:  # a <= b keeps a <= 200 c: the rows are those of the one-grid (3, 3) simplex
+        back = import_csv(path)
+        assert (back.origins, back.counts, back.simplex) == ((0.0, 0.0), (3, 3), True)
+        assert np.array_equal(back.values, values)
+    # a layout whose axes never cross excludes nothing and is still a box
+    box = ScalarField(100, (0.0, 500.0), (6, 8), True, ("a", "b"), np.arange(48.0))
+    assert not box.simplex
+    export_csv(box, path)
+    assert import_csv(path) == box
 
 
-def test_slice_with_no_cell_names_axis_and_value():
-    # x3 stops at 200 c, so no simplex cell has a = 1000 c
-    fld = ScalarField(100, (0.0, 0.0), (13, 3), True, ("a", "b"), np.arange(6.0))
-    with pytest.raises(ValueError, match="no cell of the field has a = 1000 cents"):
-        slice_field(fld, 0, 1000.0)
+def test_every_slice_of_a_simplex_holds_its_diagonal_cell():
+    # so no slab of a one-grid simplex is empty
+    fld = make_simplex_field(3, 300, np.arange(35.0), "v", {})
+    for axis in range(3):
+        for at in fld.axis_coords(axis).tolist():
+            assert slice_field(fld, axis, at).value_at((at, at)) == fld.value_at((at, at, at))
 
 
 def test_grid_size_bound_both_sides(tmp_path):
@@ -464,21 +486,11 @@ def grid_fields(values=LEVELS):
 
 
 @st.composite
-def general_simplex_fields(draw, values=LEVELS):
-    """Simplex fields whose axes differ in origin or count, origins on or off
-    the resolution's multiples; many have no symmetric extension."""
-    dims = draw(st.integers(2, 3))
-    res = draw(st.sampled_from((50, 100, 300)))
-    origin = st.one_of(
-        st.integers(-3, 6).map(lambda k: float(k * res)), st.integers(-300, 600).map(float)
-    )
-    origins = sorted(draw(st.lists(origin, min_size=dims, max_size=dims)))  # no empty grids
-    counts = draw(st.lists(st.integers(1, 5), min_size=dims, max_size=dims))
-    axes = [[o + res * i for i in range(c)] for o, c in zip(origins, counts)]
-    n = sum(all(a <= b for a, b in zip(c, c[1:])) for c in itertools.product(*axes))
-    vals = draw(st.lists(values, min_size=n, max_size=n))
-    names = tuple(f"x{k + 2}" for k in range(dims))
-    return ScalarField(res, tuple(origins), tuple(counts), True, names, vals, "v")
+def simplex_slices(draw, values=LEVELS):
+    """Slices of 3-d simplex fields on every axis: one-grid simplices and boxes."""
+    fld = draw(simplex_fields(values, min_dims=3))
+    axis = draw(st.integers(0, 2))
+    return slice_field(fld, axis, draw(st.sampled_from(fld.axis_coords(axis).tolist())))
 
 
 INF, NAN = math.inf, math.nan
@@ -494,7 +506,7 @@ SERPENTINE = [
 
 
 @PROPERTY
-@given(fld=st.one_of(grid_fields(), general_simplex_fields()),
+@given(fld=st.one_of(grid_fields(), simplex_slices()),
        radius=st.sampled_from((1, 2, 10**6)))  # 10**6 covers every box
 @example(fld=make_simplex_field(1, 200, [INF, -INF, -INF, INF, 0.0, -INF, INF], "v", {}),
          radius=1)
@@ -529,12 +541,6 @@ SERPENTINE = [
 @example(fld=make_simplex_field(2, 300, [1.0] * 6 + [0.0] + [1.0] * 2 + [0.0] + [1.0] * 5, "v", {}),
          radius=1)
 def test_local_minima_equals_per_cell_oracle(fld, radius):
-    # general simplex fields, whose axes differ in origin or count, check that plateaus
-    # found on the mask alone are the box's; one without a symmetric extension is skipped
-    try:
-        fld.dense()
-    except ValueError:
-        assume(False)
     assert local_minima(fld, radius) == oracles.local_minima(fld, radius)
 
 
@@ -587,15 +593,9 @@ def test_local_minima_of_large_fields_keep_their_lists(n, resolution, sigma, rad
 
 
 @PROPERTY
-@given(fld=st.one_of(grid_fields(), general_simplex_fields()))
+@given(fld=st.one_of(grid_fields(), simplex_fields(CSV_VALUES), simplex_slices(CSV_VALUES)))
 def test_dense_equals_per_cell_symmetric_extension(fld):
-    try:
-        want = oracles.symmetric_extension(fld)
-    except ValueError:  # a sorted cell leaves the grid: dense() must refuse too
-        with pytest.raises(ValueError, match="no symmetric extension"):
-            fld.dense()
-        return
-    assert np.array_equal(fld.dense(), want)
+    assert np.array_equal(fld.dense(), oracles.symmetric_extension(fld))
 
 
 @PROPERTY
@@ -622,7 +622,7 @@ def test_csv_round_trip_property(fld):
 
 
 @PROPERTY
-@given(fld=grid_fields(CSV_VALUES), data=st.data())
+@given(fld=st.one_of(grid_fields(CSV_VALUES), simplex_slices(CSV_VALUES)), data=st.data())
 def test_slice_values_equal_parent_values(fld, data):
     axis = data.draw(st.integers(0, fld.dims - 1))
     at = float(data.draw(st.sampled_from(list(fld.axis_coords(axis)))))

@@ -165,10 +165,11 @@ def test_smooth_equals_per_line_oracle(simplex, counts, resolution):
 
 
 def test_one_tap_smoothing_returns_the_field_values():
-    # a box that no permutation fills has no symmetric extension; a one-tap kernel never reads it
-    fld = ScalarField(100, (0.0, 0.0), (13, 3), True, ("a", "b"), np.arange(6.0))
+    # a one-tap kernel never builds the symmetric extension, and keeps -0.0
+    fld = make_simplex_field(2, 600, [-0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "v", {})
     smooth = gaussian_smooth(fld, 6.0)  # six sigma is 36 cents: radius 0
     assert smooth.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert np.signbit(smooth.values[0]) and "_dense" not in vars(fld)
     assert smooth.meta["sigma_cents"] == 6.0
     raw = periodicity_field(4, 50)
     assert np.array_equal(gaussian_smooth(raw, 6.0).values, raw.values)

@@ -421,6 +421,12 @@ def test_transitive_field_takes_a_whole_number_of_cents(resolution):
         transitive_field(Chord((3.0, 9.0)), TransitiveConfig(scope_cents=30.0), resolution)
 
 
+def test_transitive_field_refuses_a_resolution_past_the_float_range():
+    # the window's step was divided into the scope as a float, which overflowed
+    with pytest.raises(ValueError, match=f"1 points {10**400} cents apart$"):
+        transitive_field(Chord((3.0, 9.0)), TransitiveConfig(scope_cents=30.0), 10**400)
+
+
 def test_window_field_csv_round_trip_keeps_its_bytes(tmp_path):
     for k, fld in enumerate(transitive_field(Chord((3.0, 9.0)), TransitiveConfig(scope_cents=30.0), 10)):
         first, second = tmp_path / f"{k}.csv", tmp_path / f"{k}_again.csv"
