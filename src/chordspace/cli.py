@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -83,12 +84,17 @@ def _sha256(path: Path) -> str:
 def _all_or_none():
     """Yield ``stage``: ``stage(path)`` names a temporary file beside ``path``, which
     replaces ``path`` when the block ends.  If the block raises, none does, all are
-    removed, and an ``OSError`` names the path instead of its temporary file."""
+    removed, and an ``OSError`` names the path instead of its temporary file.  A
+    ``path`` that is a directory raises ``IsADirectoryError`` in ``stage``: replacing
+    it would fail only after the outputs before it had replaced theirs."""
     staged = {}  # temporary file -> the path it replaces
 
     def stage(path) -> str:
-        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-        staged[tmp] = os.fspath(path)
+        path = os.fspath(path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        staged[tmp] = path
         return tmp
 
     try:

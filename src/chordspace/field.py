@@ -559,10 +559,11 @@ def import_csv(path) -> ScalarField:
             value_name=value_name,
             meta={},
         )
-    except ValueError as exc:
-        raise ValueError(
-            f"{path}: row count {len(values)} does not match the inferred grid ({exc})"
-        ) from None
+    except ValueError as exc:  # a simplex over differing axes, or a count that misses the grid
+        msg = str(exc)
+        if msg.startswith("value count"):
+            msg = f"row count {len(values)} does not match the inferred grid ({msg})"
+        raise ValueError(f"{path}: {msg}") from None
     off = np.abs(rows - fld._coords(np.argwhere(fld.mask))) > 1e-6
     bad = np.flatnonzero(off.any(axis=1))
     if bad.size:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -186,18 +187,37 @@ def _trim(ratios: list, a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return i, bisect_left(ratios, True, i, key=lambda t: t[1] * d > c * t[0])  # first > c/d
 
 
+#: The q-sorted ``pairs`` of :func:`_candidates_cached`, by exact window, oldest first.
+_BY_ENDS: OrderedDict = OrderedDict()
+
+
 @lru_cache(maxsize=65536)
 def _candidates_cached(
     cents: float, jnd_cents: float, qmax: int, clamp: bool
 ) -> tuple[float, tuple[tuple[int, int, float], ...]]:
     """``(cents, pairs)``: the shared :func:`_octave_part` triples of the window's
-    ratios, from the parts it touches, trimmed at both ends and stably sorted by q."""
+    ratios, from the parts it touches, trimmed at both ends and stably sorted by q.
+
+    The reduced p/q with q <= qmax between two ratios are fixed, so ``pairs`` is
+    shared under ``(qmax, first triple, last triple)`` of the trimmed window (``()``
+    for an empty one): two cent values a rounding apart, such as 700.0 and
+    699.9999999999999, build and sort one tuple, while twins whose exact ends admit
+    different ratios keep their own.  At most 65,536 tuples are kept, the oldest
+    dropped first, as this cache keeps 65,536 entries.
+    """
     m, parts, *ends = _window_span(cents, jnd_cents, qmax, clamp)
     ratios = []
     for k in parts:
         ratios += _octave_part(k, m, qmax)
     i, j = _trim(ratios, *ends)
-    return cents, tuple(sorted(ratios[i:j], key=itemgetter(0)))  # stable: each q's p ascend
+    key = (qmax, ratios[i], ratios[j - 1]) if i < j else ()
+    pairs = _BY_ENDS.get(key)
+    if pairs is None:
+        # stable: each q's p ascend
+        pairs = _BY_ENDS[key] = tuple(sorted(ratios[i:j], key=itemgetter(0)))
+        if len(_BY_ENDS) > 65536:
+            _BY_ENDS.popitem(last=False)
+    return cents, pairs
 
 
 def ratio_candidates(
@@ -268,8 +288,14 @@ def min_lcm(
     ``cur`` and of q below ``best``, so it is at most ``limit`` and so is its q.  Each q
     between ``limit`` and ``best`` would have been refused with a cut, so ``cut``, the
     attempts and the result are those of a scan up to ``best``.  ``limit`` shrinks with
-    ``best`` whenever a deeper leaf lowers it.
+    ``best`` whenever a deeper leaf lowers it.  When ``limit == cur``, ``best <= 2 * cur``:
+    a q that does not divide ``cur`` gives an lcm that is a multiple of ``cur`` above it,
+    so at least ``2 * cur``, and is cut as the lcm test would cut it, without computing it.
     """
+    if not lists:
+        return seed_lcm, ()
+    if not all(pairs for _, pairs in lists):
+        return None  # a list without candidates admits no choice, at any bound
     last, lcm = len(lists) - 1, math.lcm
 
     def search(i: int, cur: int, lo: float, hi: float, chosen: list):
@@ -281,8 +307,9 @@ def min_lcm(
             if q > limit:
                 cut = True
                 break  # denominators ascend and the lcm is a multiple of cur of at least q
-            nxt = cur if cur % q == 0 else lcm(cur, q)
-            if nxt >= best:
+            if cur % q == 0:
+                nxt = cur  # below best: cur <= limit < best
+            elif limit == cur or (nxt := lcm(cur, q)) >= best:
                 cut = True
                 continue
             d = c[2] - cents
@@ -298,10 +325,6 @@ def min_lcm(
             limit = (best - 1) // cur * cur
             chosen.pop()
 
-    if not lists:
-        return seed_lcm, ()
-    if not all(pairs for _, pairs in lists):
-        return None  # a list without candidates admits no choice, at any bound
     cap = 4 * seed_lcm
     while True:
         best, found, cut = cap + 1, None, False
@@ -309,6 +332,7 @@ def min_lcm(
         if found is not None or not cut:
             break
         cap *= 2
+    del search  # it refers to itself through its cell: leave no cycle for the collector
     return None if found is None else (
         best, tuple((q, p, log - cents) for (q, p, log), (cents, _) in zip(found, lists)))
 

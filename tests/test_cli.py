@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from chordspace.cli import build_parser, main, parse_cents
 from chordspace.config import Config
@@ -347,6 +348,21 @@ def test_unwritable_csv_path_leaves_the_directory_as_it_was(tmp_path, capsys, mo
     assert run_cli(capsys, *argv, "--out", "w.csv")[0] == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt", "w.csv", "w.csv.json"]
     assert (tmp_path / "m.txt").read_bytes() != b"kept\n"
+
+
+@pytest.mark.parametrize("target", ["w.csv", "w.csv.json", "m.txt"])
+def test_a_directory_in_place_of_an_output_leaves_the_directory_as_it_was(
+    tmp_path, capsys, monkeypatch, target
+):
+    # refused before any output replaces its path: the CSV may not stay without its sidecar
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / target).mkdir()
+    code, stdout, err = run_cli(capsys, "field", "periodicity", "3", "--res", "600", "--sigma", "0c",
+                                "--out", "w.csv", "--matrix", "m.txt")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno {errno.EISDIR}] Is a directory: '{target}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == [target]
+    assert list((tmp_path / target).iterdir()) == []
 
 
 def test_a_resolution_past_the_float_range_exits_2(tmp_path, capsys):
@@ -754,3 +770,75 @@ def test_chord_commands_never_exit_internal(command, chords, jnd, qmax):
     if name != "distance":
         argv += [f"--jnd={jnd}"] * (jnd is not None) + [f"--qmax={qmax}"] * (qmax is not None)
     assert _exit_code(argv) in (0, 2, 3)
+
+
+HUGE = "1" + "0" * 400  # past the float range
+WHOLE = st.sampled_from(["0", "-50", "7", "100", "600", HUGE, "-" + HUGE])
+WIDTHS = st.sampled_from(
+    ["0c", "6c", "18c", "-1", "nanc", "infc", "-infc", "1e300c", HUGE + "c", "-" + HUGE]
+)
+CHORDS = st.sampled_from(["[0,4,7]", "[3,9]", "[0]", "[0,13]", f"[0,{HUGE}]", "[1e300]", "[-5,nan]"])
+# a window field runs a search per cell: at most two notes, as in the README
+WINDOW_CHORDS = st.sampled_from(["[3,9]", "[0]", "[0,13]", f"[0,{HUGE}]", "[1e300]"])
+# in the run's directory "sub", "s.csv.json" and "p_p2.csv" are directories, "m.txt"
+# is a file and "nodir" is missing
+OUTPUTS = st.sampled_from(["w.csv", "nodir/w.csv", "sub", "s.csv", "p.csv", "m.txt"])
+MATRICES = st.sampled_from(["m.txt", "nodir/m.txt", "sub", "s.csv.json"])
+
+
+@st.composite
+def _runs(draw):
+    """The argv of one run of any subcommand, its outputs relative to the run's directory."""
+    def options(*flags):
+        drawn = [(flag, draw(st.none() | values)) for flag, values in flags]
+        return [part for flag, value in drawn if value is not None for part in (flag, value)]
+
+    command = draw(st.sampled_from(["distance", "periodicity", "field", "resolve", "resolve-field"]))
+    tuning = options(("--jnd", WIDTHS), ("--qmax", WHOLE))
+    grid = options(("--res", WHOLE), ("--sigma", WIDTHS)) + ["--out", draw(OUTPUTS)]
+    if command == "distance":
+        return [command, draw(CHORDS), draw(CHORDS), "--norm",
+                draw(st.sampled_from(["manhattan", "euclidean"]))]
+    if command == "periodicity":
+        flags = st.sampled_from(["--shift-to-root", "--per-note-only", "--all-rerootings"])
+        return [command, draw(CHORDS), *draw(st.lists(flags, unique=True))] + tuning
+    if command == "resolve":
+        return [command, draw(CHORDS), draw(CHORDS)] + tuning
+    if command == "field":
+        kind = draw(st.sampled_from(["periodicity", "roughness"]))
+        size = draw(WHOLE | st.sampled_from(["2", "3", "4"]))
+        return [command, kind, size] + grid + options(("--matrix", MATRICES)) + tuning
+    return [command, draw(WINDOW_CHORDS)] + grid + options(("--scope", WIDTHS)) + tuning
+
+
+def _listing(root: Path) -> dict:
+    """Every path under ``root`` with its bytes, None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=_runs())
+@example(argv=["resolve-field", "[3,9]", "--res", HUGE, "--out", "w.csv"])
+@example(argv=["field", "periodicity", "3", "--res", "600", "--sigma", "0c",
+               "--out", "nodir/w.csv", "--matrix", "m.txt"])
+@example(argv=["field", "periodicity", "3", "--res", "600", "--sigma", "0c", "--out", "s.csv"])
+@example(argv=["resolve-field", "[3,9]", "--res", "100", "--sigma", "0c", "--out", "p.csv"])
+@example(argv=["field", "roughness", "3", "--res", "600", "--out", "w.csv", "--matrix", "m.txt"])
+def test_every_subcommand_exits_0_2_or_3_and_a_failure_leaves_no_trace(argv):
+    """User input never makes a subcommand exit 4, and a run that fails leaves its
+    directory as it was: the same files with the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("sub", "s.csv.json", "p_p2.csv"):
+            (root / name).mkdir()
+        (root / "m.txt").write_bytes(b"kept\n")
+        before = _listing(root)
+        outputs = {i + 1 for i, part in enumerate(argv) if part in ("--out", "--matrix")}
+        code = _exit_code([str(root / part) if i in outputs else part for i, part in enumerate(argv)])
+        event(f"{argv[0]} exits {code}")
+        assert code in (0, 2, 3)
+        after = _listing(root)
+        if code:
+            assert after == before
+        else:
+            assert not any(name.endswith(".tmp") for name in after)

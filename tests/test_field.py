@@ -282,6 +282,16 @@ def test_simplex_over_differing_axes_is_refused(tmp_path, origins, counts):
     assert import_csv(path) == box
 
 
+def test_import_csv_names_the_axes_of_a_simplex_that_differ(tmp_path):
+    # no row count fits a simplex over these axes: the refusal names the axes, not the count
+    path = tmp_path / "f.csv"
+    path.write_text("a,b,v\n0,500,1\n0,600,2\n100,500,3\n100,600,4\n600,600,5\n")
+    for read in (import_csv, oracles.row_import_csv):
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: a simplex field's axes must share one origin and one count"
+
+
 def test_every_slice_of_a_simplex_holds_its_diagonal_cell():
     # so no slab of a one-grid simplex is empty
     fld = make_simplex_field(3, 300, np.arange(35.0), "v", {})

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -10,7 +12,11 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 import chordspace.harmonicity as harmonicity
-from chordspace.errors import UnresolvableChordError, UnresolvableIntervalError
+from chordspace.errors import (
+    UnresolvableChordError,
+    UnresolvableIntervalError,
+    UnresolvableProgressionError,
+)
 from chordspace.harmonicity import (
     _ROOT,
     PeriodicityConfig,
@@ -18,6 +24,7 @@ from chordspace.harmonicity import (
     _farey_start,
     _ladder_rows,
     _rooted_min_lcm,
+    _transition,
     _window_key,
     _window_keys,
     RationalTuning,
@@ -533,6 +540,26 @@ def test_windows_share_the_table_triples():
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(window=_windows(), clamp=st.booleans())
+@example(window=(1182.0, 18.0, 100), clamp=True)  # 2/1 ends the window at 1182 c, not 1 ulp below
+@example(window=(700.0, 18.0, 100), clamp=True)
+def test_twin_windows_share_one_list_and_stay_exact(window, clamp):
+    # a cent value and its neighbours 1 ulp apart: each list is the Fraction scan's,
+    # and lists of the same ratios are one tuple
+    cents, jnd, qmax = window
+    assume(math.isfinite(cents))
+    twins = [math.nextafter(cents, -math.inf), cents, math.nextafter(cents, math.inf)]
+    lists = [_candidates_cached(x, jnd, qmax, clamp)[1] for x in twins]
+    for x, pairs in zip(twins, lists):
+        want = fraction_candidates(x, jnd, qmax, clamp)
+        assert [(p, q) for q, p, _ in pairs] == [(f.numerator, f.denominator) for f, _ in want]
+        assert [(log - x).hex() for _, _, log in pairs] == [d.hex() for _, d in want]
+    for a, b in itertools.combinations(lists, 2):
+        assert (a is b) == (a == b)
+    event("twins differ" if len({id(pairs) for pairs in lists}) > 1 else "one list")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     notes=st.lists(st.floats(0.0, 12.0, exclude_min=True), min_size=1, max_size=3, unique=True),
     jnd=st.sampled_from([10.0, 18.0, 25.0]),
@@ -599,6 +626,14 @@ def _candidate_list(draw):
 )
 @example(  # infeasible: at cap 4 only the limit break cuts (q = 4 > 3), so the cap doubles
     lists=[(0.0, ((3, 4, 0.0),)), (0.0, ((4, 5, 100.0),))],
+    root=False, seed_lcm=1, window=18.0,
+)
+@example(  # at cap 4, cur = 4: limit = cur, so q = 3, no divisor of 4, is cut without an lcm
+    lists=[(0.0, ((4, 5, 0.0),)), (0.0, ((3, 4, 0.0), (4, 5, 0.0)))],
+    root=False, seed_lcm=1, window=math.inf,
+)
+@example(  # infeasible: q = 3 is cut at limit = cur = 4, then refused by the window at cap 16
+    lists=[(0.0, ((4, 5, 0.0),)), (0.0, ((3, 4, 100.0),))],
     root=False, seed_lcm=1, window=18.0,
 )
 def test_min_lcm_equals_single_pass_oracle(lists, root, seed_lcm, window):
@@ -683,6 +718,29 @@ def test_min_lcm_on_the_edges_of_its_cap(seed_lcm, target):
     got = min_lcm(lists, math.inf, seed_lcm)
     assert got == (target, ((target, target, 0.0), (target, target + 1, 0.0)))
     assert got == single_pass_min_lcm(lists, math.inf, seed_lcm)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # every object a search makes is freed by its reference count: the cyclic
+    # collector finds nothing after a batch of cold searches
+    rng = random.Random(5)
+    cfg = PeriodicityConfig(jnd_cents=18.0, qmax=48)
+    chords = [tuple(sorted(rng.sample(range(-600, 1200), n))) for n in (1, 2, 3, 4, 5) * 8]
+    gc.collect()
+    gc.disable()
+    try:
+        for first, second in zip(chords, chords[1:]):
+            lists = [_candidates_cached(c + 0.5, cfg.jnd_cents, cfg.qmax, False) for c in first]
+            min_lcm([_ROOT] + lists, cfg.jnd_cents)
+            for pin_second in (True, False):
+                try:
+                    _transition(tuple(c / 100 for c in first), tuple(c / 100 for c in second),
+                                cfg, pin_second)
+                except UnresolvableProgressionError:
+                    pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
