@@ -110,13 +110,14 @@ def interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
 class ScalarField:
     """Dense scalar values on a regular (possibly simplex-constrained) grid.
 
-    ``values`` holds one float per included cell, in lexicographic coordinate
-    order.  ``mask`` is the read-only ``counts``-shaped boolean array of the
-    included cells, built once; every cell lookup derives from it.  A simplex
-    keeps the cells whose coordinates never decrease, and its axes must share
-    one origin and one count: one axis grid, sorted.  A simplex that excludes
-    no cell is stored as a box, whatever its axes.  ``meta`` carries the
-    generator name and configuration snapshot; it is excluded from equality.
+    ``values`` holds one float per included cell, in lexicographic coordinate order.
+    ``mask`` is the read-only ``counts``-shaped boolean array of the included cells,
+    built once; ``_cells``, their ascending flat box positions, is the one cell index:
+    ``searchsorted`` there finds a cell's value, so no lookup builds a box-sized array.
+    A simplex keeps the cells whose coordinates never decrease, and its axes must
+    share one origin and one count: one axis grid, sorted.  A simplex that excludes
+    no cell is stored as a box, whatever its axes.  ``meta`` carries the generator
+    name and configuration snapshot; it is excluded from equality.
     """
 
     resolution: int
@@ -178,9 +179,9 @@ class ScalarField:
         return np.add(self.origins, self.resolution * np.asarray(idx, dtype=float))
 
     @cached_property
-    def _positions(self) -> np.ndarray:
-        """Index into ``values`` of every box cell; -1 where the mask excludes it."""
-        return np.where(self.mask, np.cumsum(self.mask).reshape(self.counts) - 1, -1)
+    def _cells(self) -> np.ndarray:
+        """Flat C-order box position of each stored value, ascending."""
+        return np.flatnonzero(self.mask)
 
     @property
     def n_cells(self) -> int:
@@ -192,15 +193,15 @@ class ScalarField:
             t = np.rint((np.asarray(key) - self.origins) / self.resolution)
             if np.all((t >= 0) & (t < self.counts)):
                 idx = tuple(t.astype(int))
-                if self._coords(idx).tolist() == list(key) and self._positions[idx] >= 0:
-                    return int(self._positions[idx])
+                if self._coords(idx).tolist() == list(key) and self.mask[idx]:
+                    return int(np.searchsorted(self._cells, np.ravel_multi_index(idx, self.counts)))
         raise ValueError(f"coordinates {key} are not a grid cell")
 
     def value_at(self, coords: Sequence[float]) -> float:
         return float(self.values[self.index_of(coords)])
 
     def dense(self) -> np.ndarray:
-        """Full box array of values, computed once and cached read-only.
+        """Full box array of values for smoothing, minima and matrix export, cached read-only.
 
         Simplex fields are extended symmetrically (a cell reads the value of
         its sorted coordinates), which is the natural extension of a function
@@ -238,7 +239,6 @@ class ScalarField:
         """Multilinear interpolation at off-grid coordinates (cents)."""
         if len(coords) != self.dims:
             raise ValueError(f"expected {self.dims} coordinates, got {len(coords)}")
-        dense = self.dense()
         pos = []
         for k, c in enumerate(coords):
             t = (float(c) - self.origins[k]) / self.resolution
@@ -247,12 +247,17 @@ class ScalarField:
             pos.append(min(max(t, 0.0), self.counts[k] - 1.0))
         lo = [min(int(math.floor(t)), self.counts[k] - 1) for k, t in enumerate(pos)]
         frac = [t - i for t, i in zip(pos, lo)]
+        corners = list(itertools.product((0, 1), repeat=self.dims))
+        idx = np.minimum(np.add(lo, np.array(corners, dtype=np.intp)), np.subtract(self.counts, 1))
+        if self.simplex:  # the symmetric extension: a corner reads its sorted cell
+            idx.sort(axis=1)
+        at = np.searchsorted(self._cells, np.ravel_multi_index(idx.T, self.counts))
+        found = self.values[at].reshape(len(corners))  # a 0-d field finds one scalar
         out = 0.0
-        for corner in itertools.product((0, 1), repeat=self.dims):
+        for corner, v in zip(corners, found.tolist()):
             w = math.prod(f if bit else 1.0 - f for f, bit in zip(frac, corner))
-            idx = tuple(min(i + bit, n - 1) for i, bit, n in zip(lo, corner, self.counts))
             if w:
-                out += w * float(dense[idx])
+                out += w * v
         return out
 
     def __eq__(self, other) -> bool:
@@ -267,8 +272,11 @@ class ScalarField:
 def make_simplex_field(
     dims: int, resolution: int, values: Sequence[float], value_name: str, meta: dict
 ) -> ScalarField:
-    """The interval grid's field: ``dims`` axes from 0 to 1200 cents, sorted."""
+    """The interval grid's field: ``dims`` axes from 0 to 1200 cents, sorted.  Its meta is
+    ``meta`` over the grid's own: domain, resolution_cents (a Python int) and sigma_cents 0."""
+    resolution = _integer("resolution", resolution)  # JSON takes a Python int, not a numpy one
     names, counts = tuple(f"x{k + 2}" for k in range(dims)), (_octave_points(resolution),) * dims
+    meta = {"domain": "intervals", "resolution_cents": resolution, "sigma_cents": 0.0, **meta}
     return ScalarField(resolution, (0.0,) * dims, counts, True, names, values, value_name, meta)
 
 
@@ -348,20 +356,21 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
     if not on_grid or not 0 <= round(t) < field.counts[axis]:
         raise ValueError(f"{value_cents} cents is not on the grid of axis {axis}")
 
-    at = (slice(None),) * axis + (int(round(t)),)
-    # a kept cell's own value; every slab holds its diagonal cell, so one is kept
-    positions, kept = field._positions[at], field.mask[at]
+    j = int(round(t))
+    kept = field.mask[(slice(None),) * axis + (j,)]  # every slab holds its diagonal cell
+    # each of the s // inner slab rows before s lacks (counts[axis] - 1) * inner cells of its box row
+    inner, s = math.prod(field.counts[axis + 1:]), np.flatnonzero(kept)
+    cells = s + s // inner * ((field.counts[axis] - 1) * inner) + j * inner
     box = np.argwhere(kept)  # nonzero would raise on the 0-d slice of a dyad field
     lo, hi = box.min(axis=0).tolist(), (box.max(axis=0) + 1).tolist()
-    window = tuple(map(slice, lo, hi))
     rest = [k for k in range(field.dims) if k != axis]
     return replace(
         field,
         origins=tuple(field.origins[k] + field.resolution * a for k, a in zip(rest, lo)),
         counts=tuple(b - a for a, b in zip(lo, hi)),
         axis_names=tuple(field.axis_names[k] for k in rest),
-        values=field.values[positions[window][kept[window]]],
-        meta=dict(field.meta, sliced_axis=field.axis_names[axis], sliced_at=value_cents),
+        values=field.values[np.searchsorted(field._cells, cells)],
+        meta=dict(field.meta, sliced_axis=field.axis_names[axis], sliced_at=float(value_cents)),
     )
 
 
@@ -444,18 +453,20 @@ def export_csv(field: ScalarField, path) -> None:
     Each axis's coordinates are formatted once into a byte-string table
     that every cell gathers from by grid index, and the values go through
     :func:`_value_bytes`, so no per-cell string is built.  Rows are written
-    in chunks of :data:`_CSV_CHUNK_ROWS`, each one NUL-padded byte matrix,
-    so no more than one chunk's bytes are held.
+    in chunks of :data:`_CSV_CHUNK_ROWS`, each one NUL-padded byte matrix
+    whose grid indices are unravelled from that chunk of the field's
+    ``_cells``, so no more than one chunk's bytes and indices are held.
     """
     labels = [np.array([_fmt_coord(c) for c in field.axis_coords(k).tolist()], dtype="S")
               for k in range(field.dims)]
-    idx = np.argwhere(field.mask)
     comma, newline = np.uint8(ord(",")), np.uint8(ord("\n"))
     with open(path, "wb") as fh:
         fh.write((",".join(field.axis_names + (field.value_name,)) + "\n").encode("utf-8"))
-        for start in range(0, len(idx), _CSV_CHUNK_ROWS):
+        for start in range(0, len(field.values), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
-            columns = [f for k, lab in enumerate(labels) for f in (lab[idx[rows, k]], comma)]
+            # unravel_index refuses the empty shape of a 0-d field, which has no column
+            idx = np.unravel_index(field._cells[rows], field.counts) if field.dims else ()
+            columns = [f for lab, i in zip(labels, idx) for f in (lab[i], comma)]
             _write_rows(fh, columns + [_value_bytes(field.values[rows]), newline])
 
 

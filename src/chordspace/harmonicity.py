@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -469,16 +469,8 @@ def rerooted_periodicity(
     return best, per_root
 
 
-def _field_meta(cfg: PeriodicityConfig, resolution: int, generator: str) -> dict:
-    return {
-        "generator": generator,
-        "domain": "intervals",
-        "resolution_cents": resolution,
-        "jnd_cents": cfg.jnd_cents,
-        "qmax": cfg.qmax,
-        "pairwise_constraint": cfg.pairwise_constraint,
-        "sigma_cents": 0.0,
-    }
+def _field_meta(cfg: PeriodicityConfig) -> dict:
+    return {"generator": "periodicity", **asdict(cfg)}
 
 
 def _ladder_rows(keys: list[tuple]):
@@ -537,7 +529,6 @@ def periodicity_field(
     order; the first infeasible one raises.
     """
     notes, idx = interval_grid(n, resolution)
-    resolution = _integer("resolution", resolution)  # JSON takes a Python int, not a numpy one
     idx = idx.T[1:]  # a contiguous row per non-root note
     rows = _ladder_rows(_window_keys(notes[1:].tolist(), cfg, True))  # axis value 0 is the root
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])
@@ -564,6 +555,4 @@ def periodicity_field(
             idx, pos, done = idx[:, ~done], pos[~done], done[~done]
     for p, row in zip(pos[~done].tolist(), idx[:, ~done].T.tolist()):
         values[p] = math.log2(chord_periodicity(normalize(notes[[0, *row]]), cfg)[0])
-    return make_simplex_field(
-        n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
-    )
+    return make_simplex_field(n - 1, resolution, values, "log2_periodicity", _field_meta(cfg))

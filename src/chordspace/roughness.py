@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import ScalarField, _integer, interval_grid, make_simplex_field
+from .field import ScalarField, interval_grid, make_simplex_field
 from .pitch import Chord, DEFAULT_F0_HZ, freq_from_pitch
 
 __all__ = [
@@ -58,6 +58,8 @@ class Spectrum:
             if amp <= 0:
                 raise ValueError("partial amplitudes must be positive")
             last = ratio
+        # json cannot dump a numpy float32
+        object.__setattr__(self, "partials", tuple((float(r), float(a)) for r, a in self.partials))
 
 
 def harmonic_spectrum(n_partials: int = 6, amplitude_decay: float = 0.88) -> Spectrum:
@@ -95,6 +97,7 @@ class RoughnessParams:
             value = getattr(self, f.name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, f.name, float(value))  # json cannot dump a numpy float32
         if self.fast_decay <= self.slow_decay:
             raise ValueError("fast_decay must exceed slow_decay for a unimodal curve")
 
@@ -204,7 +207,6 @@ def roughness_field(
 ) -> ScalarField:
     """Chord roughness over the one-octave grid (same convention as periodicity)."""
     notes, rows = interval_grid(n, resolution)
-    resolution = _integer("resolution", resolution)  # JSON takes a Python int, not a numpy one
     distinct = np.diff(rows, axis=1, prepend=-1) != 0  # indices ascend along each row
     sizes = distinct.sum(axis=1)
     values = np.empty(len(rows))
@@ -215,11 +217,8 @@ def roughness_field(
         )
     meta = {
         "generator": "roughness",
-        "domain": "intervals",
-        "resolution_cents": resolution,
-        "f0_hz": f0,
+        "f0_hz": float(f0),  # json cannot dump a numpy float32
         "spectrum": [[r, a] for r, a in spectrum.partials],
         "params": asdict(params),
-        "sigma_cents": 0.0,
     }
     return make_simplex_field(n - 1, resolution, values, "roughness", meta)

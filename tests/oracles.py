@@ -13,8 +13,10 @@ witness per field cell instead of per-axis candidate lists, one
 each geodesic group's end instead of the end the dynamic program recorded,
 ascending-periodicity sweeps that stamp each cell at the first feasible
 value instead of a minimization per cell, every minimal tuning of a
-pinned chord enumerated instead of one joint search, and one branch-and-bound
-pass from an unbounded start instead of iterative deepening on the lcm bound.
+pinned chord enumerated instead of one joint search, one branch-and-bound
+pass from an unbounded start instead of iterative deepening on the lcm bound,
+and interpolation corners read from the box ``dense()`` instead of found by
+``searchsorted`` in the field's cell index.
 The production code must agree with these on small instances.
 """
 
@@ -464,6 +466,29 @@ def symmetric_extension(field: ScalarField) -> np.ndarray:
     return out
 
 
+def dense_interpolate(field: ScalarField, coords) -> float:
+    """Multilinear interpolation at off-grid coordinates (cents), each corner read from
+    the box array ``field.dense()``."""
+    if len(coords) != field.dims:
+        raise ValueError(f"expected {field.dims} coordinates, got {len(coords)}")
+    dense = field.dense()
+    pos = []
+    for k, c in enumerate(coords):
+        t = (float(c) - field.origins[k]) / field.resolution
+        if not -1e-9 <= t <= field.counts[k] - 1 + 1e-9:
+            raise ValueError(f"coordinate {c} is outside axis {field.axis_names[k]}")
+        pos.append(min(max(t, 0.0), field.counts[k] - 1.0))
+    lo = [min(int(math.floor(t)), field.counts[k] - 1) for k, t in enumerate(pos)]
+    frac = [t - i for t, i in zip(pos, lo)]
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=field.dims):
+        w = math.prod(f if bit else 1.0 - f for f, bit in zip(frac, corner))
+        idx = tuple(min(i + bit, n - 1) for i, bit, n in zip(lo, corner, field.counts))
+        if w:
+            out += w * float(dense[idx])
+    return out
+
+
 def per_line_gaussian_smooth(field: ScalarField, sigma_cents: float) -> np.ndarray:
     """Values of ``gaussian_smooth(field, sigma_cents)``, one 1-D line at a time: on the
     :func:`symmetric_extension`, axis by axis, each line gets ``radius`` copies of its
@@ -791,9 +816,7 @@ def sweep_periodicity_field(
         raise UnresolvableChordError(
             f"sweep exhausted q <= {max_periodicity} with unassigned cells: {residual[:10]}"
         )
-    return make_simplex_field(
-        n - 1, resolution, values, "log2_periodicity", _field_meta(cfg, resolution, "periodicity")
-    )
+    return make_simplex_field(n - 1, resolution, values, "log2_periodicity", _field_meta(cfg))
 
 
 def _second_side(prog: Progression, pcfg: PeriodicityConfig):

@@ -29,7 +29,7 @@ from chordspace.harmonicity import periodicity_field
 from chordspace.pitch import Chord
 from chordspace.psychometric import gaussian_smooth
 from chordspace.resolve import TransitiveConfig, transitive_field
-from chordspace.roughness import roughness_field
+from chordspace.roughness import RoughnessParams, Spectrum, roughness_field
 
 import oracles
 
@@ -82,6 +82,18 @@ def test_grid_generators_keep_a_numpy_resolution_as_an_int():
     for fld, res in [(fld, 600) for fld in grids] + [(fld, 10) for fld in window]:
         assert type(fld.resolution) is int and type(fld.meta["resolution_cents"]) is int
         assert json.loads(json.dumps(fld.meta))["resolution_cents"] == res
+
+
+def test_field_meta_is_json_when_inputs_are_numpy_scalars():
+    metas = [
+        slice_field(periodicity_field(3, 100), 0, np.float32(300.0)).meta,
+        roughness_field(3, 300, f0=np.float32(261.626)).meta,
+        roughness_field(3, 300, Spectrum(((1.0, np.float32(1.0)),))).meta,
+        roughness_field(3, 300, params=RoughnessParams(scale=np.float32(5.0))).meta,
+        *(f.meta for f in transitive_field(Chord((np.float32(3.0), 9.0)), TransitiveConfig(), 10)),
+    ]
+    for meta in metas:
+        assert json.loads(json.dumps(meta)) == meta
 
 
 def test_value_count_must_match_cells():
@@ -449,18 +461,48 @@ def test_dense_is_cached_and_read_only():
         simplex.mask[0, 0] = False
 
 
-def test_dense_peak_memory_is_a_few_box_arrays():
-    # the (4, 10) interval grid: 121**3 box cells, 302,621 of them in the simplex;
-    # numpy reports its buffers to tracemalloc, so the peak is deterministic
-    fld = make_simplex_field(3, 10, np.arange(float(math.comb(123, 3))), "v", {})
+def _tetrad_grid_field():
+    """The (4, 10) interval grid: 121**3 box cells, 302,621 of them in the simplex."""
+    return make_simplex_field(3, 10, np.arange(float(math.comb(123, 3))), "v", {})
+
+
+def _traced_peak(call):
+    """Peak traced bytes of ``call()``: numpy reports its buffers to tracemalloc, so the
+    peak is deterministic."""
     tracemalloc.start()
     try:
-        dense = fld.dense()
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_dense_peak_memory_is_a_few_box_arrays():
+    fld = _tetrad_grid_field()
+    peak = _traced_peak(fld.dense)
+    dense = fld.dense()
     assert dense.shape == (121,) * 3
     assert peak <= 5 * dense.nbytes, f"peak {peak / dense.nbytes:.1f} box arrays"
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda fld: fld.value_at((100.0, 500.0, 700.0)),
+    lambda fld: fld.index_of((100.0, 500.0, 700.0)),
+    lambda fld: fld.interpolate((705.0, 103.0, 1200.0)),
+    lambda fld: slice_field(fld, 1, 600.0),
+], ids=["value_at", "index_of", "interpolate", "slice_field"])
+def test_first_lookup_builds_no_box_sized_array(lookup):
+    fld = _tetrad_grid_field()
+    peak = _traced_peak(lambda: lookup(fld))
+    assert "_dense" not in fld.__dict__
+    assert peak < 8 * 121**3, f"peak {peak / 2**20:.1f} MiB"  # a box of int64, 13.5 MiB
+
+
+def test_export_csv_holds_no_whole_field_index(tmp_path, monkeypatch):
+    monkeypatch.setattr(field_module, "_CSV_CHUNK_ROWS", 4096)
+    fld = _tetrad_grid_field()
+    peak = _traced_peak(lambda: export_csv(fld, tmp_path / "f.csv"))
+    assert peak < 8 * 3 * fld.n_cells, f"peak {peak / 2**20:.1f} MiB"  # one int64 per cell and axis
 
 
 # -- properties ---------------------------------------------------------------
@@ -638,8 +680,11 @@ def test_slice_values_equal_parent_values(fld, data):
     at = float(data.draw(st.sampled_from(list(fld.axis_coords(axis)))))
     cut = slice_field(fld, axis, at)
     assert cut.n_cells == len(cut.values)
+    for f in (fld, cut):  # every stored cell finds its own index and value
+        cells = f._coords(np.argwhere(f.mask)).tolist()
+        assert [f.index_of(c) for c in cells] == list(range(len(f.values)))
+        assert [f.value_at(c) for c in cells] == f.values.tolist()
     for coords, value in zip(cut._coords(np.argwhere(cut.mask)).tolist(), cut.values):
-        assert value == cut.value_at(coords)
         assert value == fld.value_at(coords[:axis] + [at] + coords[axis:])
 
 
@@ -725,6 +770,16 @@ def test_export_csv_bytes_do_not_depend_on_chunk_size(fld, chunk):
         export_csv(fld, got)
         oracles.per_cell_export_csv(fld, want)
         assert Path(got).read_bytes() == Path(want).read_bytes()
+
+
+@PROPERTY
+@given(fld=st.one_of(grid_fields(CSV_VALUES), simplex_slices(CSV_VALUES), point_fields(CSV_VALUES)),
+       data=st.data())
+def test_interpolate_equals_dense_oracle(fld, data):
+    # each axis on a grid point or between, independently: unsorted on a simplex too
+    at = [data.draw(st.one_of(st.sampled_from(axis), st.floats(axis[0], axis[-1])))
+          for axis in map(fld.axis_coords, range(fld.dims))]
+    assert fld.interpolate(at) == oracles.dense_interpolate(fld, at)
 
 
 def test_export_csv_of_a_smoothed_tetrad_field_equals_per_cell_oracle(tmp_path):
