@@ -5,8 +5,9 @@ A field stores one real value per grid cell.  Two domain flavors exist:
 * interval grids: coordinates are the non-root notes of a chord rooted at 0,
   constrained to ``0 <= x2 <= ... <= xn <= 1200`` cents (simplex storage --
   the rest of the hypercube is redundant under note reordering).  A simplex
-  field is the sorted cells of one axis grid repeated on every axis; a simplex
-  over axes that differ in origin or count is refused;
+  field is one axis grid repeated on every axis, its cells the box cells whose
+  indices never decrease; the axes alone decide this before any box array
+  exists, and a simplex over axes that differ in origin or count is refused;
 * note-window grids: a box of candidate chords around a reference chord, one
   axis per note, no simplex constraint.
 
@@ -67,18 +68,12 @@ def _check_box(counts: Sequence[int]) -> None:
         )
 
 
-def _cell_mask(
-    origins: Sequence[float], resolution: float, counts: Sequence[int], simplex: bool
-) -> np.ndarray:
-    """Included cells of the box with these axes; C-order is lexicographic.  A
-    simplex keeps the cells whose coordinates never decrease."""
-    _check_box(counts)
-    mask = np.ones(tuple(counts), dtype=bool)
-    if simplex:
-        axes = [o + resolution * np.arange(c, dtype=float) for o, c in zip(origins, counts)]
-        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-        for a, b in zip(grids, grids[1:]):
-            mask &= a <= b
+def _sorted_mask(m: int, d: int) -> np.ndarray:
+    """The cells of the ``m**d`` box whose indices never decrease; C-order is lexicographic."""
+    mask = np.ones((m,) * d, dtype=bool)
+    grids = np.ogrid[(slice(m),) * d]
+    for a, b in zip(grids, grids[1:]):
+        mask &= a <= b
     return mask
 
 
@@ -102,7 +97,8 @@ def interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     if not 2 <= n <= 4:
         raise ValueError(f"interval grids hold 2 to 4 notes, got {n}")
     m = _octave_points(resolution)
-    cells = np.nonzero(_cell_mask((0.0,) * (n - 1), resolution, (m,) * (n - 1), True))
+    _check_box((m,) * (n - 1))
+    cells = np.nonzero(_sorted_mask(m, n - 1))
     return np.arange(m) * resolution / 100, np.stack((np.zeros_like(cells[0]), *cells)).T
 
 
@@ -111,12 +107,14 @@ class ScalarField:
     """Dense scalar values on a regular (possibly simplex-constrained) grid.
 
     ``values`` holds one float per included cell, in lexicographic coordinate order.
-    ``mask`` is the read-only ``counts``-shaped boolean array of the included cells,
-    built once; ``_cells``, their ascending flat box positions, is the one cell index:
+    ``mask`` is the read-only ``counts``-shaped boolean array of the included cells;
+    ``_cells``, their ascending flat box positions, is the one cell index:
     ``searchsorted`` there finds a cell's value, so no lookup builds a box-sized array.
-    A simplex keeps the cells whose coordinates never decrease, and its axes must
-    share one origin and one count: one axis grid, sorted.  A simplex that excludes
-    no cell is stored as a box, whatever its axes.  ``meta`` carries the generator
+    A simplex keeps the cells whose indices never decrease, and its axes must share
+    one origin and one count: one axis grid, sorted.  A requested simplex stays one
+    only if some axis ends above the next axis's origin; otherwise it excludes no
+    cell and is stored as a box, whatever its axes.  The flag, the axes and the value
+    count are checked before the mask is built.  ``meta`` carries the generator
     name and configuration snapshot; it is excluded from equality.
     """
 
@@ -138,9 +136,11 @@ class ScalarField:
             raise ValueError("origins, counts and axis_names must align")
         if any(c < 1 for c in self.counts):
             raise ValueError("every axis needs at least one grid point")
+        ends = []  # each axis's last coordinate, as axis_coords gives it
         for name, o, c in zip(self.axis_names, self.origins, self.counts):
             with contextlib.suppress(OverflowError):  # a resolution past the float range
-                if math.isfinite(o) and math.isfinite(o + float(self.resolution) * (c - 1)):
+                if math.isfinite(o) and math.isfinite(e := o + float(self.resolution) * (c - 1)):
+                    ends.append(e)
                     continue
             raise ValueError(
                 f"axis {name!r} must have finite coordinates, got origin {o!r}, "
@@ -153,17 +153,19 @@ class ScalarField:
             vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        mask = _cell_mask(self.origins, self.resolution, self.counts, self.simplex)
+        _check_box(self.counts)
+        # Canonical flag: a simplex whose axes never cross excludes nothing, so is a box.
+        simplex = bool(self.simplex) and any(e > o for e, o in zip(ends, self.origins[1:]))
+        object.__setattr__(self, "simplex", simplex)
+        if simplex and (len(set(self.origins)) > 1 or len(set(self.counts)) > 1):
+            raise ValueError("a simplex field's axes must share one origin and one count")
+        d = self.dims
+        count = math.comb(self.counts[0] + d - 1, d) if simplex else math.prod(self.counts)
+        if len(vals) != count:
+            raise ValueError(f"value count {len(vals)} does not match cell count {count}")
+        mask = _sorted_mask(self.counts[0], d) if simplex else np.ones(tuple(self.counts), bool)
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
-        # Canonical flag: simplex that excludes nothing is stored as a box.
-        object.__setattr__(self, "simplex", not mask.all())
-        if self.simplex and (len(set(self.origins)) > 1 or len(set(self.counts)) > 1):
-            raise ValueError("a simplex field's axes must share one origin and one count")
-        if len(vals) != self.n_cells:
-            raise ValueError(
-                f"value count {len(vals)} does not match cell count {self.n_cells}"
-            )
 
     # -- geometry ----------------------------------------------------------
 
@@ -185,7 +187,7 @@ class ScalarField:
 
     @property
     def n_cells(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return len(self.values)
 
     def index_of(self, coords: Sequence[float]) -> int:
         key = tuple(float(c) for c in coords)
@@ -348,9 +350,15 @@ def local_minima(
 
 
 def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarField:
-    """Pin one axis at an on-grid value; returns a field of one fewer dims."""
-    if not 0 <= axis < field.dims:
-        raise ValueError(f"axis {axis} out of range for {field.dims}-d field")
+    """Pin one axis at an on-grid value; returns a field of one fewer dims.  A simplex
+    slice keeps the axes before ``axis`` at or below the pin and those after it at or
+    above, so a middle axis of four or more leaves two sorted groups and is refused."""
+    d = field.dims
+    if not 0 <= axis < d:
+        raise ValueError(f"axis {axis} out of range for {d}-d field")
+    if field.simplex and 0 < axis < d - 1 and d >= 4:
+        raise ValueError(f"axis {axis} of a {d}-axis simplex field cannot be sliced: it "
+                         "leaves two sorted groups of axes, and a field holds one")
     t = (float(value_cents) - field.origins[axis]) / field.resolution
     on_grid = math.isfinite(t) and abs(t - round(t)) <= 1e-9
     if not on_grid or not 0 <= round(t) < field.counts[axis]:
@@ -361,9 +369,10 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
     # each of the s // inner slab rows before s lacks (counts[axis] - 1) * inner cells of its box row
     inner, s = math.prod(field.counts[axis + 1:]), np.flatnonzero(kept)
     cells = s + s // inner * ((field.counts[axis] - 1) * inner) + j * inner
-    box = np.argwhere(kept)  # nonzero would raise on the 0-d slice of a dyad field
-    lo, hi = box.min(axis=0).tolist(), (box.max(axis=0) + 1).tolist()
-    rest = [k for k in range(field.dims) if k != axis]
+    rest = [k for k in range(d) if k != axis]
+    # a simplex's axes before the pin span [0, j] and those after it [j, m - 1]
+    lo = [j if field.simplex and k > axis else 0 for k in rest]
+    hi = [j + 1 if field.simplex and k < axis else field.counts[k] for k in rest]
     return replace(
         field,
         origins=tuple(field.origins[k] + field.resolution * a for k, a in zip(rest, lo)),
@@ -554,23 +563,10 @@ def import_csv(path) -> ScalarField:
     origins = tuple(float(u[0]) for u in uniques)
     counts = tuple(int(round(span / resolution)) + 1 for span in spans)
 
-    try:  # a grid too large is refused as such, not as a row-count mismatch
-        _check_box(counts)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     simplex = len(values) < math.prod(counts)
     try:
-        fld = ScalarField(
-            resolution=resolution,
-            origins=origins,
-            counts=counts,
-            simplex=simplex,
-            axis_names=axis_names,
-            values=values,
-            value_name=value_name,
-            meta={},
-        )
-    except ValueError as exc:  # a simplex over differing axes, or a count that misses the grid
+        fld = ScalarField(resolution, origins, counts, simplex, axis_names, values, value_name)
+    except ValueError as exc:  # a grid too large, axes that differ, or a count off the grid
         msg = str(exc)
         if msg.startswith("value count"):
             msg = f"row count {len(values)} does not match the inferred grid ({msg})"

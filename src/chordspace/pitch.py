@@ -44,8 +44,10 @@ def freq_from_pitch(p: float, f0: float = DEFAULT_F0_HZ) -> float:
 class Chord:
     """Canonical pitch set: strictly increasing tuple of finite pitches, n >= 1.
 
-    Equality is exact and per coordinate.  Build from unnormalized input with
-    :func:`normalize`.
+    The notes are kept as Python floats, whatever numpy scalars they were given:
+    a float32 note would make float32 arithmetic downstream and share cache keys
+    with its float64 equal.  Equality is exact and per coordinate.  Build from
+    unnormalized input with :func:`normalize`.
     """
 
     notes: tuple[float, ...]
@@ -56,6 +58,7 @@ class Chord:
         for p in self.notes:
             if not math.isfinite(p):
                 raise ValueError(f"chord notes must be finite, got {p!r}")
+        object.__setattr__(self, "notes", tuple(map(float, self.notes)))
         for a, b in zip(self.notes, self.notes[1:]):
             if not a < b:
                 raise ValueError(

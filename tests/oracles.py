@@ -15,8 +15,9 @@ ascending-periodicity sweeps that stamp each cell at the first feasible
 value instead of a minimization per cell, every minimal tuning of a
 pinned chord enumerated instead of one joint search, one branch-and-bound
 pass from an unbounded start instead of iterative deepening on the lcm bound,
-and interpolation corners read from the box ``dense()`` instead of found by
-``searchsorted`` in the field's cell index.
+interpolation corners read from the box ``dense()`` instead of found by
+``searchsorted`` in the field's cell index, and a simplex's cells kept where
+their float coordinates never decrease instead of where their indices do.
 The production code must agree with these on small instances.
 """
 
@@ -455,6 +456,18 @@ def local_minima(
                 reported.append((members[0], float(me)))
     reported.sort(key=lambda item: item[0])
     return reported
+
+
+def coordinate_mask(origins, resolution: int, counts, simplex: bool) -> np.ndarray:
+    """Included cells of the box with these axes, from their float coordinates: a
+    simplex keeps the cells whose coordinates never decrease.  C-order is lexicographic."""
+    mask = np.ones(tuple(counts), dtype=bool)
+    if simplex:
+        axes = [o + resolution * np.arange(c, dtype=float) for o, c in zip(origins, counts)]
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        for a, b in zip(grids, grids[1:]):
+            mask &= a <= b
+    return mask
 
 
 def symmetric_extension(field: ScalarField) -> np.ndarray:

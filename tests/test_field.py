@@ -305,11 +305,23 @@ def test_import_csv_names_the_axes_of_a_simplex_that_differ(tmp_path):
 
 
 def test_every_slice_of_a_simplex_holds_its_diagonal_cell():
-    # so no slab of a one-grid simplex is empty
-    fld = make_simplex_field(3, 300, np.arange(35.0), "v", {})
-    for axis in range(3):
-        for at in fld.axis_coords(axis).tolist():
-            assert slice_field(fld, axis, at).value_at((at, at)) == fld.value_at((at, at, at))
+    # so no slab of a one-grid simplex is empty; a middle axis of four or more leaves two
+    # sorted groups of axes, which no field holds
+    for dims in (3, 4, 5):
+        fld = make_simplex_field(dims, 300, np.arange(float(math.comb(dims + 4, dims))), "v", {})
+        for axis, at in ((k, at) for k in range(dims) for at in fld.axis_coords(k).tolist()):
+            if 0 < axis < dims - 1 and dims >= 4:
+                with pytest.raises(ValueError, match=(
+                    f"^axis {axis} of a {dims}-axis simplex field cannot be sliced: "
+                    "it leaves two sorted groups of axes")):
+                    slice_field(fld, axis, at)
+                continue
+            cut = slice_field(fld, axis, at)
+            assert cut.value_at((at,) * (dims - 1)) == fld.value_at((at,) * dims)
+            want = [(c[:axis] + c[axis + 1:], fld.value_at(c))
+                    for c in oracles.interval_cells(dims + 1, 300) if c[axis] == at]
+            got = zip(map(tuple, cut._coords(np.argwhere(cut.mask)).tolist()), cut.values.tolist())
+            assert list(got) == want
 
 
 def test_grid_size_bound_both_sides(tmp_path):
@@ -498,6 +510,19 @@ def test_first_lookup_builds_no_box_sized_array(lookup):
     assert peak < 8 * 121**3, f"peak {peak / 2**20:.1f} MiB"  # a box of int64, 13.5 MiB
 
 
+@pytest.mark.parametrize("origins, message", [
+    ((0.0, 1.0), "^a simplex field's axes must share one origin and one count$"),
+    ((0.0, 0.0), "^value count 1 does not match cell count 8002000$"),
+])
+def test_a_refused_simplex_builds_no_box(origins, message):
+    # the flag, the axes and the value count are decided before the 16,000,000-cell mask
+    def build():
+        with pytest.raises(ValueError, match=message):
+            ScalarField(1, origins, (4000, 4000), True, ("a", "b"), [0.0])
+    peak = _traced_peak(build)
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_export_csv_holds_no_whole_field_index(tmp_path, monkeypatch):
     monkeypatch.setattr(field_module, "_CSV_CHUNK_ROWS", 4096)
     fld = _tetrad_grid_field()
@@ -521,6 +546,42 @@ def simplex_fields(draw, values=LEVELS, min_dims=1, max_dims=3):
     n = len(oracles.interval_cells(dims + 1, res))
     vals = draw(st.lists(values, min_size=n, max_size=n))
     return make_simplex_field(dims, res, vals, "v", {})
+
+
+@st.composite
+def axis_layouts(draw):
+    """(resolution, origins, counts, simplex) of a one-grid simplex (0 to 4 axes of 1 to 7
+    points), a box, a simplex request whose axes never cross, or a simplex request over
+    any axes.  Origins stay within 10**6 cents, where every grid coordinate is an exact
+    float: past that, rounding merges coordinates, and the index rule is meant to differ."""
+    kind = draw(st.sampled_from(("one grid", "box", "apart", "any")))
+    dims, res = draw(st.integers(0, 4)), draw(st.integers(1, 1200))
+    origin = st.integers(-10**6, 10**6).map(float)
+    if kind == "one grid":
+        return res, (draw(origin),) * dims, (draw(st.integers(1, 7)),) * dims, True
+    counts = draw(st.lists(st.integers(1, 7), min_size=dims, max_size=dims))
+    if kind != "apart":
+        origins = draw(st.lists(origin, min_size=dims, max_size=dims))
+        return res, tuple(origins), tuple(counts), kind == "any"
+    origins = [draw(origin)]  # each axis starts at or above the end of the one before
+    for c in counts[:-1]:
+        origins.append(origins[-1] + res * (c - 1) + draw(st.integers(0, 3)))
+    return res, tuple(origins[:dims]), tuple(counts), True
+
+
+@PROPERTY
+@given(layout=axis_layouts())
+def test_mask_equals_the_coordinate_oracle(layout):
+    res, origins, counts, simplex = layout
+    want = oracles.coordinate_mask(origins, res, counts, simplex)
+    names, values = [f"n{k}" for k in range(len(counts))], np.zeros(np.count_nonzero(want))
+    if not want.all() and (len(set(origins)) > 1 or len(set(counts)) > 1):
+        with pytest.raises(ValueError, match="share one origin and one count"):
+            ScalarField(res, origins, counts, simplex, names, values)
+        return
+    fld = ScalarField(res, origins, counts, simplex, names, values)
+    assert fld.simplex == (not want.all())
+    assert np.array_equal(fld.mask, want) and fld.n_cells == len(values)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from chordspace.pitch import (
@@ -95,6 +96,14 @@ def test_chord_validation():
         Chord((math.nan,))
     with pytest.raises(ValueError):
         Chord(())
+
+
+def test_chord_keeps_python_floats():
+    # a float32 note would make float32 arithmetic downstream and share cache keys
+    c = Chord((np.float32(3.0), np.float64(9.0), 10))
+    assert c.notes == (3.0, 9.0, 10.0)
+    assert [type(p) for p in c.notes] == [float, float, float]
+    assert Chord([0.0, 4.0]).notes == (0.0, 4.0)
 
 
 def test_chord_indexing_reads_its_notes():

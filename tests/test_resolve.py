@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import chordspace
 import chordspace.harmonicity as harmonicity
 from chordspace.errors import UnresolvableProgressionError
 from chordspace.field import export_csv, import_csv, make_simplex_field
@@ -579,3 +584,26 @@ def test_transitive_config_validation():
 def test_transitive_config_rejects_non_finite_scope(scope):
     with pytest.raises(ValueError, match="finite"):
         TransitiveConfig(scope_cents=scope)
+
+
+#: A float32 note's window first, then float64 queries that share its cache keys.
+FLOAT32_FIRST = """
+import numpy as np
+from chordspace.harmonicity import chord_periodicity
+from chordspace.pitch import Chord, parse_chord
+from chordspace.resolve import Progression, TransitiveConfig, transitive_field, transitive_periodicity
+
+transitive_field(Chord((np.float32(3.0), 9.0)), TransitiveConfig(), 10)
+print(transitive_periodicity(Progression(parse_chord("[3,9]"), parse_chord("[1.2,8.82]"))))
+print(repr(chord_periodicity(parse_chord("[0,4,7]"))[1].detunings_cents[1]))
+"""
+
+
+def test_a_float32_note_leaves_later_tunings_unchanged():
+    # the tuning caches live as long as the process: a fresh one makes the order certain
+    src = str(Path(chordspace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", FLOAT32_FIRST], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "-13.686286135165176"]
