@@ -271,7 +271,8 @@ def min_lcm(
     empty; every chosen detuning must keep the window at most ``window``
     cents wide.  A pinned root is the one-candidate list :data:`_ROOT`,
     placed first so that the window opens at its 0.  Returns (lcm, chosen ``(q, p,
-    detuning)`` triples) for the first minimal choice in list order, or None.
+    detuning)`` triples) for the first minimal choice in list order, or None.  It
+    recurses once per list, and raises ``ValueError`` past the recursion limit.
 
     The search deepens iteratively on the lcm (Korf, *Artificial Intelligence* 27,
     1985): each attempt starts with the bound ``best = cap + 1``, ``cap = 4 * seed_lcm``
@@ -326,13 +327,17 @@ def min_lcm(
             chosen.pop()
 
     cap = 4 * seed_lcm
-    while True:
-        best, found, cut = cap + 1, None, False
-        search(0, seed_lcm, math.inf, -math.inf, [])
-        if found is not None or not cut:
-            break
-        cap *= 2
-    del search  # it refers to itself through its cell: leave no cycle for the collector
+    try:
+        while True:
+            best, found, cut = cap + 1, None, False
+            search(0, seed_lcm, math.inf, -math.inf, [])
+            if found is not None or not cut:
+                break
+            cap *= 2
+    except RecursionError:  # one frame per list
+        raise ValueError(f"a search over {len(lists)} note lists exceeds the recursion limit") from None
+    finally:
+        del search  # it refers to itself through its cell: leave no cycle for the collector
     return None if found is None else (
         best, tuple((q, p, log - cents) for (q, p, log), (cents, _) in zip(found, lists)))
 

@@ -196,7 +196,7 @@ def transitive_field(
         comp_vals.append(math.log2(p))
     meta = {
         "domain": "notes",
-        "from_chord": [float(p) for p in c1.notes],  # json cannot dump a numpy float32
+        "from_chord": list(c1.notes),
         "scope_cents": cfg.scope_cents,
         "resolution_cents": resolution,
         "jnd_cents": cfg.jnd_cents,

@@ -64,8 +64,6 @@ class Spectrum:
 
 def harmonic_spectrum(n_partials: int = 6, amplitude_decay: float = 0.88) -> Spectrum:
     """Harmonic overtones 1..n with geometrically decaying amplitudes."""
-    if n_partials < 1:
-        raise ValueError("need at least one partial")
     return Spectrum(
         tuple((float(k), amplitude_decay ** (k - 1)) for k in range(1, n_partials + 1))
     )
@@ -140,8 +138,9 @@ def chord_roughness(
     return float(_roughness_rows(np.arange(len(c))[None], c.notes, spectrum, f0, params)[0])
 
 
-#: Partial pairs per batch: 256 cells of a triad with six partials (153 pairs).
-_CHUNK_PAIRS = 256 * 153
+#: Partial pairs per batch (256 cells of a triad with six partials, 153 pairs each), and
+#: per chord at most: a batch of one chord holds a few float arrays of all its pairs.
+_CHUNK_PAIRS, _MAX_CHORD_PAIRS = 256 * 153, 2**24
 
 
 def _roughness_rows(
@@ -161,8 +160,14 @@ def _roughness_rows(
     computed once per partial.  Each row's terms are copied back to C order
     and summed as numpy's pairwise sum of that chord's terms.
     """
-    ratios, amps = np.array(spectrum.partials).T
     rows, k = where.shape
+    n_pairs = k * len(spectrum.partials) * (k * len(spectrum.partials) - 1) // 2
+    if n_pairs > _MAX_CHORD_PAIRS:
+        raise ValueError(
+            f"{len(spectrum.partials)} partials on {k} note(s) make {n_pairs} partial pairs "
+            f"in one chord, above the bound of {_MAX_CHORD_PAIRS}"
+        )
+    ratios, amps = np.array(spectrum.partials).T
     a = np.tile(amps, k)
     i, j = np.triu_indices(k * len(ratios), k=1)
     step = max(1, _CHUNK_PAIRS // max(1, len(i)))

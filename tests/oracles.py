@@ -611,7 +611,7 @@ def row_import_csv(path) -> ScalarField:
     bad = np.flatnonzero(off.any(axis=1))
     if bad.size:
         raise ValueError(
-            f"{path}: line {bad[0] + 2}: coordinates {coords_rows[bad[0]]} "
+            f"{path}: line {lines[bad[0] + 1][0]}: coordinates {coords_rows[bad[0]]} "
             "break lexicographic order"
         )
     return fld

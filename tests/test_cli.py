@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import pickle
+import shlex
 import tempfile
 import time
 from pathlib import Path
@@ -773,6 +774,9 @@ def test_chord_commands_never_exit_internal(command, chords, jnd, qmax):
 
 
 HUGE = "1" + "0" * 400  # past the float range
+# the tuning search takes one frame per note list: deeper than the recursion limit,
+# which Hypothesis raises by 2,000 frames while a test runs
+DEEP_CHORD = "[" + ",".join(f"{k / 500:.3f}" for k in range(5000)) + "]"
 WHOLE = st.sampled_from(["0", "-50", "7", "100", "600", HUGE, "-" + HUGE])
 WIDTHS = st.sampled_from(
     ["0c", "6c", "18c", "-1", "nanc", "infc", "-infc", "1e300c", HUGE + "c", "-" + HUGE]
@@ -824,6 +828,7 @@ def _listing(root: Path) -> dict:
 @example(argv=["field", "periodicity", "3", "--res", "600", "--sigma", "0c", "--out", "s.csv"])
 @example(argv=["resolve-field", "[3,9]", "--res", "100", "--sigma", "0c", "--out", "p.csv"])
 @example(argv=["field", "roughness", "3", "--res", "600", "--out", "w.csv", "--matrix", "m.txt"])
+@example(argv=["periodicity", DEEP_CHORD, "--jnd", "1200c", "--qmax", "2"])
 def test_every_subcommand_exits_0_2_or_3_and_a_failure_leaves_no_trace(argv):
     """User input never makes a subcommand exit 4, and a run that fails leaves its
     directory as it was: the same files with the same bytes."""
@@ -842,3 +847,40 @@ def test_every_subcommand_exits_0_2_or_3_and_a_failure_leaves_no_trace(argv):
             assert after == before
         else:
             assert not any(name.endswith(".tmp") for name in after)
+
+
+def _readme_block(heading: str) -> str:
+    """The lines of the first fenced block of the README section under ``heading``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n{heading}\n", 1)[1].split("```")[1].split("\n", 1)[1]
+
+
+def _strict_json(text: str):
+    # Python's json writes NaN and Infinity, which are not JSON: the constant hook rejects them
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["defaults", "readme-config"])
+@pytest.mark.parametrize("command", _readme_block("## Command line").splitlines())
+def test_every_readme_command_exits_0_with_strict_json(command, config, tmp_path, capsys, monkeypatch):
+    """Each README command line, alone and with the README configuration as
+    ``--config``, exits 0; its stdout and every sidecar are strict JSON."""
+    monkeypatch.delenv("CHORDSPACE_CONFIG", raising=False)
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    name, *argv = shlex.split(command)
+    assert name == "chordspace"
+    if config:
+        (tmp_path / "config.json").write_text(_readme_block("## Configuration"), encoding="utf-8")
+        argv = ["--config", str(tmp_path / "config.json"), *argv]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stderr) == (0, "")
+    _strict_json(stdout)
+    sidecars = list(run.glob("*.json"))
+    assert bool(sidecars) == ("--out" in argv)
+    for sidecar in sidecars:
+        _strict_json(sidecar.read_text(encoding="utf-8"))

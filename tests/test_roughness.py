@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -58,6 +60,22 @@ def test_pair_rejects_nonpositive_frequency():
 def test_harmonic_spectrum_needs_a_partial():
     with pytest.raises(ValueError, match="at least one partial"):
         harmonic_spectrum(0)
+
+
+def test_too_many_partial_pairs_are_refused_before_any_allocation():
+    spectrum = Spectrum(tuple((1 + k / 1000, 1.0) for k in range(20000)))
+    message = re.escape("20000 partials on 1 note(s) make 199990000 partial pairs in one chord, "
+                        "above the bound of 16777216")
+    tracemalloc.start()
+    try:
+        for compute in (lambda: roughness_field(2, 600, spectrum),
+                        lambda: chord_roughness(normalize([0]), spectrum)):
+            with pytest.raises(ValueError, match=message):
+                compute()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24  # imports included; the pair indices alone would take 1.49 GiB
 
 
 def test_single_sine_note_has_zero_roughness():
