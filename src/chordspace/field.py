@@ -203,7 +203,7 @@ class ScalarField:
         return float(self.values[self.index_of(coords)])
 
     def dense(self) -> np.ndarray:
-        """Full box array of values for smoothing, minima and matrix export, cached read-only.
+        """Read-only full box array for smoothing, minima and matrix export, built on each call.
 
         Simplex fields are extended symmetrically (a cell reads the value of
         its sorted coordinates), which is the natural extension of a function
@@ -212,10 +212,6 @@ class ScalarField:
         axis grid, the sorted indices of every box cell are an included cell,
         so every box cell is written.
         """
-        return self._dense
-
-    @cached_property
-    def _dense(self) -> np.ndarray:
         if not self.simplex:
             return self.values.reshape(self.counts)  # a view of read-only values
         out = np.empty(self.counts)
@@ -386,9 +382,9 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
 # -- serialization ----------------------------------------------------------
 
 
-#: Rows per ``export_csv`` write (values per ``export_matrix`` write, at least one
-#: row); any size gives the same bytes.
-_CSV_CHUNK_ROWS = 65536
+#: Rows per ``export_csv`` write (values per ``export_matrix`` write, at least one row):
+#: any size gives the same bytes.  A row holds 90 to 120 traced bytes: a chunk stays under 1 MiB.
+_CSV_CHUNK_ROWS = 8192
 
 
 #: The zero-padded three-digit groups "000" to "999".
@@ -453,7 +449,7 @@ def _write_rows(fh, fields: list) -> None:
     for k, f in enumerate(fields):
         table[f"f{k}"] = f
     data = table.view(np.uint8)
-    fh.write(data[data != 0].tobytes())
+    fh.write(data[data != 0])
 
 
 def export_csv(field: ScalarField, path) -> None:

@@ -94,7 +94,8 @@ def gaussian_smooth(field: ScalarField, sigma_cents: float) -> ScalarField:
     symmetric extension (mirrored across note reordering) and restricted
     back, so the diagonal sees its true surroundings.  ``sigma_cents = 0``
     returns the field unchanged.  A kernel reaching further than the longest
-    axis is refused: its outer taps would read only the replicated edge.
+    axis is refused: its outer taps would read only the replicated edge.  Each
+    pass holds at most two box arrays: its padded lines and their convolution.
     """
     if not 0 <= sigma_cents < math.inf:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma_cents!r}")
@@ -120,11 +121,13 @@ def gaussian_smooth(field: ScalarField, sigma_cents: float) -> ScalarField:
             # as convolving its line alone, so the values do not change.
             lines = np.pad(np.moveaxis(dense, axis, -1), [(0, 0)] * (field.dims - 1)
                            + [(radius, radius)], mode="edge")
+            del dense  # the pass's input: the convolution reads only its padded lines
             lines = np.ascontiguousarray(lines)
-            smooth = np.convolve(lines.reshape(-1), kernel, mode="valid")
             shape = lines.shape[:-1] + (lines.shape[-1] - 2 * radius,)
-            smooth = np.lib.stride_tricks.as_strided(smooth, shape, lines.strides, writeable=False)
-            dense = np.moveaxis(smooth, -1, axis)
+            dense = np.convolve(lines.reshape(-1), kernel, mode="valid")
+            dense = np.lib.stride_tricks.as_strided(dense, shape, lines.strides, writeable=False)
+            dense = np.moveaxis(dense, -1, axis)
+            del lines  # so the next pass starts from one box array, its input
         values = dense[field.mask]
     return field.with_values(
         values,

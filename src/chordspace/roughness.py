@@ -212,13 +212,14 @@ def roughness_field(
 ) -> ScalarField:
     """Chord roughness over the one-octave grid (same convention as periodicity)."""
     notes, rows = interval_grid(n, resolution)
-    distinct = np.diff(rows, axis=1, prepend=-1) != 0  # indices ascend along each row
+    distinct = np.ones(rows.shape, bool)  # indices ascend along each row
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=distinct[:, 1:])
     sizes = distinct.sum(axis=1)
     values = np.empty(len(rows))
     for k in np.unique(sizes).tolist():  # one batch per count of distinct notes
         sel = sizes == k
         values[sel] = _roughness_rows(
-            rows[sel][distinct[sel]].reshape(-1, k), notes.tolist(), spectrum, f0, params
+            rows[distinct & sel[:, None]].reshape(-1, k), notes.tolist(), spectrum, f0, params
         )
     meta = {
         "generator": "roughness",

@@ -461,13 +461,12 @@ def test_mask_orders_cells_like_interval_grid():
         fld.index_of((300.0, 650.0))  # off the grid
 
 
-def test_dense_is_cached_and_read_only():
+def test_dense_is_read_only():
     simplex = _triad_field(400)
     box = _box_field(50, (0.0, 100.0), (3, 2), np.arange(6.0), ("a", "b"))
     point = slice_field(make_simplex_field(1, 600, [1.0, 2.0, 3.0], "v", {}), 0, 600.0)
     for fld in (simplex, box, point):
         dense = fld.dense()
-        assert dense is fld.dense()
         with pytest.raises(ValueError):
             dense[(0,) * fld.dims] = 9.0
     with pytest.raises(ValueError):
@@ -507,7 +506,6 @@ def test_dense_peak_memory_is_a_few_box_arrays():
 def test_first_lookup_builds_no_box_sized_array(lookup):
     fld = _tetrad_grid_field()
     peak = _traced_peak(lambda: lookup(fld))
-    assert "_dense" not in fld.__dict__
     assert peak < 8 * 121**3, f"peak {peak / 2**20:.1f} MiB"  # a box of int64, 13.5 MiB
 
 
@@ -522,6 +520,28 @@ def test_a_refused_simplex_builds_no_box(origins, message):
             ScalarField(1, origins, (4000, 4000), True, ("a", "b"), [0.0])
     peak = _traced_peak(build)
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_smoothing_holds_two_box_arrays_and_leaves_none_on_its_input():
+    fld = _tetrad_grid_field()
+    box = 8 * 121**3  # one float64 box array, 13.5 MiB
+    tracemalloc.start()
+    try:
+        smooth = gaussian_smooth(fld, 6.0)  # radius 3 on every axis
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * box, f"peak {peak / box:.2f} box arrays"
+    # the smoothed values and their mask, and no box array cached on the input
+    assert held < box, f"held {held / box:.2f} box arrays"
+    assert smooth.n_cells == fld.n_cells
+
+
+def test_export_csv_of_the_readme_triad_holds_one_small_chunk(tmp_path):
+    fld = gaussian_smooth(periodicity_field(3, 5), 6.0)
+    export_csv(fld, tmp_path / "f.csv")  # builds the field's cell index, 0.2 MiB
+    peak = _traced_peak(lambda: export_csv(fld, tmp_path / "f.csv"))
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"  # 29,161 rows
 
 
 def test_export_csv_holds_no_whole_field_index(tmp_path, monkeypatch):
@@ -661,7 +681,6 @@ def test_local_minima_equals_per_cell_oracle(fld, radius):
 def _minima_in_bounded_time(fld, radius):
     # a pass that walks a plateau one neighbour step per level takes seconds on long
     # plateaus; a labelling in a few rounds, however long the plateau, takes milliseconds
-    fld.dense()
     start = time.perf_counter()
     found = local_minima(fld, radius)
     elapsed = time.perf_counter() - start
