@@ -133,8 +133,10 @@ def _farey_start(a: int, b: int, n: int) -> tuple[int, int, int, int]:
 def _part_of(a: int, b: int, m: int) -> int:
     """Index e*m + j of the octave part [2**e (m+j)/m, 2**e (m+j+1)/m) holding a/b > 0."""
     e = a.bit_length() - b.bit_length()
-    e -= a << max(-e, 0) < b << max(e, 0)  # a/b < 2**e
-    return e * m + (a * m << max(-e, 0)) // (b << max(e, 0)) - m
+    a, b = (a, b << e) if e >= 0 else (a << -e, b)  # a/b over 2**e, in [1/2, 2)
+    if a < b:
+        a, e = a << 1, e - 1
+    return e * m + a * m // b - m
 
 
 @lru_cache(maxsize=65536)
@@ -168,9 +170,10 @@ def _window_span(cents: float, jnd_cents: float, qmax: int, clamp: bool) -> tupl
         a, b = (a, b) if a >= b else (1, 1)
         c, d = (c, d) if c <= 2 * d else (2, 1)
     # The walk costs time and memory for each of about (hi - lo) * qmax**2 * 3 / pi**2 ratios.
-    if c * b - a * d > 64 * b * d:
+    width, bd = c * b - a * d, b * d  # c/d - a/b is width / bd
+    if width > 64 * bd:
         raise _window_error(cents, jnd_cents, f"spans {a / b:g} to {c / d:g}, wider than 64")
-    if (c * b - a * d) * qmax**2 > 4_000_000 * b * d:
+    if width * qmax**2 > 4_000_000 * bd:
         raise _window_error(cents, jnd_cents, f"holds too many ratios with denominators up to {qmax}")
     if a * qmax < b:  # no ratio lies below 1/qmax; a lower end that underflowed to 0 starts there
         a, b = 1, qmax
@@ -181,10 +184,32 @@ def _window_span(cents: float, jnd_cents: float, qmax: int, clamp: bool) -> tupl
     return m, parts, a, b, c, d
 
 
+def _cents_of(a: int, b: int) -> float:
+    """``1200.0 * log2(a / b)`` in floats; -inf where a/b underflows to 0."""
+    x = a / b
+    return 1200.0 * math.log2(x) if x else -math.inf
+
+
 def _trim(ratios: list, a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """[i, j): the triples of the ascending ``ratios`` with a/b <= p/q <= c/d."""
-    i = bisect_left(ratios, True, key=lambda t: t[1] * b >= a * t[0])  # first p/q >= a/b
-    return i, bisect_left(ratios, True, i, key=lambda t: t[1] * d > c * t[0])  # first > c/d
+    """[i, j): the triples of the ascending ``ratios`` with a/b <= p/q <= c/d.
+
+    Each end is bisected on the float ``log`` column at :func:`_cents_of`, widened outwards
+    by 1e-6 c, then settled by the exact integer test, bisecting on it only when a triple
+    lies within the margin.  The margin is safe: both
+    ``1200.0 * log2(p / q)`` and ``1200.0 * log2(a / b)`` lie within a few ulps, below 1e-9 c,
+    of the exact cents for normal floats; an end is the exact ratio of the float ``2.0 **``
+    gave, or 1/1, 2/1 or 1/qmax (subnormal only above 2**1022, where the window is empty).
+    So the triples beyond the widened bounds lie outside the window, and an end that
+    underflowed to 0 is bounded by -inf without reaching ``log2``.
+    """
+    log = itemgetter(2)
+    i = bisect_left(ratios, _cents_of(a, b) - 1e-6, key=log)
+    if i < len(ratios) and ratios[i][1] * b < a * ratios[i][0]:  # within 1e-6 c below a/b
+        i = bisect_left(ratios, True, i + 1, key=lambda t: t[1] * b >= a * t[0])  # first p/q >= a/b
+    j = bisect_right(ratios, _cents_of(c, d) + 1e-6, i, key=log)
+    if j > i and ratios[j - 1][1] * d > c * ratios[j - 1][0]:  # within 1e-6 c above c/d
+        j = bisect_left(ratios, True, i, j - 1, key=lambda t: t[1] * d > c * t[0])  # first > c/d
+    return i, j
 
 
 #: The q-sorted ``pairs`` of :func:`_candidates_cached`, by exact window, oldest first.
@@ -295,8 +320,9 @@ def min_lcm(
     """
     if not lists:
         return seed_lcm, ()
-    if not all(pairs for _, pairs in lists):
-        return None  # a list without candidates admits no choice, at any bound
+    for _, pairs in lists:
+        if not pairs:
+            return None  # a list without candidates admits no choice, at any bound
     last, lcm = len(lists) - 1, math.lcm
 
     def search(i: int, cur: int, lo: float, hi: float, chosen: list):
@@ -304,7 +330,7 @@ def min_lcm(
         cents, pairs = lists[i]
         limit = (best - 1) // cur * cur
         for c in pairs:
-            q = c[0]
+            q, _, d = c
             if q > limit:
                 cut = True
                 break  # denominators ascend and the lcm is a multiple of cur of at least q
@@ -313,7 +339,7 @@ def min_lcm(
             elif limit == cur or (nxt := lcm(cur, q)) >= best:
                 cut = True
                 continue
-            d = c[2] - cents
+            d -= cents
             nlo = d if d < lo else lo
             nhi = d if d > hi else hi
             if nhi - nlo > window:
@@ -339,12 +365,12 @@ def min_lcm(
     finally:
         del search  # it refers to itself through its cell: leave no cycle for the collector
     return None if found is None else (
-        best, tuple((q, p, log - cents) for (q, p, log), (cents, _) in zip(found, lists)))
+        best, tuple([(q, p, log - cents) for (q, p, log), (cents, _) in zip(found, lists)]))
 
 
 def _window_keys(notes, cfg: PeriodicityConfig, clamp: bool = False) -> tuple:
     """:func:`_window_key` of each note given in semitones over the 1/1, unclamped by default."""
-    return tuple(_window_key(x * CENTS_PER_SEMITONE, cfg, clamp) for x in notes)
+    return tuple([_window_key(x * CENTS_PER_SEMITONE, cfg, clamp) for x in notes])
 
 
 @lru_cache(maxsize=16384)
@@ -357,7 +383,7 @@ def _rooted_min_lcm(keys: tuple, window: float):
 def _rooted(notes, s: float) -> tuple[float, ...]:
     """``notes`` shifted down by ``s`` as :func:`shift` does it; a shift that
     overflows or merges two notes raises the error :func:`shift` raises."""
-    out = tuple(x - s for x in notes)
+    out = tuple([x - s for x in notes])
     if not (math.isfinite(out[0]) and math.isfinite(out[-1]) and len(set(out)) == len(out)):
         Chord(out)
     return out
@@ -400,11 +426,16 @@ def _transition(
         raise UnresolvableProgressionError(
             f"{which} chord {Chord(notes)} admits no rational tuning within bounds"
         )
-    p = found[0]
-    sub = [
-        (cents, [c for c in pairs[: bisect_right(pairs, p, key=itemgetter(0))] if p % c[0] == 0])
-        for cents, pairs in lists
-    ]
+    p, sub = found[0], []
+    for cents, pairs in lists:
+        kept = []
+        for c in pairs:
+            q = c[0]
+            if q > p:
+                break
+            if p % q == 0:
+                kept.append(c)
+        sub.append((cents, kept))
     rest = [_candidates_cached(*k) for k in _window_keys(other, pcfg)]
     found = min_lcm([_ROOT] + sub + rest, pcfg.jnd_cents, p)
     if found is None:
@@ -448,8 +479,8 @@ def chord_periodicity(
             f"and denominators <= {cfg.qmax}"
         )
     lcm, chosen = found
-    ratios = tuple(Fraction(p, q) for q, p, _ in chosen)
-    return lcm, RationalTuning(ratios, tuple(d for _, _, d in chosen), lcm)
+    ratios = tuple([Fraction(p, q) for q, p, _ in chosen])
+    return lcm, RationalTuning(ratios, tuple([d for _, _, d in chosen]), lcm)
 
 
 def rerooted_periodicity(

@@ -118,11 +118,14 @@ def gaussian_smooth(field: ScalarField, sigma_cents: float) -> ScalarField:
             # one C-ordered array: one "valid" convolution covers them all, and the
             # 2 * radius outputs that straddle two lines are skipped by the strides.
             # Each kept output is the dot product over the same contiguous values
-            # as convolving its line alone, so the values do not change.
-            lines = np.pad(np.moveaxis(dense, axis, -1), [(0, 0)] * (field.dims - 1)
-                           + [(radius, radius)], mode="edge")
-            del dense  # the pass's input: the convolution reads only its padded lines
-            lines = np.ascontiguousarray(lines)
+            # as convolving its line alone, so the values do not change.  (np.pad
+            # of a transposed view returns F order, which would need a second copy.)
+            moved = np.moveaxis(dense, axis, -1)
+            lines = np.empty(moved.shape[:-1] + (moved.shape[-1] + 2 * radius,))
+            lines[..., radius:-radius] = moved
+            lines[..., :radius] = moved[..., :1]  # replicate each line's edges
+            lines[..., -radius:] = moved[..., -1:]
+            del dense, moved  # the pass's input: the convolution reads only its padded lines
             shape = lines.shape[:-1] + (lines.shape[-1] - 2 * radius,)
             dense = np.convolve(lines.reshape(-1), kernel, mode="valid")
             dense = np.lib.stride_tricks.as_strided(dense, shape, lines.strides, writeable=False)

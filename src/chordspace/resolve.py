@@ -60,12 +60,14 @@ class TransitiveConfig:
         if not 0 <= self.scope_cents < math.inf:
             raise ValueError(f"scope must be nonnegative and finite, got {self.scope_cents!r}")
         object.__setattr__(self, "scope_cents", float(self.scope_cents))
-        checked = self.periodicity_config()  # checks jnd and qmax
+        checked = PeriodicityConfig(jnd_cents=self.jnd_cents, qmax=self.qmax)  # checks jnd and qmax
         object.__setattr__(self, "jnd_cents", checked.jnd_cents)
         object.__setattr__(self, "qmax", checked.qmax)
+        object.__setattr__(self, "_periodicity", checked)  # not a field: ==, hash and repr skip it
 
     def periodicity_config(self) -> PeriodicityConfig:
-        return PeriodicityConfig(jnd_cents=self.jnd_cents, qmax=self.qmax)
+        """The :class:`PeriodicityConfig` of this JND and qmax, built once per instance."""
+        return self._periodicity
 
 
 def combined_chord(prog: Progression) -> Chord:

@@ -7,8 +7,10 @@ per-cell neighbor scans instead of shifted-array filters, one CSV row
 formatted per cell and parsed per line instead of per-axis labels, a byte
 matrix per chunk and ``np.loadtxt``, matrix rows joined from per-value
 strings instead of the same byte matrix, one roughness sum per chord
-instead of the batch kernel, a ``Fraction`` q x p scan instead of a Farey walk on integers, one chord and
-witness per field cell instead of per-axis candidate lists, one
+instead of the batch kernel, a ``Fraction`` q x p scan instead of a Farey walk on integers, a
+``Fraction`` halved or doubled into [1, 2) instead of an octave part found by bit lengths, window
+ends bisected on the exact integer test alone instead of on the float cents column first,
+one chord and witness per field cell instead of per-axis candidate lists, one
 ``Progression`` per window cell instead of plain note tuples, a scan for
 each geodesic group's end instead of the end the dynamic program recorded,
 ascending-periodicity sweeps that stamp each cell at the first feasible
@@ -27,6 +29,7 @@ import functools
 import heapq
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator
@@ -238,6 +241,24 @@ def fraction_candidates(
                 frac = Fraction(p, q)
                 out.append((frac, 1200.0 * math.log2(frac) - cents))
     return tuple(out)
+
+
+def exact_trim(ratios: list, a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """[i, j): the triples ``(q, p, log)`` of the ascending ``ratios`` with
+    a/b <= p/q <= c/d, by two bisects on the exact integer test alone."""
+    i = bisect_left(ratios, True, key=lambda t: t[1] * b >= a * t[0])  # first p/q >= a/b
+    return i, bisect_left(ratios, True, i, key=lambda t: t[1] * d > c * t[0])  # first > c/d
+
+
+def fraction_part(a: int, b: int, m: int) -> int:
+    """Index e*m + j of the octave part [2**e (m+j)/m, 2**e (m+j+1)/m) holding a/b > 0,
+    by halving or doubling the ``Fraction`` into [1, 2)."""
+    x, e = Fraction(a, b), 0
+    while x >= 2:
+        x, e = x / 2, e + 1
+    while x < 1:
+        x, e = x * 2, e - 1
+    return e * m + math.floor((x - 1) * m)
 
 
 def farey_start_scan(a: int, b: int, n: int) -> tuple[int, int, int, int]:

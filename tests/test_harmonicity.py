@@ -23,10 +23,14 @@ from chordspace.harmonicity import (
     _candidates_cached,
     _farey_start,
     _ladder_rows,
+    _octave_part,
+    _part_of,
     _rooted_min_lcm,
     _transition,
+    _trim,
     _window_key,
     _window_keys,
+    _window_span,
     RationalTuning,
     chord_periodicity,
     dyad_periodicity,
@@ -39,9 +43,11 @@ from chordspace.harmonicity import (
 from chordspace.pitch import Chord, normalize, shift
 
 from oracles import (
+    exact_trim,
     exhaustive_chord_periodicity,
     farey_start_scan,
     fraction_candidates,
+    fraction_part,
     per_cell_periodicity_field,
     scan_min_denominator,
     single_pass_min_lcm,
@@ -468,6 +474,19 @@ def test_farey_start_equals_scan(case):
     assert _farey_start(a, b, n) == farey_start_scan(a, b, n)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.integers(1, 2**1100), b=st.integers(1, 2**1100), m=st.integers(1, 10**7), shift=st.integers(-60, 60))
+@example(a=1, b=1, m=18, shift=0)  # 1/1 starts part 0
+@example(a=2, b=1, m=18, shift=0)  # 2/1 starts part m
+@example(a=2**52 - 1, b=2**52, m=18, shift=0)  # an ulp below 1/1, in part -1
+@example(a=1, b=2**1074, m=3464, shift=0)  # the least subnormal
+@example(a=3, b=2, m=2, shift=-3)  # 3/16 = 2**-3 * 3/2 starts part 2 * -3 + 1
+def test_part_of_equals_fraction_part(a, b, m, shift):
+    # a/b, and a/b scaled by 2**shift, which lands it on part boundaries as often as a/b does
+    for x, y in ((a, b), (a << max(shift, 0), b << max(-shift, 0))):
+        assert _part_of(x, y, m) == fraction_part(x, y, m)
+
+
 @st.composite
 def _windows(draw):
     """(cents, jnd, qmax) of a ratio window."""
@@ -537,6 +556,48 @@ def test_windows_share_the_table_triples():
     shared = a.keys() & b.keys()
     assert len(shared) > 50
     assert all(a[k] is b[k] for k in shared)
+
+
+@st.composite
+def _trim_windows(draw):
+    """(cents, jnd, qmax) of a window whose ends may fall on a ratio, be clamped or underflow."""
+    jnd, qmax = draw(st.one_of(
+        st.tuples(st.floats(0.5, 100.0), st.integers(2, 120)),
+        st.tuples(st.floats(100.0, 2400.0), st.integers(2, 40)),  # unclamped ones spanning octaves
+        st.tuples(st.floats(0.001, 0.5), st.integers(2, 2000)),
+    ))
+    q = draw(st.integers(1, qmax))
+    cents = draw(st.one_of(
+        st.floats(-1200.0, 2400.0),
+        # an end on p/q: the float 2.0 ** (x / 1200.0) lands on float(p/q) or an ulp beside it
+        st.tuples(st.integers(1, 4 * q), st.sampled_from([-1.0, 1.0])).map(
+            lambda t: 1200.0 * math.log2(t[0] / q) + t[1] * jnd),
+        # clamped at 1/1 or 2/1, or just inside them
+        st.tuples(st.sampled_from([0.0, 1200.0]), st.floats(-1.0, 1.0)).map(lambda t: t[0] + t[1] * jnd),
+        st.floats(-1e300, -1.29e6),  # the lower end underflows to 0, the upper one below -1.29e6 - jnd
+    ))
+    return cents, jnd, qmax
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(window=_trim_windows(), clamp=st.booleans())
+@example(window=(-1290001.0, 1.0, 2), clamp=False)  # the upper end underflows to 0
+@example(window=(497.0449991346124, 1.0, 100), clamp=True)  # ends on float(4/3) < 4/3
+@example(window=(885.3587129994474, 1.0, 100), clamp=True)  # starts on float(5/3) > 5/3
+@example(window=(18.0, 18.0, 100), clamp=True)  # starts exactly on 1/1
+def test_trim_equals_the_exact_bisect(window, clamp):
+    # the float bisect with an exact step gives the exact bisect's ends, on the window's
+    # octave parts with one more part on each side, so that triples lie beyond both ends
+    try:
+        m, _, a, b, c, d = _window_span(*window, clamp)
+    except ValueError:  # too many ratios
+        assume(False)
+    first = _part_of(a, b, m)
+    last = max(first, _part_of(c, d, m)) if c else first
+    ratios = [t for k in range(first - 1, last + 2) for t in _octave_part(k, m, window[2])]
+    got = _trim(ratios, a, b, c, d)
+    assert got == exact_trim(ratios, a, b, c, d)
+    event("empty" if got[0] == got[1] else "ratios in the window")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

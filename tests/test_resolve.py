@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -102,6 +104,25 @@ def test_transitive_frozen_tritone_values():
         "[2,8]": 7, "[2,9]": 8, "[2,10]": 6, "[3,8]": 4,
         "[3,10]": 6, "[4,8]": 9, "[4,9]": 6, "[4,10]": 13,
     }
+
+
+def test_transitive_config_keeps_the_periodicity_config_it_checked():
+    # one PeriodicityConfig per instance, kept outside the fields: ==, hash,
+    # repr and asdict read the three fields as before
+    cfg = TransitiveConfig(np.float32(12.5), np.int64(50), 100)
+    pcfg = cfg.periodicity_config()
+    assert pcfg is cfg.periodicity_config()
+    assert pcfg == PeriodicityConfig(12.5, 50)
+    assert type(pcfg.jnd_cents) is float and type(pcfg.qmax) is int
+    for copy in (dataclasses.replace(cfg), dataclasses.replace(cfg, qmax=7)):
+        assert copy.periodicity_config() is not pcfg
+        assert copy.periodicity_config() == PeriodicityConfig(copy.jnd_cents, copy.qmax)
+    assert pickle.loads(pickle.dumps(cfg)).periodicity_config() == pcfg
+    twin = TransitiveConfig(12.5, 50, 100.0)
+    assert cfg == twin and hash(cfg) == hash(twin) == hash((12.5, 50, 100.0))
+    assert cfg != TransitiveConfig(12.5, 50, 99.0)
+    assert repr(cfg) == "TransitiveConfig(jnd_cents=12.5, qmax=50, scope_cents=100.0)"
+    assert dataclasses.asdict(cfg) == {"jnd_cents": 12.5, "qmax": 50, "scope_cents": 100.0}
 
 
 def test_transitive_matches_oracle_on_random_progressions():
