@@ -92,14 +92,31 @@ def interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     the root's 0); ``rows`` is a ``(cells, n)`` array of note indices, one row
     per cell, root first, in the lexicographic order of
     :func:`make_simplex_field`.  It is the transpose of a C-ordered array, so
-    ``rows.T[k]`` is note k of every cell, contiguous.
+    ``rows.T[k]`` is note k of every cell, contiguous.  Its dtype is the
+    narrowest unsigned one that holds ``len(notes) - 1``: ``uint8`` up to 256
+    axis values (every grid at 5 cents or coarser), ``uint16`` on finer grids,
+    so arithmetic on rows can wrap; cast before computing with them.
+
+    The sorted (k+1)-tuples of axis values are, for each first value v in
+    turn, v followed by the suffix of the sorted k-tuples whose first value
+    is at least v.  The k-tuples are the block of first value 0, so each
+    level is written in place after them, and no array but ``rows`` is built.
     """
     if not 2 <= n <= 4:
         raise ValueError(f"interval grids hold 2 to 4 notes, got {n}")
     m = _octave_points(resolution)
     _check_box((m,) * (n - 1))
-    cells = np.nonzero(_sorted_mask(m, n - 1))
-    return np.arange(m) * resolution / 100, np.stack((np.zeros_like(cells[0]), *cells)).T
+    cells = np.zeros((n, math.comb(m + n - 2, n - 1)), np.min_scalar_type(m - 1))
+    cells[-1, :m] = np.arange(m)
+    for k in range(1, n - 1):  # rows -k: hold the sorted k-tuples in columns [0, count)
+        count = math.comb(m + k - 1, k)
+        at = count
+        for v in range(1, m):
+            size = math.comb(m - v + k - 1, k)  # k-tuples whose first value is >= v
+            cells[-k - 1, at:at + size] = v
+            cells[-k:, at:at + size] = cells[-k:, count - size:count]
+            at += size
+    return np.arange(m) * resolution / 100, cells.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,14 +584,18 @@ def import_csv(path) -> ScalarField:
         if msg.startswith("value count"):
             msg = f"row count {len(values)} does not match the inferred grid ({msg})"
         raise ValueError(f"{path}: {msg}") from None
-    off = np.abs(rows - fld._coords(np.argwhere(fld.mask))) > 1e-6
-    bad = np.flatnonzero(off.any(axis=1))
-    if bad.size:
-        lineno = _data_lines(path, header_line)[bad[0]][0]
-        raise ValueError(
-            f"{path}: line {lineno}: coordinates {tuple(rows[bad[0]].tolist())} "
-            "break lexicographic order"
-        )
+    # a chunk of rows at a time against its cells' coordinates; a 0-d field has none
+    for start in range(0, len(values) if dims else 0, _CSV_CHUNK_ROWS):
+        chunk = slice(start, start + _CSV_CHUNK_ROWS)
+        idx = np.stack(np.unravel_index(fld._cells[chunk], fld.counts), axis=-1)
+        bad = np.flatnonzero((np.abs(rows[chunk] - fld._coords(idx)) > 1e-6).any(axis=1))
+        if bad.size:
+            at = start + bad[0]
+            lineno = _data_lines(path, header_line)[at][0]
+            raise ValueError(
+                f"{path}: line {lineno}: coordinates {tuple(rows[at].tolist())} "
+                "break lexicographic order"
+            )
     return fld
 
 

@@ -565,7 +565,7 @@ def periodicity_field(
     order; the first infeasible one raises.
     """
     notes, idx = interval_grid(n, resolution)
-    idx = idx.T[1:]  # a contiguous row per non-root note
+    idx = idx.T[1:].astype(np.intp)  # a contiguous row per non-root note; intp gathers faster
     rows = _ladder_rows(_window_keys(notes[1:].tolist(), cfg, True))  # axis value 0 is the root
     window, values, pos = _window(cfg), np.empty(idx.shape[1]), np.arange(idx.shape[1])
     done, left, lcm = np.zeros(len(pos), dtype=bool), len(pos), 0

@@ -139,7 +139,7 @@ def chord_roughness(
 
 
 #: Partial pairs per batch (256 cells of a triad with six partials, 153 pairs each), and
-#: per chord at most: a batch of one chord holds a few float arrays of all its pairs.
+#: per chord at most: a batch of one chord holds three float arrays of all its pairs.
 _CHUNK_PAIRS, _MAX_CHORD_PAIRS = 256 * 153, 2**24
 
 
@@ -158,7 +158,9 @@ def _roughness_rows(
     amplitude, so gathering the ``np.triu_indices`` pairs copies whole
     contiguous rows.  The bandwidth factor and ``scale * amplitude`` are
     computed once per partial.  Each row's terms are copied back to C order
-    and summed as numpy's pairwise sum of that chord's terms.
+    and summed as numpy's pairwise sum of that chord's terms.  The pair
+    arrays of every chunk live in three buffers allocated once per call, and
+    a chunk of fewer rows uses their leading parts.
     """
     rows, k = where.shape
     n_pairs = k * len(spectrum.partials) * (k * len(spectrum.partials) - 1) // 2
@@ -170,7 +172,10 @@ def _roughness_rows(
     ratios, amps = np.array(spectrum.partials).T
     a = np.tile(amps, k)
     i, j = np.triu_indices(k * len(ratios), k=1)
-    step = max(1, _CHUNK_PAIRS // max(1, len(i)))
+    step = max(1, min(rows, _CHUNK_PAIRS // max(1, len(i))))
+    # three (pairs, step) work buffers, the last one reused as the (step, pairs) transpose;
+    # a chunk of c rows works on the contiguous first pairs * c items of each
+    work = np.empty((3, len(i) * step))
     out = np.empty(rows)
     # overflow is reported as a ValueError below, not as a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -182,20 +187,26 @@ def _roughness_rows(
             )
         for lo in range(0, rows, step):
             f = table[where[lo:lo + step]].reshape(-1, k * len(ratios))
+            c = len(f)
+            x, beat, y = (w[:len(i) * c].reshape(len(i), c) for w in work)
             order = np.argsort(f, axis=1, kind="stable")
             f = np.ascontiguousarray(np.take_along_axis(f, order, axis=1).T)
             fa = np.ascontiguousarray(a[order].T)
             s = params.peak_fraction / (params.bandwidth_slope * f + params.bandwidth_offset_hz)
             sa = params.scale * fa
-            x = f[j] - f[i]
-            x *= s[i]
-            beat = np.exp(x * -params.slow_decay)
+            # mode="clip" gathers into the buffer itself (the default gathers into a copy);
+            # i and j are in range
+            np.subtract(np.take(f, j, 0, x, "clip"), np.take(f, i, 0, y, "clip"), out=x)
+            x *= np.take(s, i, 0, y, "clip")
+            np.exp(np.multiply(x, -params.slow_decay, out=beat), out=beat)
             x *= -params.fast_decay
             beat -= np.exp(x, out=x)
-            terms = np.multiply(sa[i], fa[j], out=x)
+            terms = np.multiply(np.take(sa, i, 0, x, "clip"), np.take(fa, j, 0, y, "clip"), out=x)
             terms *= beat
             # one C-order copy, so each row's terms are contiguous and sum pairwise
-            out[lo:lo + step] = np.ascontiguousarray(terms.T).sum(axis=1)
+            t = y.reshape(c, len(i))
+            np.copyto(t, terms.T)
+            t.sum(axis=1, out=out[lo:lo + c])
     if not np.isfinite(out).all():
         raise ValueError(
             "roughness overflows a float: the spectrum amplitudes or curve constants are too large"
@@ -214,7 +225,7 @@ def roughness_field(
     notes, rows = interval_grid(n, resolution)
     distinct = np.ones(rows.shape, bool)  # indices ascend along each row
     np.not_equal(rows[:, 1:], rows[:, :-1], out=distinct[:, 1:])
-    sizes = distinct.sum(axis=1)
+    sizes = distinct.sum(axis=1, dtype=np.uint8)
     values = np.empty(len(rows))
     for k in np.unique(sizes).tolist():  # one batch per count of distinct notes
         sel = sizes == k

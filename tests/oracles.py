@@ -37,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from chordspace.errors import UnresolvableChordError, UnresolvableProgressionError
-from chordspace.field import ScalarField, _fmt_coord, make_simplex_field
+from chordspace.field import ScalarField, _fmt_coord, _sorted_mask, make_simplex_field
 from chordspace.harmonicity import (
     PeriodicityConfig,
     _field_meta,
@@ -645,6 +645,14 @@ def interval_cells(n: int, resolution: int) -> list[tuple[float, ...]]:
         raise ValueError(f"resolution {resolution} does not divide 1200")
     axis = [float(c) for c in range(0, 1201, resolution)]
     return list(itertools.combinations_with_replacement(axis, n - 1))
+
+
+def nonzero_interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(notes, rows)`` of the one-octave grid of n-note chords from the sorted mask's
+    ``np.nonzero`` cell indices (intp), stacked under a zero root row and transposed."""
+    m = 1200 // resolution + 1
+    cells = np.nonzero(_sorted_mask(m, n - 1))
+    return np.arange(m) * resolution / 100, np.stack((np.zeros_like(cells[0]), *cells)).T
 
 
 def cell_chord(coords: tuple[float, ...]) -> Chord:

@@ -58,6 +58,27 @@ def test_simplex_cell_count_and_order():
     ]
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 4), resolution=st.sampled_from([d for d in range(1, 1201) if 1200 % d == 0]))
+@example(n=3, resolution=5)
+@example(n=2, resolution=1)
+@example(n=4, resolution=4)
+def test_interval_grid_equals_the_nonzero_construction(n, resolution):
+    assume(n < 4 or resolution >= 4)  # a finer tetrad's box is refused
+    notes, rows = interval_grid(n, resolution)
+    want_notes, want = oracles.nonzero_interval_grid(n, resolution)
+    assert np.array_equal(notes, want_notes)
+    assert np.array_equal(rows, want)
+    assert rows.dtype == (np.uint8 if len(notes) <= 256 else np.uint16)
+    assert rows.T.flags.c_contiguous
+
+
+def test_interval_grid_builds_nothing_but_its_rows():
+    rows = interval_grid(4, 10)[1]  # 302,621 cells, 1.15 MiB
+    peak = _traced_peak(lambda: interval_grid(4, 10))
+    assert peak < 1.5 * rows.nbytes, f"peak {peak / rows.nbytes:.2f} times the rows"
+
+
 def test_resolution_must_divide_octave():
     for n, resolution in ((3, 7), (3, 0), (3, -600), (1, 600), (5, 600), (3, 600.0)):
         with pytest.raises(ValueError):
@@ -537,6 +558,14 @@ def test_smoothing_holds_two_box_arrays_and_leaves_none_on_its_input():
     assert smooth.n_cells == fld.n_cells
 
 
+def test_import_csv_checks_coordinates_a_chunk_at_a_time(tmp_path):
+    path = tmp_path / "r.csv"
+    export_csv(gaussian_smooth(roughness_field(3, 5), 6.0), path)
+    import_csv(path)
+    peak = _traced_peak(lambda: import_csv(path))
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"  # 29,161 rows
+
+
 def test_export_csv_of_the_readme_triad_holds_one_small_chunk(tmp_path):
     fld = gaussian_smooth(periodicity_field(3, 5), 6.0)
     export_csv(fld, tmp_path / "f.csv")  # builds the field's cell index, 0.2 MiB
@@ -951,7 +980,9 @@ def test_import_csv_equals_row_oracle(fld, data):
         else:
             j = data.draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
-    _check_import_against_oracle("\n".join(lines) + "\n")
+    # coordinates are checked a chunk of rows at a time: a bad row may be in any chunk
+    with mock.patch.object(field_module, "_CSV_CHUNK_ROWS", data.draw(st.integers(1, 8))):
+        _check_import_against_oracle("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("text", [

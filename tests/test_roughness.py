@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,10 +67,13 @@ def test_too_many_partial_pairs_are_refused_before_any_allocation():
     spectrum = Spectrum(tuple((1 + k / 1000, 1.0) for k in range(20000)))
     message = re.escape("20000 partials on 1 note(s) make 199990000 partial pairs in one chord, "
                         "above the bound of 16777216")
+    many = np.zeros((1000, 1), np.uint8)  # a thousand one-note rows
     tracemalloc.start()
     try:
         for compute in (lambda: roughness_field(2, 600, spectrum),
-                        lambda: chord_roughness(normalize([0]), spectrum)):
+                        lambda: chord_roughness(normalize([0]), spectrum),
+                        lambda: roughness._roughness_rows(
+                            many, [0.0], spectrum, DEFAULT_F0_HZ, RoughnessParams())):
             with pytest.raises(ValueError, match=message):
                 compute()
         peak = tracemalloc.get_traced_memory()[1]
@@ -292,3 +296,31 @@ def test_chord_roughness_equals_per_chord_oracle(notes, spectrum, params):
     assert chord_roughness(c, spectrum, DEFAULT_F0_HZ, params) == per_chord_roughness(
         c, spectrum, DEFAULT_F0_HZ, params
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), k=st.integers(1, 4), spectrum=spectra(), params=roughness_params())
+def test_kernel_rows_equal_the_oracle_through_a_partial_last_chunk(data, k, spectrum, params):
+    pairs = max(1, k * len(spectrum.partials) * (k * len(spectrum.partials) - 1) // 2)
+    step = data.draw(st.integers(2, 9))  # rows per chunk
+    rows = step * data.draw(st.integers(1, 3)) + data.draw(st.integers(1, step - 1))
+    notes = sorted(data.draw(st.lists(st.floats(-36.0, 36.0), min_size=k, max_size=12, unique=True)))
+    where = np.array([sorted(data.draw(st.permutations(range(len(notes))))[:k])
+                      for _ in range(rows)], np.uint8)
+    # the chunk size the kernel derives from its pair budget
+    with mock.patch.object(roughness, "_CHUNK_PAIRS", step * pairs + data.draw(st.integers(0, pairs - 1))):
+        got = roughness._roughness_rows(where, notes, spectrum, DEFAULT_F0_HZ, params)
+    want = [per_chord_roughness(normalize([notes[w] for w in row]), spectrum, DEFAULT_F0_HZ, params)
+            for row in where.tolist()]
+    assert np.array_equal(got, want)
+
+
+def test_roughness_field_peak_memory_is_a_few_chunks():
+    roughness_field(3, 5)
+    tracemalloc.start()
+    try:
+        roughness_field(3, 5)  # 29,161 cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
