@@ -5,9 +5,9 @@ A field stores one real value per grid cell.  Two domain flavors exist:
 * interval grids: coordinates are the non-root notes of a chord rooted at 0,
   constrained to ``0 <= x2 <= ... <= xn <= 1200`` cents (simplex storage --
   the rest of the hypercube is redundant under note reordering).  A simplex
-  field is one axis grid repeated on every axis, its cells the box cells whose
-  indices never decrease; the axes alone decide this before any box array
-  exists, and a simplex over axes that differ in origin or count is refused;
+  field is one axis grid repeated on every axis, its cells the sorted index
+  tuples that :func:`_sorted_tuples` enumerates with no box array; a simplex
+  over axes that differ in origin or count is refused;
 * note-window grids: a box of candidate chords around a reference chord, one
   axis per note, no simplex constraint.
 
@@ -68,15 +68,6 @@ def _check_box(counts: Sequence[int]) -> None:
         )
 
 
-def _sorted_mask(m: int, d: int) -> np.ndarray:
-    """The cells of the ``m**d`` box whose indices never decrease; C-order is lexicographic."""
-    mask = np.ones((m,) * d, dtype=bool)
-    grids = np.ogrid[(slice(m),) * d]
-    for a, b in zip(grids, grids[1:]):
-        mask &= a <= b
-    return mask
-
-
 def _octave_points(resolution: int) -> int:
     """Grid points of an axis from 0 to 1200 cents; ``resolution`` must divide 1200."""
     resolution = _integer("resolution", resolution)
@@ -95,28 +86,39 @@ def interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     ``rows.T[k]`` is note k of every cell, contiguous.  Its dtype is the
     narrowest unsigned one that holds ``len(notes) - 1``: ``uint8`` up to 256
     axis values (every grid at 5 cents or coarser), ``uint16`` on finer grids,
-    so arithmetic on rows can wrap; cast before computing with them.
-
-    The sorted (k+1)-tuples of axis values are, for each first value v in
-    turn, v followed by the suffix of the sorted k-tuples whose first value
-    is at least v.  The k-tuples are the block of first value 0, so each
-    level is written in place after them, and no array but ``rows`` is built.
+    so arithmetic on rows can wrap; cast before computing with them.  The
+    non-root rows are written in place by :func:`_sorted_tuples`, so no array
+    but ``rows`` is built.
     """
     if not 2 <= n <= 4:
         raise ValueError(f"interval grids hold 2 to 4 notes, got {n}")
     m = _octave_points(resolution)
     _check_box((m,) * (n - 1))
     cells = np.zeros((n, math.comb(m + n - 2, n - 1)), np.min_scalar_type(m - 1))
-    cells[-1, :m] = np.arange(m)
-    for k in range(1, n - 1):  # rows -k: hold the sorted k-tuples in columns [0, count)
-        count = math.comb(m + k - 1, k)
-        at = count
+    _sorted_tuples(cells[1:], m)
+    return np.arange(m) * resolution / 100, cells.T
+
+
+def _sorted_tuples(out: np.ndarray, m: int) -> np.ndarray:
+    """Fill the ``(d, C(m + d - 1, d))`` array ``out`` with the sorted d-tuples of
+    ``range(m)``, one per column, in lexicographic order; returns ``out``.
+
+    The sorted (k+1)-tuples are, for each first value v in turn, v followed by the suffix
+    of the sorted k-tuples whose first value is at least v.  The k-tuples are the block of
+    first value 0, so each level is written in place after them: no other array is built.
+    """
+    out[-1, :m] = np.arange(m)
+    for k in range(1, len(out)):  # rows -k: hold the sorted k-tuples in columns [0, count)
+        first, rows = out[-k - 1], list(out[-k:])  # 1-D views slice faster than a 2-D block
+        count = at = math.comb(m + k - 1, k)
+        first[:count] = 0
         for v in range(1, m):
             size = math.comb(m - v + k - 1, k)  # k-tuples whose first value is >= v
-            cells[-k - 1, at:at + size] = v
-            cells[-k:, at:at + size] = cells[-k:, count - size:count]
+            first[at:at + size] = v
+            for row in rows:
+                row[at:at + size] = row[count - size:count]
             at += size
-    return np.arange(m) * resolution / 100, cells.T
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,15 +126,14 @@ class ScalarField:
     """Dense scalar values on a regular (possibly simplex-constrained) grid.
 
     ``values`` holds one float per included cell, in lexicographic coordinate order.
-    ``mask`` is the read-only ``counts``-shaped boolean array of the included cells;
-    ``_cells``, their ascending flat box positions, is the one cell index:
-    ``searchsorted`` there finds a cell's value, so no lookup builds a box-sized array.
-    A simplex keeps the cells whose indices never decrease, and its axes must share
-    one origin and one count: one axis grid, sorted.  A requested simplex stays one
-    only if some axis ends above the next axis's origin; otherwise it excludes no
-    cell and is stored as a box, whatever its axes.  The flag, the axes and the value
-    count are checked before the mask is built.  ``meta`` carries the generator
-    name and configuration snapshot; it is excluded from equality.
+    ``_index``, built on first use, is the one cell enumeration: a read-only
+    ``(dims, n_cells)`` array of grid indices, one column per value.  ``_cells``, their
+    ascending flat box positions, serves the ``searchsorted`` of :meth:`index_of` and
+    :meth:`interpolate`; no box mask exists.  A simplex keeps the sorted index tuples,
+    and its axes must share one origin and one count: one axis grid, sorted.  A
+    requested simplex stays one only if some axis ends above the next axis's origin;
+    otherwise it excludes no cell and is stored as a box, whatever its axes.  ``meta``
+    carries the generator name and configuration snapshot; it is excluded from equality.
     """
 
     resolution: int
@@ -143,7 +144,6 @@ class ScalarField:
     values: np.ndarray
     value_name: str = "value"
     meta: dict = dc_field(default_factory=dict)
-    mask: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "resolution", _integer("resolution", self.resolution))
@@ -180,9 +180,6 @@ class ScalarField:
         count = math.comb(self.counts[0] + d - 1, d) if simplex else math.prod(self.counts)
         if len(vals) != count:
             raise ValueError(f"value count {len(vals)} does not match cell count {count}")
-        mask = _sorted_mask(self.counts[0], d) if simplex else np.ones(tuple(self.counts), bool)
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
 
     # -- geometry ----------------------------------------------------------
 
@@ -198,9 +195,21 @@ class ScalarField:
         return np.add(self.origins, self.resolution * np.asarray(idx, dtype=float))
 
     @cached_property
+    def _index(self) -> np.ndarray:
+        """Grid indices of each stored value, one row per axis, in the narrowest
+        unsigned dtype: the sorted tuples of a simplex, every box cell otherwise."""
+        shape, dtype = (self.dims, self.n_cells), np.min_scalar_type(max(self.counts, default=1) - 1)
+        index = (_sorted_tuples(np.empty(shape, dtype), self.counts[0]) if self.simplex
+                 else np.indices(self.counts, dtype).reshape(shape))
+        index.flags.writeable = False
+        return index
+
+    @cached_property
     def _cells(self) -> np.ndarray:
         """Flat C-order box position of each stored value, ascending."""
-        return np.flatnonzero(self.mask)
+        cells = np.ravel_multi_index(self._index, self.counts) if self.simplex else np.arange(self.n_cells)
+        cells.flags.writeable = False
+        return cells
 
     @property
     def n_cells(self) -> int:
@@ -211,8 +220,8 @@ class ScalarField:
         if len(key) == self.dims:
             t = np.rint((np.asarray(key) - self.origins) / self.resolution)
             if np.all((t >= 0) & (t < self.counts)):
-                idx = tuple(t.astype(int))
-                if self._coords(idx).tolist() == list(key) and self.mask[idx]:
+                idx = t.astype(int).tolist()  # a simplex cell's indices are sorted
+                if self._coords(idx).tolist() == list(key) and (not self.simplex or idx == sorted(idx)):
                     return int(np.searchsorted(self._cells, np.ravel_multi_index(idx, self.counts)))
         raise ValueError(f"coordinates {key} are not a grid cell")
 
@@ -232,23 +241,19 @@ class ScalarField:
         if not self.simplex:
             return self.values.reshape(self.counts)  # a view of read-only values
         out = np.empty(self.counts)
-        for cells in itertools.permutations(np.nonzero(self.mask)):
+        for cells in itertools.permutations(self._index):
             out[cells] = self.values
         out.flags.writeable = False
         return out
 
     def with_values(
-        self,
-        values: np.ndarray,
-        value_name: str | None = None,
-        meta_updates: dict | None = None,
+        self, values: np.ndarray, value_name: str | None = None, meta_updates: dict | None = None
     ) -> "ScalarField":
-        return replace(
-            self,
-            values=values,
-            value_name=value_name or self.value_name,
-            meta={**self.meta, **(meta_updates or {})},
-        )
+        """The same grid with other values; it shares this field's read-only cell index."""
+        meta = {**self.meta, **(meta_updates or {})}
+        fld = replace(self, values=values, value_name=value_name or self.value_name, meta=meta)
+        fld.__dict__.update((k, v) for k, v in vars(self).items() if k in ("_index", "_cells"))
+        return fld
 
     def interpolate(self, coords: Sequence[float]) -> float:
         """Multilinear interpolation at off-grid coordinates (cents)."""
@@ -304,18 +309,19 @@ def local_minima(
     """Cells strictly below every neighbor within a Chebyshev radius.
 
     An equal-valued plateau is one minimum, at its lexicographically least
-    mask cell, if none of its cells has a smaller neighbor.  One with no greater
+    stored cell, if none of its cells has a smaller neighbor.  One with no greater
     neighbor either is closed under adjacency, so it is the whole connected box:
     a constant box has no minimum.  NaN equals nothing, so no NaN cell and no
     cell next to one is a minimum.  Simplex fields use their symmetric extension.
 
-    Plateaus are labelled on the mask alone: sorting coordinates keeps a cell's
-    value and does not increase Chebyshev distance, so a box plateau meeting the
-    mask sorts onto one mask plateau, which lies in it and so is its mask cells,
-    and a smaller neighbor onto a smaller neighbor.  Seeds (mask cells with no
-    smaller neighbor) start at label 0 next to an equal mask cell with one; rounds
-    hook each root onto the least label across its edges of equal seeds, then jump
-    each label to its root (Shiloach and Vishkin, 1982); up to 5 were measured.
+    Plateaus are labelled on the mask of stored cells alone, set from ``_index``:
+    sorting coordinates keeps a cell's value and does not increase Chebyshev
+    distance, so a box plateau meeting the mask sorts onto one mask plateau, which
+    lies in it and so is its mask cells, and a smaller neighbor onto a smaller
+    neighbor.  Seeds (mask cells with no smaller neighbor) start at label 0 next to
+    an equal mask cell with one; rounds hook each root onto the least label across
+    its edges of equal seeds, then jump each label to its root (Shiloach and
+    Vishkin, 1982); up to 5 were measured.
     """
     radius = _integer("radius", radius)
     if radius < 1:
@@ -333,8 +339,10 @@ def local_minima(
         for s in range(1, 2 * radius + 1):
             np.minimum(low, cube_min[lead + (slice(s, s + n),)], out=low)
         cube_min = low
-    seed = field.mask & (dense == cube_min)
-    kind = np.pad(field.mask.view(np.int8) + seed, radius)  # 2 on a seed, 1 on the mask, else 0
+    mask = np.zeros(counts, bool)
+    mask[tuple(field._index)] = True
+    seed = mask & (dense == cube_min)
+    kind = np.pad(mask.view(np.int8) + seed, radius)  # 2 on a seed, 1 on the mask, else 0
     cells, at = np.flatnonzero(seed), np.flatnonzero(kind == 2)  # seeds in the box, in the pad
     value, nodes = dense.take(cells), 1 + cells  # label 0 is every leaking plateau's
     strides, padded = ([math.prod(m[k + 1:]) for k in range(len(m))] for m in (counts, kind.shape))
@@ -378,10 +386,6 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
         raise ValueError(f"{value_cents} cents is not on the grid of axis {axis}")
 
     j = int(round(t))
-    kept = field.mask[(slice(None),) * axis + (j,)]  # every slab holds its diagonal cell
-    # each of the s // inner slab rows before s lacks (counts[axis] - 1) * inner cells of its box row
-    inner, s = math.prod(field.counts[axis + 1:]), np.flatnonzero(kept)
-    cells = s + s // inner * ((field.counts[axis] - 1) * inner) + j * inner
     rest = [k for k in range(d) if k != axis]
     # a simplex's axes before the pin span [0, j] and those after it [j, m - 1]
     lo = [j if field.simplex and k > axis else 0 for k in rest]
@@ -391,7 +395,7 @@ def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarFiel
         origins=tuple(field.origins[k] + field.resolution * a for k, a in zip(rest, lo)),
         counts=tuple(b - a for a, b in zip(lo, hi)),
         axis_names=tuple(field.axis_names[k] for k in rest),
-        values=field.values[np.searchsorted(field._cells, cells)],
+        values=field.values[field._index[axis] == j],  # in lexicographic order of the rest
         meta=dict(field.meta, sliced_axis=field.axis_names[axis], sliced_at=float(value_cents)),
     )
 
@@ -476,8 +480,8 @@ def export_csv(field: ScalarField, path) -> None:
     that every cell gathers from by grid index, and the values go through
     :func:`_value_bytes`, so no per-cell string is built.  Rows are written
     in chunks of :data:`_CSV_CHUNK_ROWS`, each one NUL-padded byte matrix
-    whose grid indices are unravelled from that chunk of the field's
-    ``_cells``, so no more than one chunk's bytes and indices are held.
+    whose grid indices are that chunk of the field's ``_index``, so no more
+    than one chunk's bytes are held.
     """
     labels = [np.array([_fmt_coord(c) for c in field.axis_coords(k).tolist()], dtype="S")
               for k in range(field.dims)]
@@ -486,9 +490,7 @@ def export_csv(field: ScalarField, path) -> None:
         fh.write((",".join(field.axis_names + (field.value_name,)) + "\n").encode("utf-8"))
         for start in range(0, len(field.values), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
-            # unravel_index refuses the empty shape of a 0-d field, which has no column
-            idx = np.unravel_index(field._cells[rows], field.counts) if field.dims else ()
-            columns = [f for lab, i in zip(labels, idx) for f in (lab[i], comma)]
+            columns = [f for lab, i in zip(labels, field._index) for f in (lab[i[rows]], comma)]
             _write_rows(fh, columns + [_value_bytes(field.values[rows]), newline])
 
 
@@ -584,11 +586,9 @@ def import_csv(path) -> ScalarField:
         if msg.startswith("value count"):
             msg = f"row count {len(values)} does not match the inferred grid ({msg})"
         raise ValueError(f"{path}: {msg}") from None
-    # a chunk of rows at a time against its cells' coordinates; a 0-d field has none
-    for start in range(0, len(values) if dims else 0, _CSV_CHUNK_ROWS):
+    for start in range(0, len(values), _CSV_CHUNK_ROWS):  # against its cells' coordinates
         chunk = slice(start, start + _CSV_CHUNK_ROWS)
-        idx = np.stack(np.unravel_index(fld._cells[chunk], fld.counts), axis=-1)
-        bad = np.flatnonzero((np.abs(rows[chunk] - fld._coords(idx)) > 1e-6).any(axis=1))
+        bad = np.flatnonzero((np.abs(rows[chunk] - fld._coords(fld._index[:, chunk].T)) > 1e-6).any(axis=1))
         if bad.size:
             at = start + bad[0]
             lineno = _data_lines(path, header_line)[at][0]

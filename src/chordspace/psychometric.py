@@ -131,7 +131,7 @@ def gaussian_smooth(field: ScalarField, sigma_cents: float) -> ScalarField:
             dense = np.lib.stride_tricks.as_strided(dense, shape, lines.strides, writeable=False)
             dense = np.moveaxis(dense, -1, axis)
             del lines  # so the next pass starts from one box array, its input
-        values = dense[field.mask]
+        values = dense[tuple(field._index)]
     return field.with_values(
         values,
         meta_updates={"sigma_cents": float(sigma_cents)},

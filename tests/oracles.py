@@ -37,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from chordspace.errors import UnresolvableChordError, UnresolvableProgressionError
-from chordspace.field import ScalarField, _fmt_coord, _sorted_mask, make_simplex_field
+from chordspace.field import ScalarField, _fmt_coord, make_simplex_field
 from chordspace.harmonicity import (
     PeriodicityConfig,
     _field_meta,
@@ -491,6 +491,12 @@ def coordinate_mask(origins, resolution: int, counts, simplex: bool) -> np.ndarr
     return mask
 
 
+def mask_of(field: ScalarField) -> np.ndarray:
+    """The ``counts``-shaped box mask of a field's stored cells, from their float
+    coordinates (:func:`coordinate_mask`); C-order is the field's value order."""
+    return coordinate_mask(field.origins, field.resolution, field.counts, field.simplex)
+
+
 def symmetric_extension(field: ScalarField) -> np.ndarray:
     """Box array of a field, cell by cell: a simplex cell reads its sorted coordinates."""
     out = np.empty(field.counts)
@@ -538,13 +544,13 @@ def per_line_gaussian_smooth(field: ScalarField, sigma_cents: float) -> np.ndarr
             padded = np.array([row[0]] * radius + row + [row[-1]] * radius)
             out[line] = np.convolve(padded, kernel, mode="valid")
         box = out
-    return box[field.mask]
+    return box[mask_of(field)]
 
 
 def per_cell_export_csv(field: ScalarField, path) -> None:
     """Write cells as CSV: coordinate columns, then the value at 6 decimals."""
     lines = [",".join(field.axis_names + (field.value_name,))]
-    cells = field._coords(np.argwhere(field.mask)).tolist() if field.dims else [()]
+    cells = field._coords(np.argwhere(mask_of(field))).tolist() if field.dims else [()]
     for coords, v in zip(cells, field.values.reshape(-1)):
         parts = [_fmt_coord(c) for c in coords]
         parts.append(f"{float(v):.6f}")
@@ -628,7 +634,7 @@ def row_import_csv(path) -> ScalarField:
         if msg.startswith("value count"):
             msg = f"row count {len(coords_rows)} does not match the inferred grid ({msg})"
         raise ValueError(f"{path}: {msg}") from None
-    off = np.abs(rows - fld._coords(np.argwhere(fld.mask))) > 1e-6
+    off = np.abs(rows - fld._coords(np.argwhere(mask_of(fld)))) > 1e-6
     bad = np.flatnonzero(off.any(axis=1))
     if bad.size:
         raise ValueError(
@@ -645,6 +651,15 @@ def interval_cells(n: int, resolution: int) -> list[tuple[float, ...]]:
         raise ValueError(f"resolution {resolution} does not divide 1200")
     axis = [float(c) for c in range(0, 1201, resolution)]
     return list(itertools.combinations_with_replacement(axis, n - 1))
+
+
+def _sorted_mask(m: int, d: int) -> np.ndarray:
+    """The cells of the ``m**d`` box whose indices never decrease; C-order is lexicographic."""
+    mask = np.ones((m,) * d, dtype=bool)
+    grids = np.ogrid[(slice(m),) * d]
+    for a, b in zip(grids, grids[1:]):
+        mask &= a <= b
+    return mask
 
 
 def nonzero_interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:

@@ -50,6 +50,7 @@ from chordspace.roughness import harmonic_spectrum, pair_roughness, roughness_fi
 from oracles import (
     exhaustive_chord_periodicity,
     geodesic_apsp,
+    mask_of,
     sweep_periodicity_field,
     sweep_transitive_field,
 )
@@ -172,7 +173,7 @@ def test_criterion_5_triad_field_most_consonant_cell():
         x2, x3 = c
         return x2 > 50.0 and (x3 - x2) > 50.0 and x3 < 1150.0
 
-    cells = list(map(tuple, fld._coords(np.argwhere(fld.mask)).tolist()))
+    cells = list(map(tuple, fld._coords(np.argwhere(mask_of(fld))).tolist()))
     idx = [i for i, c in enumerate(cells) if nondegenerate(c)]
     raw_min = min(fld.values[i] for i in idx)
     raw_argmin = {cells[i] for i in idx if fld.values[i] == raw_min}

@@ -73,6 +73,17 @@ def test_interval_grid_equals_the_nonzero_construction(n, resolution):
     assert rows.T.flags.c_contiguous
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 5), m=st.integers(1, 9), dtype=st.sampled_from((np.uint8, np.uint16, np.intp)))
+def test_sorted_tuples_equal_the_nonzero_construction(d, m, dtype):
+    out = np.full((d, math.comb(m + d - 1, d)), 99, dtype)  # every entry must be written
+    assert field_module._sorted_tuples(out, m) is out and out.dtype == dtype
+    assert np.array_equal(out, np.nonzero(oracles._sorted_mask(m, d)))  # lexicographic order
+    if d >= 2 and m >= 2:  # a simplex field's cell index, in the narrowest unsigned dtype
+        fld = ScalarField(1, (0.0,) * d, (m,) * d, True, ("x",) * d, np.zeros(out.shape[1]))
+        assert fld._index.dtype == np.uint8 and np.array_equal(fld._index, out)
+
+
 def test_interval_grid_builds_nothing_but_its_rows():
     rows = interval_grid(4, 10)[1]  # 302,621 cells, 1.15 MiB
     peak = _traced_peak(lambda: interval_grid(4, 10))
@@ -342,7 +353,8 @@ def test_every_slice_of_a_simplex_holds_its_diagonal_cell():
             assert cut.value_at((at,) * (dims - 1)) == fld.value_at((at,) * dims)
             want = [(c[:axis] + c[axis + 1:], fld.value_at(c))
                     for c in oracles.interval_cells(dims + 1, 300) if c[axis] == at]
-            got = zip(map(tuple, cut._coords(np.argwhere(cut.mask)).tolist()), cut.values.tolist())
+            cells = cut._coords(np.argwhere(oracles.mask_of(cut))).tolist()
+            got = zip(map(tuple, cells), cut.values.tolist())
             assert list(got) == want
 
 
@@ -467,11 +479,13 @@ def test_box_normalization_of_vacuous_simplex():
     assert not fld.simplex
 
 
-def test_mask_orders_cells_like_interval_grid():
+def test_cell_index_orders_cells_like_interval_grid():
     fld = _triad_field(300)
-    assert fld.mask.shape == fld.counts
-    cells = fld._coords(np.argwhere(fld.mask)).tolist()
-    assert fld.mask.sum() == fld.n_cells == len(cells)
+    want = oracles.mask_of(fld)
+    assert np.array_equal(fld._cells, np.flatnonzero(want))
+    assert np.array_equal(fld._index, np.argwhere(want).T)  # np.nonzero, 0-d included
+    cells = fld._coords(np.argwhere(want)).tolist()
+    assert np.count_nonzero(want) == fld.n_cells == len(cells)
     notes, rows = interval_grid(3, 300)
     assert cells == (100 * notes[rows[:, 1:]]).tolist()
     assert list(map(tuple, cells)) == oracles.interval_cells(3, 300)
@@ -490,8 +504,11 @@ def test_dense_is_read_only():
         dense = fld.dense()
         with pytest.raises(ValueError):
             dense[(0,) * fld.dims] = 9.0
-    with pytest.raises(ValueError):
-        simplex.mask[0, 0] = False
+    for fld in (simplex, box):  # a write to the cell index would redirect later lookups
+        with pytest.raises(ValueError):
+            fld._index[0][...] = 0
+        with pytest.raises(ValueError):
+            fld._cells[...] = 0
 
 
 def _tetrad_grid_field():
@@ -543,6 +560,19 @@ def test_a_refused_simplex_builds_no_box(origins, message):
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("resolution", [10, 4])  # 302,621 and 4,590,551 cells
+def test_a_simplex_field_and_its_copies_build_no_cell_array(resolution):
+    # read-only values are not copied, so a build is its checks alone: the 1.8 MiB and
+    # 26 MiB box masks are gone, and the cell index waits for its first reader
+    values = np.zeros(math.comb(1200 // resolution + 3, 3))
+    values.flags.writeable = False
+    fld = make_simplex_field(3, resolution, values, "v", {})
+    for build in (lambda: make_simplex_field(3, resolution, values, "v", {}),
+                  lambda: fld.with_values(values)):
+        peak = _traced_peak(build)
+        assert peak < 64 * 2**10, f"peak {peak / 2**10:.0f} KiB"
+
+
 def test_smoothing_holds_two_box_arrays_and_leaves_none_on_its_input():
     fld = _tetrad_grid_field()
     box = 8 * 121**3  # one float64 box array, 13.5 MiB
@@ -590,9 +620,9 @@ CSV_VALUES = st.integers(-10**6, 10**6).map(lambda k: k / 1000)
 
 
 @st.composite
-def simplex_fields(draw, values=LEVELS, min_dims=1, max_dims=3):
+def simplex_fields(draw, values=LEVELS, min_dims=1, max_dims=5):
     dims = draw(st.integers(min_dims, max_dims))
-    res = draw(st.sampled_from((200, 300, 400, 600)))
+    res = draw(st.sampled_from((200, 300, 400, 600) if dims <= 3 else (400, 600)))
     n = len(oracles.interval_cells(dims + 1, res))
     vals = draw(st.lists(values, min_size=n, max_size=n))
     return make_simplex_field(dims, res, vals, "v", {})
@@ -600,12 +630,12 @@ def simplex_fields(draw, values=LEVELS, min_dims=1, max_dims=3):
 
 @st.composite
 def axis_layouts(draw):
-    """(resolution, origins, counts, simplex) of a one-grid simplex (0 to 4 axes of 1 to 7
+    """(resolution, origins, counts, simplex) of a one-grid simplex (0 to 5 axes of 1 to 7
     points), a box, a simplex request whose axes never cross, or a simplex request over
     any axes.  Origins stay within 10**6 cents, where every grid coordinate is an exact
     float: past that, rounding merges coordinates, and the index rule is meant to differ."""
     kind = draw(st.sampled_from(("one grid", "box", "apart", "any")))
-    dims, res = draw(st.integers(0, 4)), draw(st.integers(1, 1200))
+    dims, res = draw(st.integers(0, 5)), draw(st.integers(1, 1200))
     origin = st.integers(-10**6, 10**6).map(float)
     if kind == "one grid":
         return res, (draw(origin),) * dims, (draw(st.integers(1, 7)),) * dims, True
@@ -621,7 +651,7 @@ def axis_layouts(draw):
 
 @PROPERTY
 @given(layout=axis_layouts())
-def test_mask_equals_the_coordinate_oracle(layout):
+def test_cell_index_equals_the_coordinate_oracle(layout):
     res, origins, counts, simplex = layout
     want = oracles.coordinate_mask(origins, res, counts, simplex)
     names, values = [f"n{k}" for k in range(len(counts))], np.zeros(np.count_nonzero(want))
@@ -631,7 +661,8 @@ def test_mask_equals_the_coordinate_oracle(layout):
         return
     fld = ScalarField(res, origins, counts, simplex, names, values)
     assert fld.simplex == (not want.all())
-    assert np.array_equal(fld.mask, want) and fld.n_cells == len(values)
+    assert np.array_equal(fld._cells, np.flatnonzero(want)) and fld.n_cells == len(values)
+    assert np.array_equal(fld._index, np.argwhere(want).T)  # np.nonzero, 0-d included
 
 
 @st.composite
@@ -651,7 +682,7 @@ def grid_fields(values=LEVELS):
 @st.composite
 def simplex_slices(draw, values=LEVELS):
     """Slices of 3-d simplex fields on every axis: one-grid simplices and boxes."""
-    fld = draw(simplex_fields(values, min_dims=3))
+    fld = draw(simplex_fields(values, min_dims=3, max_dims=3))
     axis = draw(st.integers(0, 2))
     return slice_field(fld, axis, draw(st.sampled_from(fld.axis_coords(axis).tolist())))
 
@@ -788,13 +819,17 @@ def test_csv_round_trip_property(fld):
 def test_slice_values_equal_parent_values(fld, data):
     axis = data.draw(st.integers(0, fld.dims - 1))
     at = float(data.draw(st.sampled_from(list(fld.axis_coords(axis)))))
+    if fld.simplex and 0 < axis < fld.dims - 1 and fld.dims >= 4:  # two sorted groups of axes
+        with pytest.raises(ValueError, match="cannot be sliced"):
+            slice_field(fld, axis, at)
+        return
     cut = slice_field(fld, axis, at)
     assert cut.n_cells == len(cut.values)
     for f in (fld, cut):  # every stored cell finds its own index and value
-        cells = f._coords(np.argwhere(f.mask)).tolist()
+        cells = f._coords(np.argwhere(oracles.mask_of(f))).tolist()
         assert [f.index_of(c) for c in cells] == list(range(len(f.values)))
         assert [f.value_at(c) for c in cells] == f.values.tolist()
-    for coords, value in zip(cut._coords(np.argwhere(cut.mask)).tolist(), cut.values):
+    for coords, value in zip(cut._coords(np.argwhere(oracles.mask_of(cut))).tolist(), cut.values):
         assert value == fld.value_at(coords[:axis] + [at] + coords[axis:])
 
 

@@ -48,6 +48,7 @@ from oracles import (
     farey_start_scan,
     fraction_candidates,
     fraction_part,
+    mask_of,
     per_cell_periodicity_field,
     scan_min_denominator,
     single_pass_min_lcm,
@@ -263,7 +264,7 @@ def test_step_function_plateaus_around_just_positions():
 def test_field_values_match_pointwise_evaluation():
     cfg = PeriodicityConfig()
     fld = periodicity_field(2, 25, cfg)
-    for coords, value in zip(fld._coords(np.argwhere(fld.mask)).tolist(), fld.values):
+    for coords, value in zip(fld._coords(np.argwhere(mask_of(fld))).tolist(), fld.values):
         chord = normalize([0.0, coords[0] / 100.0])
         want = 0.0 if len(chord) == 1 else math.log2(chord_periodicity(chord, cfg)[0])
         assert value == want

@@ -151,6 +151,7 @@ def test_curve_requires_positive_sigma():
     (True, (13,), 100), (True, (13, 13), 100), (True, (7, 7, 7), 200), (False, (4, 9, 6), 10),
     # radii up to 40 cells: kernels of 33 taps and more also run BLAS ddot's vector block
     (False, (40,), 10), (True, (40, 40), 5), (False, (40, 10, 10), 1),
+    (True, (4, 4, 4, 4), 400), (True, (3, 3, 3, 3, 3), 600),  # the tetrad and pentad simplex
 ])
 def test_smooth_equals_per_line_oracle(simplex, counts, resolution):
     dims = len(counts)

@@ -37,6 +37,7 @@ from chordspace.resolve import (
 from oracles import (
     exhaustive_relative_to_first,
     exhaustive_transitive,
+    mask_of,
     per_cell_transitive_field,
     sweep_transitive_field,
 )
@@ -322,7 +323,7 @@ def test_transitive_field_pair_and_sweep_equality():
 
     # companion panel equals the one-octave periodicity of each shifted target
     pcfg = cfg.periodicity_config()
-    cells = companion._coords(np.argwhere(companion.mask)).tolist()
+    cells = companion._coords(np.argwhere(mask_of(companion))).tolist()
     for coords, value in zip(cells, companion.values):
         c2 = Chord(tuple(x / 100.0 for x in coords))
         assert value == math.log2(chord_periodicity(shift(c2, c2.root), pcfg)[0])
@@ -397,7 +398,7 @@ def test_transitive_field_equals_per_cell_oracle(window):
         assert np.array_equal(g.values, w.values)
         assert g.meta == w.meta and g.value_name == w.value_name
         assert g.axis_names == w.axis_names
-        assert np.array_equal(g._coords(np.argwhere(g.mask)), w._coords(np.argwhere(w.mask)))
+        assert np.array_equal(g._coords(np.argwhere(mask_of(g))), w._coords(np.argwhere(mask_of(w))))
 
 
 def test_transitive_field_rejects_targets_beyond_the_octave():
