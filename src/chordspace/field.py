@@ -126,11 +126,10 @@ class ScalarField:
     """Dense scalar values on a regular (possibly simplex-constrained) grid.
 
     ``values`` holds one float per included cell, in lexicographic coordinate order.
-    ``_index``, built on first use, is the one cell enumeration: a read-only
-    ``(dims, n_cells)`` array of grid indices, one column per value.  ``_cells``, their
-    ascending flat box positions, serves the ``searchsorted`` of :meth:`index_of` and
-    :meth:`interpolate`; no box mask exists.  A simplex keeps the sorted index tuples,
-    and its axes must share one origin and one count: one axis grid, sorted.  A
+    ``_index``, built on first use by enumerations alone, is a read-only ``(dims,
+    n_cells)`` array of grid indices, one column per value; a lookup computes a cell's
+    position by :meth:`_rank`, and no box mask exists.  A simplex keeps the sorted index
+    tuples, and its axes must share one origin and one count: one axis grid, sorted.  A
     requested simplex stays one only if some axis ends above the next axis's origin;
     otherwise it excludes no cell and is stored as a box, whatever its axes.  ``meta``
     carries the generator name and configuration snapshot; it is excluded from equality.
@@ -204,25 +203,28 @@ class ScalarField:
         index.flags.writeable = False
         return index
 
-    @cached_property
-    def _cells(self) -> np.ndarray:
-        """Flat C-order box position of each stored value, ascending."""
-        cells = np.ravel_multi_index(self._index, self.counts) if self.simplex else np.arange(self.n_cells)
-        cells.flags.writeable = False
-        return cells
+    def _rank(self, idx: Sequence[int]) -> int:
+        """Position in ``values`` of the cell at grid indices ``idx``: a box's flat position, or
+        a simplex's sorted-tuple rank, the count of tuples :func:`_sorted_tuples` writes first."""
+        if not self.simplex:
+            return int(np.ravel_multi_index(idx, self.counts))
+        m, d = self.counts[0], self.dims  # index i skips the (d - i)-suffixes from a_{i-1} to a_i - 1
+        return sum(math.comb(m - p + d - i - 1, d - i) - math.comb(m - a + d - i - 1, d - i)
+                   for i, (p, a) in enumerate(zip((0, *idx), idx)))
 
     @property
     def n_cells(self) -> int:
         return len(self.values)
 
     def index_of(self, coords: Sequence[float]) -> int:
+        """Position in ``values`` of the grid cell at ``coords`` (cents), by its rank."""
         key = tuple(float(c) for c in coords)
         if len(key) == self.dims:
             t = np.rint((np.asarray(key) - self.origins) / self.resolution)
             if np.all((t >= 0) & (t < self.counts)):
                 idx = t.astype(int).tolist()  # a simplex cell's indices are sorted
                 if self._coords(idx).tolist() == list(key) and (not self.simplex or idx == sorted(idx)):
-                    return int(np.searchsorted(self._cells, np.ravel_multi_index(idx, self.counts)))
+                    return self._rank(idx)
         raise ValueError(f"coordinates {key} are not a grid cell")
 
     def value_at(self, coords: Sequence[float]) -> float:
@@ -252,7 +254,7 @@ class ScalarField:
         """The same grid with other values; it shares this field's read-only cell index."""
         meta = {**self.meta, **(meta_updates or {})}
         fld = replace(self, values=values, value_name=value_name or self.value_name, meta=meta)
-        fld.__dict__.update((k, v) for k, v in vars(self).items() if k in ("_index", "_cells"))
+        fld.__dict__.update((k, v) for k, v in vars(self).items() if k == "_index")
         return fld
 
     def interpolate(self, coords: Sequence[float]) -> float:
@@ -271,13 +273,11 @@ class ScalarField:
         idx = np.minimum(np.add(lo, np.array(corners, dtype=np.intp)), np.subtract(self.counts, 1))
         if self.simplex:  # the symmetric extension: a corner reads its sorted cell
             idx.sort(axis=1)
-        at = np.searchsorted(self._cells, np.ravel_multi_index(idx.T, self.counts))
-        found = self.values[at].reshape(len(corners))  # a 0-d field finds one scalar
         out = 0.0
-        for corner, v in zip(corners, found.tolist()):
+        for corner, cell in zip(corners, idx.tolist()):
             w = math.prod(f if bit else 1.0 - f for f, bit in zip(frac, corner))
             if w:
-                out += w * v
+                out += w * self.values.item(self._rank(cell))
         return out
 
     def __eq__(self, other) -> bool:

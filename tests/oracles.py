@@ -18,7 +18,7 @@ value instead of a minimization per cell, every minimal tuning of a
 pinned chord enumerated instead of one joint search, one branch-and-bound
 pass from an unbounded start instead of iterative deepening on the lcm bound,
 interpolation corners read from the box ``dense()`` instead of found by
-``searchsorted`` in the field's cell index, and a simplex's cells kept where
+their rank in the field's stored order, and a simplex's cells kept where
 their float coordinates never decrease instead of where their indices do.
 The production code must agree with these on small instances.
 """

@@ -84,6 +84,17 @@ def test_sorted_tuples_equal_the_nonzero_construction(d, m, dtype):
         assert fld._index.dtype == np.uint8 and np.array_equal(fld._index, out)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(0, 5), m=st.integers(1, 9))
+def test_rank_inverts_the_sorted_tuples(d, m):
+    # the field is a box when d < 2 or m == 1, where the tuples are its cells in C order
+    tuples = np.empty((d, math.comb(m + d - 1, d)), int)  # d = 0 has one tuple, the empty one
+    if d:
+        field_module._sorted_tuples(tuples, m)
+    fld = ScalarField(1, (0.0,) * d, (m,) * d, True, ("x",) * d, np.zeros(tuples.shape[1]))
+    assert [fld._rank(c) for c in tuples.T.tolist()] == list(range(fld.n_cells))
+
+
 def test_interval_grid_builds_nothing_but_its_rows():
     rows = interval_grid(4, 10)[1]  # 302,621 cells, 1.15 MiB
     peak = _traced_peak(lambda: interval_grid(4, 10))
@@ -482,7 +493,7 @@ def test_box_normalization_of_vacuous_simplex():
 def test_cell_index_orders_cells_like_interval_grid():
     fld = _triad_field(300)
     want = oracles.mask_of(fld)
-    assert np.array_equal(fld._cells, np.flatnonzero(want))
+    assert [fld._rank(c) for c in np.argwhere(want).tolist()] == list(range(fld.n_cells))
     assert np.array_equal(fld._index, np.argwhere(want).T)  # np.nonzero, 0-d included
     cells = fld._coords(np.argwhere(want)).tolist()
     assert np.count_nonzero(want) == fld.n_cells == len(cells)
@@ -507,8 +518,6 @@ def test_dense_is_read_only():
     for fld in (simplex, box):  # a write to the cell index would redirect later lookups
         with pytest.raises(ValueError):
             fld._index[0][...] = 0
-        with pytest.raises(ValueError):
-            fld._cells[...] = 0
 
 
 def _tetrad_grid_field():
@@ -535,16 +544,18 @@ def test_dense_peak_memory_is_a_few_box_arrays():
     assert peak <= 5 * dense.nbytes, f"peak {peak / dense.nbytes:.1f} box arrays"
 
 
-@pytest.mark.parametrize("lookup", [
-    lambda fld: fld.value_at((100.0, 500.0, 700.0)),
-    lambda fld: fld.index_of((100.0, 500.0, 700.0)),
-    lambda fld: fld.interpolate((705.0, 103.0, 1200.0)),
-    lambda fld: slice_field(fld, 1, 600.0),
+@pytest.mark.parametrize("lookup, bound", [
+    (lambda fld: fld.value_at((100.0, 500.0, 700.0)), 64 * 2**10),
+    (lambda fld: fld.index_of((100.0, 500.0, 700.0)), 64 * 2**10),
+    (lambda fld: fld.interpolate((705.0, 103.0, 1200.0)), 64 * 2**10),
+    (lambda fld: slice_field(fld, 1, 600.0), 8 * 121**3),  # a box of int64, 13.5 MiB
 ], ids=["value_at", "index_of", "interpolate", "slice_field"])
-def test_first_lookup_builds_no_box_sized_array(lookup):
+def test_first_lookup_builds_no_box_sized_array(lookup, bound):
+    # a lookup computes its cells' ranks and builds no cell array; a slice enumerates
+    # the field's cell index, 0.9 MiB of uint8
     fld = _tetrad_grid_field()
     peak = _traced_peak(lambda: lookup(fld))
-    assert peak < 8 * 121**3, f"peak {peak / 2**20:.1f} MiB"  # a box of int64, 13.5 MiB
+    assert peak < bound, f"peak {peak / 2**10:.0f} KiB"
 
 
 @pytest.mark.parametrize("origins, message", [
@@ -661,8 +672,14 @@ def test_cell_index_equals_the_coordinate_oracle(layout):
         return
     fld = ScalarField(res, origins, counts, simplex, names, values)
     assert fld.simplex == (not want.all())
-    assert np.array_equal(fld._cells, np.flatnonzero(want)) and fld.n_cells == len(values)
+    assert fld.n_cells == len(values)
     assert np.array_equal(fld._index, np.argwhere(want).T)  # np.nonzero, 0-d included
+    cells, positions = np.argwhere(want), list(range(fld.n_cells))
+    assert [fld.index_of(c) for c in fld._coords(cells).tolist()] == positions
+    ranks = [fld._rank(c) for c in cells.tolist()]
+    assert ranks == positions
+    if not fld.simplex:  # a box cell's rank is its flat C-order position
+        assert ranks == np.atleast_1d(np.ravel_multi_index(cells.T, counts)).tolist()
 
 
 @st.composite
