@@ -314,60 +314,58 @@ def local_minima(
     a constant box has no minimum.  NaN equals nothing, so no NaN cell and no
     cell next to one is a minimum.  Simplex fields use their symmetric extension.
 
-    Plateaus are labelled on the mask of stored cells alone, set from ``_index``:
-    sorting coordinates keeps a cell's value and does not increase Chebyshev
-    distance, so a box plateau meeting the mask sorts onto one mask plateau, which
-    lies in it and so is its mask cells, and a smaller neighbor onto a smaller
-    neighbor.  Seeds (mask cells with no smaller neighbor) start at label 0 next to
-    an equal mask cell with one; rounds hook each root onto the least label across
-    its edges of equal seeds, then jump each label to its root (Shiloach and
-    Vishkin, 1982); up to 5 were measured.
+    Plateaus are labelled on the stored cells alone, by flat position in the extension
+    padded by the radius with +inf, where an int8 ``kind`` is 1 on a stored cell (from
+    ``_index``), 2 on a seed (one with no smaller neighbor) and 0 elsewhere: sorting
+    coordinates keeps a cell's value and does not increase Chebyshev distance, so a box
+    plateau meeting the stored cells sorts onto one plateau of them, which lies in it and
+    so is its stored cells, and a smaller neighbor onto a smaller neighbor.  Seeds next to
+    an equal kind-1 cell start at label 0; rounds hook each root onto the least label across
+    its edges of equal seeds, then jump each label to its root (Shiloach and Vishkin, 1982).
     """
     radius = _integer("radius", radius)
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    counts = field.counts
-    radius = min(radius, max(1, max(counts, default=0) - 1))  # max(counts) - 1 reaches every cell
-    dense = field.dense()
-    if (dense == dense.flat[0]).all():
+    radius = min(radius, max(1, max(field.counts, default=0) - 1))  # max(counts) - 1 reaches every cell
+    if ((dense := field.dense()) == dense.flat[0]).all():
         return []
+    cube_min = padded = np.pad(dense, radius, constant_values=np.inf)
+    del dense
     # Each cell's cube minimum, itself included; np.minimum propagates NaN, which fails ==.
-    cube_min = np.pad(dense, radius, constant_values=np.inf)
-    for k, n in enumerate(counts):
+    for k, n in enumerate(field.counts):
         lead = (slice(None),) * k
-        low = cube_min[lead + (slice(0, n),)].copy()
-        for s in range(1, 2 * radius + 1):
+        low = np.minimum(cube_min[lead + (slice(0, n),)], cube_min[lead + (slice(1, n + 1),)])
+        for s in range(2, 2 * radius + 1):
             np.minimum(low, cube_min[lead + (slice(s, s + n),)], out=low)
-        cube_min = low
-    mask = np.zeros(counts, bool)
-    mask[tuple(field._index)] = True
-    seed = mask & (dense == cube_min)
-    kind = np.pad(mask.view(np.int8) + seed, radius)  # 2 on a seed, 1 on the mask, else 0
-    cells, at = np.flatnonzero(seed), np.flatnonzero(kind == 2)  # seeds in the box, in the pad
-    value, nodes = dense.take(cells), 1 + cells  # label 0 is every leaking plateau's
-    strides, padded = ([math.prod(m[k + 1:]) for k in range(len(m))] for m in (counts, kind.shape))
-    label = np.zeros(dense.size + 1, np.intp)  # only 0 and the nodes are read or written
-    label[nodes] = nodes
-    edges = [(nodes[:0], nodes[:0])]  # each pair of equal neighboring seeds once, lesser first
+        cube_min, low = low, None  # one name, so that `del cube_min` frees the last pass
+    core = (slice(radius, -radius),) * field.dims + (...,)  # the box (a 0-d one stays a view)
+    kind = np.zeros(padded.shape, np.int8)  # 2 on a seed, 1 on another stored cell, else 0
+    kind[core][tuple(field._index)] = 1
+    kind[core] += kind[core] & (padded[core] == cube_min)
+    del cube_min
+    seeds = np.flatnonzero(kind == 2)  # never 0, a padding position: label 0 is every leak's
+    value, strides = padded.take(seeds), [math.prod(kind.shape[k + 1:]) for k in range(kind.ndim)]
+    label = np.zeros(kind.size, np.intp)  # only 0 and the seeds are read or written
+    label[seeds] = seeds
+    edges = [(seeds[:0], seeds[:0])]  # each pair of equal neighboring seeds once, lesser first
     for o in filter(any, itertools.product(range(-radius, radius + 1), repeat=field.dims)):
-        step = np.dot(o, strides)
-        nb, k = cells + step, kind.take(at + np.dot(o, padded))
-        equal = dense.take(nb, mode="clip") == value  # meaningless where k == 0
-        label[nodes[equal & (k == 1)]] = 0
+        nb = seeds + (step := np.dot(o, strides))
+        k, equal = kind.take(nb), padded.take(nb) == value
+        label[seeds[equal & (k == 1)]] = 0
         if step > 0:
             i = np.flatnonzero(equal & (k == 2))
-            edges.append((nodes[i], 1 + nb[i]))
+            edges.append((seeds[i], nb[i]))
     u, v = map(np.concatenate, zip(*edges))
     del edges
     while (apart := label[u] != label[v]).any():
         u, v = u[apart], v[apart]  # a pair once joined stays joined
         np.minimum.at(label, label[u], label[v])
         np.minimum.at(label, label[v], label[u])
-        while not np.array_equal(root := label[label[nodes]], label[nodes]):
-            label[nodes] = root
-    report = np.setdiff1d(label[nodes], 0) - 1  # flat C order is lexicographic
-    coords = field._coords(report[:, None] // strides % counts)
-    return list(zip(map(tuple, coords.tolist()), dense.take(report).tolist()))
+        while not np.array_equal(root := label[label[seeds]], label[seeds]):
+            label[seeds] = root
+    report = np.setdiff1d(label[seeds], 0)  # flat C order is lexicographic
+    coords = field._coords(report[:, None] // strides % kind.shape - radius)
+    return list(zip(map(tuple, coords.tolist()), padded.take(report).tolist()))
 
 
 def slice_field(field: ScalarField, axis: int, value_cents: float) -> ScalarField:

@@ -560,9 +560,9 @@ def periodicity_field(
     q | L whose float max - min, the root's 0 included, fits :func:`min_lcm`'s window.
     Each level asks :func:`_ladder_rows` for the rows ``(q, axis value, detuning)`` of the
     divisors of L and adds the root's one row; no rows are held between levels.  Assigned
-    cells are masked and dropped once half of them are.  Cells left
-    after qmax (L* > qmax) run :func:`chord_periodicity` one by one in lexicographic
-    order; the first infeasible one raises.
+    cells are masked and dropped once half of them are.  Cells left after qmax (L* > qmax)
+    run :func:`chord_periodicity` one by one in lexicographic order; the first infeasible
+    one raises.  Each face (x2 = 0, xk = xk+1 or xn = 1200 c) is the (n-1)-note field exactly.
     """
     notes, idx = interval_grid(n, resolution)
     idx = idx.T[1:].astype(np.intp)  # a contiguous row per non-root note; intp gathers faster

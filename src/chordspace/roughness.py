@@ -221,7 +221,9 @@ def roughness_field(
     f0: float = DEFAULT_F0_HZ,
     params: RoughnessParams = RoughnessParams(),
 ) -> ScalarField:
-    """Chord roughness over the one-octave grid (same convention as periodicity)."""
+    """Chord roughness over the one-octave grid (same convention as periodicity).  Each face
+    with x2 = 0 or xk = xk+1 is the (n-1)-note field exactly; the face xn = 1200 c is not, as
+    an octave adds partial pairs."""
     notes, rows = interval_grid(n, resolution)
     distinct = np.ones(rows.shape, bool)  # indices ascend along each row
     np.not_equal(rows[:, 1:], rows[:, :-1], out=distinct[:, 1:])

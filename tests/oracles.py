@@ -307,6 +307,24 @@ def exhaustive_chord_periodicity(
     return best, best_fracs
 
 
+def exhaustive_rerooted(
+    c: Chord, cfg: PeriodicityConfig
+) -> tuple[int | None, dict[float, int | None]]:
+    """Re-rooted periodicity by full enumeration: for each root r, the least lcm over the
+    whole product of the other notes' unclamped candidate lists that fits the JND with r at
+    1/1 (``None`` if none does), and the least over every root (``None`` if all are)."""
+    per_root: dict[float, int | None] = {}
+    for r in c.notes:
+        lists = [ratio_candidates((p - r) * 100.0, cfg, clamp=False) for p in c.notes if p != r]
+        per_root[r] = min(
+            (math.lcm(*(q for q, _, _ in combo)) for combo in itertools.product(*lists)
+             if within_jnd([0.0] + [d for _, _, d in combo], cfg.jnd_cents,
+                           cfg.pairwise_constraint)),
+            default=None,
+        )
+    return min((v for v in per_root.values() if v is not None), default=None), per_root
+
+
 def exhaustive_transitive(
     first: Chord, second: Chord, jnd_cents: float = 18.0, qmax: int = 100
 ) -> int | None:
@@ -668,6 +686,21 @@ def nonzero_interval_grid(n: int, resolution: int) -> tuple[np.ndarray, np.ndarr
     m = 1200 // resolution + 1
     cells = np.nonzero(_sorted_mask(m, n - 1))
     return np.arange(m) * resolution / 100, np.stack((np.zeros_like(cells[0]), *cells)).T
+
+
+def face(field: ScalarField, lower: ScalarField, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Face k of an n-note interval field against the (n-1)-note field ``lower`` of the same
+    grid: ``(field's values on the face, lower's values at each face cell's chord)``.
+
+    Face 0 is x2 index 0 (a note on the root), face k of 1 to n - 2 is x(k+1) index =
+    x(k+2) index (a doubled note) and face n - 1 is xn index m - 1 (the octave).  Each face
+    cell is picked from ``_index``; dropping that note leaves a cell of ``lower``, read by
+    its ``_rank`` (a dyad field is a box, so there the rank is the index).
+    """
+    idx, d = field._index.astype(int), field.dims
+    on = idx[0] == 0 if k == 0 else idx[d - 1] == field.counts[0] - 1 if k == d else idx[k - 1] == idx[k]
+    cells = np.delete(idx[:, on], min(k, d - 1), axis=0).T.tolist()
+    return field.values[on], lower.values[[lower._rank(c) for c in cells]]
 
 
 def cell_chord(coords: tuple[float, ...]) -> Chord:

@@ -13,6 +13,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 import chordspace.harmonicity as harmonicity
 from chordspace.errors import (
+    InfeasibleError,
     UnresolvableChordError,
     UnresolvableIntervalError,
     UnresolvableProgressionError,
@@ -45,6 +46,7 @@ from chordspace.pitch import Chord, normalize, shift
 from oracles import (
     exact_trim,
     exhaustive_chord_periodicity,
+    exhaustive_rerooted,
     farey_start_scan,
     fraction_candidates,
     fraction_part,
@@ -246,6 +248,26 @@ def test_rerooted_periodicity_investigation_mode():
     # half a semitone has no ratio with denominator <= 2 within 18 cents, from either root
     with pytest.raises(UnresolvableChordError, match=r"no rational tuning of \[0,0\.5\] under any"):
         rerooted_periodicity(normalize([0, 0.5]), PeriodicityConfig(qmax=2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    cents=st.sets(st.integers(-1200, 2400), min_size=1, max_size=3),
+    jnd=st.sampled_from([10.0, 18.0, 25.0]),
+    qmax=st.sampled_from([12, 30]),
+    pairwise=st.booleans(),
+)
+@example(cents=[0, 50], jnd=18.0, qmax=12, pairwise=True)  # infeasible from either root
+def test_rerooted_periodicity_equals_exhaustive_oracle(cents, jnd, qmax, pairwise):
+    c = normalize([x / 100 for x in cents])
+    cfg = PeriodicityConfig(jnd_cents=jnd, qmax=qmax, pairwise_constraint=pairwise)
+    best, per_root = exhaustive_rerooted(c, cfg)
+    event("infeasible" if best is None else "feasible")
+    if best is None:
+        with pytest.raises(InfeasibleError, match="under any re-rooting"):
+            rerooted_periodicity(c, cfg)
+    else:
+        assert rerooted_periodicity(c, cfg) == (best, per_root)
 
 
 def test_step_function_plateaus_around_just_positions():

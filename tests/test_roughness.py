@@ -8,10 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from chordspace import roughness
+from chordspace.errors import InfeasibleError
 from chordspace.field import local_minima
+from chordspace.harmonicity import PeriodicityConfig, periodicity_field
 from chordspace.pitch import DEFAULT_F0_HZ, normalize
 from chordspace.roughness import (
     PURE_SINE,
@@ -22,7 +24,7 @@ from chordspace.roughness import (
     pair_roughness,
     roughness_field,
 )
-from oracles import per_cell_roughness_field, per_chord_roughness
+from oracles import face, per_cell_roughness_field, per_chord_roughness
 
 
 def test_identical_partials_do_not_beat():
@@ -225,9 +227,10 @@ def test_one_cell_chunks_equal_the_oracle(monkeypatch):
 
 
 @st.composite
-def spectra(draw, integer_ratios=False):
-    """1-8 partials: non-integer ratios, or whole-number ones that tie across octaves."""
-    m = draw(st.integers(1, 8))
+def spectra(draw, integer_ratios=False, max_partials=8):
+    """1 to ``max_partials`` partials: non-integer ratios, or whole-number ones that tie
+    across octaves."""
+    m = draw(st.integers(1, max_partials))
     if integer_ratios:
         ratios = sorted(draw(st.sets(st.integers(1, 9), min_size=m, max_size=m)))
     else:
@@ -324,3 +327,49 @@ def test_roughness_field_peak_memory_is_a_few_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+# -- the stratifold's faces ---------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["periodicity", "roughness"]),
+    grid=st.one_of(
+        st.tuples(st.just(3), st.sampled_from([r for r in _DIVISORS_FROM_10 if r >= 20])),
+        st.tuples(st.just(4), st.sampled_from([r for r in _DIVISORS_FROM_10 if r >= 60])),
+    ),
+    jnd=st.sampled_from([10.0, 18.0, 25.0]),
+    qmax=st.sampled_from([12, 30, 100]),
+    pairwise=st.booleans(),
+    spectrum=spectra(max_partials=6),
+)
+@example(kind="periodicity", grid=(4, 60), jnd=18.0, qmax=100, pairwise=True,
+         spectrum=Spectrum(((1.0, 1.0),)))
+@example(kind="roughness", grid=(3, 20), jnd=18.0, qmax=100, pairwise=True,
+         spectrum=Spectrum(((1.0, 1.0), (2.3, 0.5), (3.7, 0.25))))
+def test_a_fields_faces_are_the_smaller_field(kind, grid, jnd, qmax, pairwise, spectrum):
+    # a chord with a doubled note, or a note on the root, is the chord without it; for
+    # periodicity so is one with the octave, as 2/1 has q = 1, while for roughness an
+    # octave adds partial pairs
+    n, res = grid
+    if kind == "roughness":
+        make, faces = (lambda n: roughness_field(n, res, spectrum)), range(n - 1)
+    else:
+        cfg = PeriodicityConfig(jnd_cents=jnd, qmax=qmax, pairwise_constraint=pairwise)
+        make, faces = (lambda n: periodicity_field(n, res, cfg)), range(n)
+    try:
+        lower = make(n - 1)
+    except InfeasibleError:
+        event(f"{kind}: infeasible")
+        with pytest.raises(InfeasibleError):
+            make(n)
+        return
+    try:
+        fld = make(n)
+    except InfeasibleError:
+        assume(False)
+    event(f"{kind}, n={n}")
+    for k in faces:
+        on_face, below = face(fld, lower, k)
+        assert len(on_face) and np.array_equal(on_face, below), f"face {k}"
