@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import errno
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -130,9 +131,9 @@ def cmd_distance(args) -> int:
     cfg = _load_config(args)
     norm = metric.NormChoice.from_str(args.norm)
     c1, c2 = args.chord1, args.chord2
-    per_n = {}
-    for n in range(max(len(c1), len(c2)), len(c1) + len(c2) + 1):
-        per_n[str(n)] = metric.chord_distance_n(c1, c2, n, norm)
+    lo, hi = max(len(c1), len(c2)), len(c1) + len(c2)
+    costs = itertools.islice(metric._path_costs(c1, c2, norm), lo - 1, None)  # one pass for every n
+    per_n = {str(n): metric._finish(cost, norm) for n, cost in zip(range(lo, hi + 1), costs)}
     witness = metric.geodesic_witness(c1, c2)
     _emit(
         {

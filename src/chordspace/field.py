@@ -315,13 +315,16 @@ def local_minima(
     cell next to one is a minimum.  Simplex fields use their symmetric extension.
 
     Plateaus are labelled on the stored cells alone, by flat position in the extension
-    padded by the radius with +inf, where an int8 ``kind`` is 1 on a stored cell (from
-    ``_index``), 2 on a seed (one with no smaller neighbor) and 0 elsewhere: sorting
-    coordinates keeps a cell's value and does not increase Chebyshev distance, so a box
-    plateau meeting the stored cells sorts onto one plateau of them, which lies in it and
-    so is its stored cells, and a smaller neighbor onto a smaller neighbor.  Seeds next to
-    an equal kind-1 cell start at label 0; rounds hook each root onto the least label across
-    its edges of equal seeds, then jump each label to its root (Shiloach and Vishkin, 1982).
+    padded by the radius with +inf, where an int32 ``kind`` is -1 on a stored cell (from
+    ``_index``), -2 on a seed (one equal to its cube minimum, so with no smaller neighbor),
+    then s + 1 on seed s, and 0 elsewhere: sorting coordinates keeps a cell's value and does
+    not increase Chebyshev distance, so a box plateau meeting the stored cells sorts onto one
+    plateau of them, which lies in it and so is its stored cells, and a smaller neighbor onto
+    a smaller neighbor.  Two seeds within the radius are equal: each is its cube's minimum, so
+    at most the other, and a NaN is never one; so any two neighboring seeds make an edge.
+    Labels live on the seeds, seed s at entry s + 1; seeds next to an equal stored non-seed
+    start at label 0, and rounds hook each root onto the least label across its edges, then
+    jump each label to its root (Shiloach and Vishkin, 1982).
     """
     radius = _integer("radius", radius)
     if radius < 1:
@@ -339,31 +342,31 @@ def local_minima(
             np.minimum(low, cube_min[lead + (slice(s, s + n),)], out=low)
         cube_min, low = low, None  # one name, so that `del cube_min` frees the last pass
     core = (slice(radius, -radius),) * field.dims + (...,)  # the box (a 0-d one stays a view)
-    kind = np.zeros(padded.shape, np.int8)  # 2 on a seed, 1 on another stored cell, else 0
-    kind[core][tuple(field._index)] = 1
-    kind[core] += kind[core] & (padded[core] == cube_min)
+    kind = np.zeros(padded.shape, np.int32)  # -1 on a stored cell, -2 on a seed, then s + 1
+    kind[core][tuple(field._index)] = -1
+    kind[core][(padded[core] == cube_min) & (kind[core] < 0)] = -2  # a mask: no int32 temporary
     del cube_min
-    seeds = np.flatnonzero(kind == 2)  # never 0, a padding position: label 0 is every leak's
+    seeds = np.flatnonzero(kind == -2)
+    kind.flat[seeds] = ids = np.arange(1, len(seeds) + 1, dtype=np.int32)
     value, strides = padded.take(seeds), [math.prod(kind.shape[k + 1:]) for k in range(kind.ndim)]
-    label = np.zeros(kind.size, np.intp)  # only 0 and the seeds are read or written
-    label[seeds] = seeds
-    edges = [(seeds[:0], seeds[:0])]  # each pair of equal neighboring seeds once, lesser first
+    label = np.arange(len(seeds) + 1, dtype=np.int32)  # label 0 is every leak's
+    edges = [(ids[:0], ids[:0])]  # each pair of neighboring seeds once, lesser first
     for o in filter(any, itertools.product(range(-radius, radius + 1), repeat=field.dims)):
         nb = seeds + (step := np.dot(o, strides))
-        k, equal = kind.take(nb), padded.take(nb) == value
-        label[seeds[equal & (k == 1)]] = 0
+        k = kind.take(nb)
+        label[ids[(k == -1) & (padded.take(nb) == value)]] = 0
         if step > 0:
-            i = np.flatnonzero(equal & (k == 2))
-            edges.append((seeds[i], nb[i]))
+            i = np.flatnonzero(k > 0)
+            edges.append((ids[i], k[i]))
     u, v = map(np.concatenate, zip(*edges))
     del edges
     while (apart := label[u] != label[v]).any():
         u, v = u[apart], v[apart]  # a pair once joined stays joined
         np.minimum.at(label, label[u], label[v])
         np.minimum.at(label, label[v], label[u])
-        while not np.array_equal(root := label[label[seeds]], label[seeds]):
-            label[seeds] = root
-    report = np.setdiff1d(label[seeds], 0)  # flat C order is lexicographic
+        while not np.array_equal(root := label[label], label):
+            label = root
+    report = seeds[np.setdiff1d(label, 0) - 1]  # flat C order is lexicographic
     coords = field._coords(report[:, None] // strides % kind.shape - radius)
     return list(zip(map(tuple, coords.tolist()), padded.take(report).tolist()))
 

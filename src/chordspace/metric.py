@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
-from typing import Sequence
+from itertools import accumulate, islice
+from typing import Iterator, Sequence
 
 from .pitch import Chord
 
@@ -73,27 +73,33 @@ def _finish(total: float, norm: NormChoice) -> float:
     return d
 
 
-def chord_distance_n(
-    c1: Chord, c2: Chord, n: int, norm: NormChoice = NormChoice.MANHATTAN
-) -> float:
-    """Minimum matching distance over all n-note duplications of both chords.
-
-    The cheapest path of exactly n pairs (a step may stay put, repeating a pair),
-    by a dynamic program over path length: O(k*m*n) time, O(k*m) memory.
-    """
-    if n < max(len(c1), len(c2)):
-        raise ValueError(f"n={n} is smaller than the larger chord ({max(len(c1), len(c2))} notes)")
+def _path_costs(c1: Chord, c2: Chord, norm: NormChoice) -> Iterator[float]:
+    """The cheapest cost of a path of exactly t pairs, for t = 1, 2, ...: a step may stay
+    put, repeating a pair.  One dynamic program over path length, O(k*m) per t."""
     cost = [[_cost(x, y, norm) for y in c2] for x in c1]
     inf, m = math.inf, len(c2)
     # prev[i + 1][j + 1]: cheapest path of t pairs ending at (i, j); t = 0 at [0][0]
     prev = [[0] + [inf] * m] + [[inf] * (m + 1) for _ in cost]
-    for _ in range(n):
+    while True:
         cur = [[inf] * (m + 1)]
         for up, here, row in zip(prev, prev[1:], cost):
             lows = map(min, here[1:], up[1:], here, up)  # from (i,j) (i-1,j) (i,j-1) (i-1,j-1)
             cur.append([inf] + [c + low for c, low in zip(row, lows)])
         prev = cur
-    return _finish(prev[-1][-1], norm)
+        yield prev[-1][-1]
+
+
+def chord_distance_n(
+    c1: Chord, c2: Chord, n: int, norm: NormChoice = NormChoice.MANHATTAN
+) -> float:
+    """Minimum matching distance over all n-note duplications of both chords.
+
+    The n-th cost of :func:`_path_costs`, the cheapest path of exactly n pairs:
+    O(k*m*n) time, O(k*m) memory.
+    """
+    if n < max(len(c1), len(c2)):
+        raise ValueError(f"n={n} is smaller than the larger chord ({max(len(c1), len(c2))} notes)")
+    return _finish(next(islice(_path_costs(c1, c2, norm), n - 1, None)), norm)
 
 
 def chord_distance(c1: Chord, c2: Chord, norm: NormChoice = NormChoice.MANHATTAN) -> float:

@@ -22,6 +22,7 @@ from chordspace.cli import build_parser, main, parse_cents
 from chordspace.config import Config
 from chordspace.field import export_csv, export_matrix
 from chordspace.harmonicity import periodicity_field
+from chordspace.metric import NormChoice, chord_distance_n
 from chordspace.pitch import Chord
 from chordspace.psychometric import THIRD_QUARTILE_Z, gaussian_smooth
 from chordspace.resolve import TransitiveConfig, transitive_field
@@ -91,12 +92,41 @@ def test_distance_overflow_exits_2(capsys, argv):
     assert "too far apart" in err
 
 
-def test_distance_seven_vs_eight_notes_is_fast(capsys):
+def _chord_text(notes):
+    return "[" + ",".join(map(repr, notes)) + "]"
+
+
+@pytest.mark.parametrize(
+    "chord1, chord2",
+    [
+        ("[0,2,4,5,7,9,11]", "[0,1,3,5,6,8,10,11]"),
+        # one pass of the path program gives every d_n; a rerun per n takes seconds on this pair
+        (_chord_text(x / 5 for x in range(60)), _chord_text(x / 5 + 0.1 for x in range(60))),
+    ],
+    ids=["7-vs-8", "60-vs-60"],
+)
+def test_distance_seven_vs_eight_notes_is_fast(capsys, chord1, chord2):
     start = time.perf_counter()
-    code, out, _ = run_cli(capsys, "distance", "[0,2,4,5,7,9,11]", "[0,1,3,5,6,8,10,11]")
+    code, out, _ = run_cli(capsys, "distance", chord1, chord2)
     assert code == 0
     assert time.perf_counter() - start < 2.0
-    assert sorted(json.loads(out)["d_n"], key=int) == [str(n) for n in range(8, 16)]
+    k, m = chord1.count(",") + 1, chord2.count(",") + 1
+    assert sorted(json.loads(out)["d_n"], key=int) == [str(n) for n in range(max(k, m), k + m + 1)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    cents1=st.lists(st.integers(-1200, 2400), min_size=1, max_size=6, unique=True),
+    cents2=st.lists(st.integers(-1200, 2400), min_size=1, max_size=6, unique=True),
+)
+def test_distance_d_n_equal_chord_distance_n(cents1, cents2):
+    c1, c2 = (Chord(tuple(sorted(c / 100 for c in cents))) for cents in (cents1, cents2))
+    for norm in NormChoice:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["distance", _chord_text(c1), _chord_text(c2), "--norm", norm.value]) == 0
+        want = {str(n): chord_distance_n(c1, c2, n, norm)
+                for n in range(max(len(c1), len(c2)), len(c1) + len(c2) + 1)}
+        assert json.loads(out.getvalue())["d_n"] == want
 
 
 def test_periodicity_values_and_witness(capsys):

@@ -621,6 +621,14 @@ def test_export_csv_holds_no_whole_field_index(tmp_path, monkeypatch):
     assert peak < 8 * 3 * fld.n_cells, f"peak {peak / 2**20:.1f} MiB"  # one int64 per cell and axis
 
 
+def test_local_minima_labels_its_seeds_not_its_box():
+    # the raw (3, 1) field has 721,801 cells, most of them on plateaus: labels and edges on
+    # the seeds peak near 80 MiB, where a box-sized label array and intp edges peaked near 115
+    fld = periodicity_field(3, 1)
+    peak = _traced_peak(lambda: local_minima(fld, 1))
+    assert peak < 98 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 # -- properties ---------------------------------------------------------------
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
